@@ -214,28 +214,13 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class DivisibilityPoset:
-    """Finite set of positive integers ordered by divisibility."""
-
-    elements: frozenset[int]
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "DivisibilityPoset":
-        vals = frozenset(_check_positive_int(v, "poset element") for v in values)
-        return cls(vals)
-
-    def covers(self, b: int) -> frozenset[int]:
-        return poset_covers(self, b)
-
-
-def poset_covers(poset: Union[DivisibilityPoset, Iterable[int]], b: int) -> frozenset[int]:
+def poset_covers(poset: Iterable[int], b: int) -> frozenset[int]:
     """Elements covered by b: maximal proper divisors of b within the poset.
 
     q is covered by b when q | b, q != b, and no poset element r satisfies
     q | r | b strictly between them.
     """
-    elems = poset.elements if isinstance(poset, DivisibilityPoset) else frozenset(poset)
+    elems = frozenset(poset)
     if b not in elems:
         raise InputError(f"{b} is not an element of the poset")
     below = [q for q in elems if q != b and b % q == 0]

@@ -23,7 +23,7 @@ lexicographically on their sorted vertex tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -262,10 +262,6 @@ def base_complex(weights: WeightsLike, d: int, *,
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 
-def is_face(cx: Complex, face: Iterable[int]) -> bool:
-    return cx.is_face(face)
-
-
 def minimal_nonfaces(cx: Complex,
                      within: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Inclusion-minimal non-faces, lexicographic on sorted vertex tuples.
@@ -276,6 +272,10 @@ def minimal_nonfaces(cx: Complex,
     as a singleton non-face. The complex without facets has the empty set
     as its single minimal non-face, which keeps the defining equivalence
     (face iff containing no minimal non-face) intact.
+
+    Twins (vertices in the same facets) form a face together, so a minimal
+    non-face takes at most one vertex per twin class: the sweep runs over
+    classes and expands each result by every choice of one vertex per class.
     """
     if not cx.facets:
         return [frozenset()]
@@ -283,18 +283,26 @@ def minimal_nonfaces(cx: Complex,
         ambient = tuple(range(cx.n_vertices))
     else:
         ambient = tuple(sorted(set(within)))
-    out = [frozenset((v,)) for v in ambient if not cx.is_face((v,))]
-    verts = [v for v in ambient if cx.is_face((v,))]
-    if len(verts) > _ENUMERATION_VERTEX_LIMIT:
+    out: list[frozenset[int]] = []
+    twins: dict[frozenset[frozenset[int]], list[int]] = {}
+    for v in ambient:
+        if cx.is_face((v,)):
+            twins.setdefault(frozenset(f for f in cx.facets if v in f), []).append(v)
+        else:
+            out.append(frozenset((v,)))
+    n_verts = len(ambient) - len(out)
+    if n_verts > _ENUMERATION_VERTEX_LIMIT:
         raise ResourceLimitError(
-            f"minimal non-face enumeration over {len(verts)} vertices "
+            f"minimal non-face enumeration over {n_verts} vertices "
             f"exceeds the supported scale ({_ENUMERATION_VERTEX_LIMIT})")
-    for k in range(2, len(verts) + 1):
-        for combo in combinations(verts, k):
-            if cx.is_face(combo):
+    # A set of classes is a face exactly when some facet contains them all.
+    for k in range(2, len(twins) + 1):
+        for combo in combinations(twins, k):
+            if frozenset.intersection(*combo):
                 continue
-            if all(cx.is_face(combo[:i] + combo[i + 1:]) for i in range(k)):
-                out.append(frozenset(combo))
+            if all(frozenset.intersection(*combo[:i], *combo[i + 1:]) for i in range(k)):
+                out.extend(frozenset(sorted(vs))
+                           for vs in product(*(twins[c] for c in combo)))
     return sorted(out, key=_sorted_key)
 
 

@@ -5,15 +5,30 @@ enumeration instead of the bitset closure, full subset sweeps instead of
 value-class reductions, and per-index part assignment instead of the
 multiplicity search. The tie-breaks mirror the fast implementations so
 witnesses can be compared verbatim.
+
+The index-level sweeps are exponential in the number of indices they
+range over; they are meant for tuples with at most about 12 heavy
+indices, the scale of the `oracle` subcommand.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+from typing import Iterable
 
-from wciq.arith import DegreesLike, WeightsLike, as_degrees, as_weights
-from wciq.errors import ResourceLimitError
+from wciq.arith import (
+    DEFAULT_DP_CAP,
+    DegreesLike,
+    WeightsLike,
+    as_degrees,
+    as_weights,
+    gcd_of,
+    lcm_or_one,
+    representable_degrees,
+)
+from wciq.complexes import Complex, maximal_members
+from wciq.errors import InternalConsistencyError, ResourceLimitError
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -114,3 +129,110 @@ def naive_partition_exists(weights: WeightsLike, degrees: DegreesLike,
         return any(rec(at + 1, parts + [p]) for p in range(c + 1))
 
     return rec(0, [])
+
+
+def _index_non_divisible(wt, idx) -> bool:
+    return not any(wt[j] % wt[i] == 0 or wt[i] % wt[j] == 0
+                   for i, j in combinations(idx, 2))
+
+
+def _index_strongly_non_divisible(wt, idx) -> bool:
+    bound = lcm_or_one(gcd(wt[i], wt[j]) for i, j in combinations(idx, 2))
+    return all(bound % wt[k] != 0 for k in idx)
+
+
+def _maximal_index_sets(verts, member) -> list[tuple[int, ...]]:
+    return [tuple(sorted(f)) for f in maximal_members(verts, member)]
+
+
+def naive_nondivisible_facets(weights: WeightsLike) -> list[tuple[int, ...]]:
+    """Maximal non-divisible sets of heavy indices, lexicographic, by a
+    level search over index sets."""
+    wt = as_weights(weights)
+    return _maximal_index_sets(wt.heavy(), lambda s: _index_non_divisible(wt, s))
+
+
+def naive_strongly_nondivisible_facets(weights: WeightsLike) -> list[tuple[int, ...]]:
+    """Maximal strongly non-divisible sets of heavy indices, lexicographic,
+    by a level search over index sets."""
+    wt = as_weights(weights)
+    return _maximal_index_sets(wt.heavy(),
+                               lambda s: _index_strongly_non_divisible(wt, s))
+
+
+def naive_pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
+    """First non-divisible face, in (cardinality, lex) order, that is not
+    strongly non-divisible; None when there is none."""
+    wt = as_weights(weights)
+    nd = Complex.from_facets(len(wt), naive_nondivisible_facets(wt))
+    for face in nd.faces() or []:
+        if not _index_strongly_non_divisible(wt, face):
+            return frozenset(face)
+    return None
+
+
+def naive_pair_trivial_all_indices(weights: WeightsLike) -> bool:
+    """Do the two divisibility families agree when swept over every index,
+    weight-1 ones included?"""
+    wt = as_weights(weights)
+    verts = range(len(wt))
+    return (_maximal_index_sets(verts, lambda s: _index_non_divisible(wt, s))
+            == _maximal_index_sets(verts, lambda s: _index_strongly_non_divisible(wt, s)))
+
+
+def naive_minimal_nonfaces(cx: Complex,
+                           within: Iterable[int] | None = None) -> list[frozenset[int]]:
+    """Minimal non-faces by testing every vertex subset, lexicographic on
+    sorted vertex tuples; same conventions as `minimal_nonfaces`."""
+    if not cx.facets:
+        return [frozenset()]
+    ambient = tuple(range(cx.n_vertices)) if within is None else tuple(sorted(set(within)))
+    out = [frozenset((v,)) for v in ambient if not cx.is_face((v,))]
+    verts = [v for v in ambient if cx.is_face((v,))]
+    for k in range(2, len(verts) + 1):
+        for combo in combinations(verts, k):
+            if cx.is_face(combo):
+                continue
+            if all(cx.is_face(combo[:i] + combo[i + 1:]) for i in range(k)):
+                out.append(frozenset(combo))
+    return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def lex_walk_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
+                              dp_cap: int = DEFAULT_DP_CAP):
+    """Strict regularity whose witness comes from walking index subsets.
+
+    A value-level pass finds the smallest violating size; then the index
+    subsets of that size are walked in lex order, and the first whose
+    value set violates is the witness.
+    """
+    wt = as_weights(weights)
+    dg = as_degrees(degrees)
+    values = wt.heavy_values()
+    cache: dict[frozenset[int], frozenset[int]] = {}
+
+    def good_degrees(valset: frozenset[int]) -> frozenset[int]:
+        if valset not in cache:
+            cache[valset] = representable_degrees(valset, dg, dp_cap=dp_cap)
+        return cache[valset]
+
+    failing: list[tuple[int, int]] = []
+    for r in range(1, len(values) + 1):
+        for vs in combinations(values, r):
+            if gcd_of(vs) == 1:
+                continue
+            count = sum(len(wt.indices_of(v)) for v in vs)
+            ng = len(good_degrees(frozenset(vs)))
+            if ng < count:
+                failing.append((r, ng))
+    if not failing:
+        return True, None
+    min_size = min(max(r, ng + 1) for r, ng in failing)
+    for idx in combinations(wt.heavy(), min_size):
+        vs = frozenset(wt[i] for i in idx)
+        if gcd_of(vs) == 1:
+            continue
+        if len(good_degrees(vs)) < min_size:
+            return False, tuple(idx)
+    raise InternalConsistencyError(
+        "value-level violation found but no index witness materialized")

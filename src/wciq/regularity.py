@@ -20,7 +20,7 @@ literal all-indices reading separately when it differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from math import gcd
 
 from wciq.arith import (
@@ -34,7 +34,7 @@ from wciq.arith import (
     representable_degrees,
 )
 from wciq.complexes import Complex, maximal_members
-from wciq.errors import InputError, InternalConsistencyError, ResourceLimitError
+from wciq.errors import InputError, ResourceLimitError
 
 _VALUE_SUBSET_LIMIT = 20
 
@@ -60,15 +60,10 @@ def is_wellformed_wps(weights: WeightsLike) -> bool:
     taken as 0, so length-1 tuples are never well-formed here.
     """
     wt = as_weights(weights)
-    n = len(wt)
-    for i in range(n):
-        g = 0
-        for j, a in enumerate(wt):
-            if j != i:
-                g = gcd(g, a)
-        if g != 1:
-            return False
-    return True
+    # prefix[i] is the gcd of wt[:i], suffix[i] that of wt[i:]; gcd(0, a) = a.
+    prefix = list(accumulate(wt, gcd, initial=0))
+    suffix = list(accumulate(reversed(wt.weights), gcd, initial=0))[::-1]
+    return all(gcd(prefix[i], suffix[i + 1]) == 1 for i in range(len(wt)))
 
 
 def is_linear_cone(weights: WeightsLike, degrees: DegreesLike) -> bool:
@@ -86,6 +81,17 @@ def _validate_subset(wt, subset) -> tuple[int, ...]:
     return idx
 
 
+def _non_divisible(ws) -> bool:
+    """No entry of the weight list divides another entry."""
+    return not any(b % a == 0 or a % b == 0 for a, b in combinations(ws, 2))
+
+
+def _strongly_non_divisible(ws) -> bool:
+    """No entry divides the lcm of the pairwise gcds of the entries."""
+    bound = lcm_or_one(gcd(a, b) for a, b in combinations(ws, 2))
+    return all(bound % a != 0 for a in ws)
+
+
 def is_non_divisible(weights: WeightsLike, subset) -> bool:
     """No member weight divides another member weight (distinct indices).
 
@@ -93,11 +99,7 @@ def is_non_divisible(weights: WeightsLike, subset) -> bool:
     values rule a subset out.
     """
     wt = as_weights(weights)
-    idx = _validate_subset(wt, subset)
-    for i, j in combinations(idx, 2):
-        if wt[j] % wt[i] == 0 or wt[i] % wt[j] == 0:
-            return False
-    return True
+    return _non_divisible([wt[i] for i in _validate_subset(wt, subset)])
 
 
 def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
@@ -107,50 +109,60 @@ def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
     above 1, and the empty set passes vacuously.
     """
     wt = as_weights(weights)
-    idx = _validate_subset(wt, subset)
-    pair_gcds = [gcd(wt[i], wt[j]) for i, j in combinations(idx, 2)]
-    bound = lcm_or_one(pair_gcds)
-    return all(bound % wt[k] != 0 for k in idx)
+    return _strongly_non_divisible([wt[i] for i in _validate_subset(wt, subset)])
+
+
+def _value_class_complex(wt, member) -> Complex:
+    """Complex over the heavy indices of a family that `member` decides on
+    value sets. Both divisibility families admit at most one index per
+    value, so each maximal value set expands to every choice of one index
+    per value, and those index sets are maximal by construction."""
+    value_facets = maximal_members(wt.heavy_values(), member)
+    facets = frozenset(
+        frozenset(sorted(idx)) for vs in value_facets
+        for idx in product(*(wt.indices_of(v) for v in vs)))
+    return Complex(len(wt), facets)
 
 
 def nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the non-divisible subsets over indices of weight above 1."""
-    wt = as_weights(weights)
-    facets = maximal_members(wt.heavy(), lambda s: is_non_divisible(wt, s))
-    return Complex.from_facets(len(wt), facets)
+    return _value_class_complex(as_weights(weights), _non_divisible)
 
 
 def strongly_nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the strongly non-divisible subsets over indices of weight
     above 1."""
-    wt = as_weights(weights)
-    facets = maximal_members(wt.heavy(), lambda s: is_strongly_non_divisible(wt, s))
-    return Complex.from_facets(len(wt), facets)
+    return _value_class_complex(as_weights(weights), _strongly_non_divisible)
 
 
 def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
     """A smallest non-divisible face that is not strongly non-divisible,
     or None when the two families agree. Every strongly non-divisible set
     is non-divisible, so the families differ exactly when such a face
-    exists; faces come in (cardinality, lex) order, making the witness
-    canonical."""
+    exists. The witness is the (cardinality, lex) least such face: value
+    sets are walked by size, and the lex-least realization of a value set
+    takes the least index of each value."""
     wt = as_weights(weights)
-    nd = nondivisible_complex(wt)
-    for face in nd.faces() or []:
-        if not is_strongly_non_divisible(wt, face):
-            return frozenset(face)
+    values = wt.heavy_values()
+    level = [(v,) for v in values]
+    while level:
+        failing = [vs for vs in level if not _strongly_non_divisible(vs)]
+        if failing:
+            return frozenset(min(sorted(wt.indices_of(v)[0] for v in vs)
+                                 for vs in failing))
+        level = [vs + (v,) for vs in level for v in values
+                 if v > vs[-1] and _non_divisible(vs + (v,))]
     return None
 
 
 def pair_trivial_all_indices(weights: WeightsLike) -> bool:
     """Literal reading over all indices, weight-1 ones included. A weight-1
-    singleton is non-divisible but not strongly non-divisible, so any
-    weight-1 index makes this reading non-trivial."""
+    singleton is a non-divisible facet that is never strongly
+    non-divisible, so any weight-1 index makes this reading non-trivial;
+    without ones the vertex set is the heavy set."""
     wt = as_weights(weights)
-    verts = range(len(wt))
-    a = maximal_members(verts, lambda s: is_non_divisible(wt, s))
-    b = maximal_members(verts, lambda s: is_strongly_non_divisible(wt, s))
-    return a == b
+    return not wt.ones() and (nondivisible_complex(wt).facets
+                              == strongly_nondivisible_complex(wt).facets)
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
@@ -171,33 +183,28 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
         raise ResourceLimitError(
             f"strict regularity over {len(values)} distinct values exceeds "
             f"the supported scale ({_VALUE_SUBSET_LIMIT})")
-    g_cache: dict[frozenset[int], frozenset[int]] = {}
-
-    def good_degrees(valset: frozenset[int]) -> frozenset[int]:
-        if valset not in g_cache:
-            g_cache[valset] = representable_degrees(valset, dg, dp_cap=dp_cap)
-        return g_cache[valset]
-
-    failing: list[tuple[int, int]] = []
+    classes = {v: wt.indices_of(v) for v in values}
+    failing: list[tuple[tuple[int, ...], int]] = []
     for r in range(1, len(values) + 1):
         for vs in combinations(values, r):
             if gcd_of(vs) == 1:
                 continue
-            count = sum(len(wt.indices_of(v)) for v in vs)
-            ng = len(good_degrees(frozenset(vs)))
+            count = sum(len(classes[v]) for v in vs)
+            ng = len(representable_degrees(vs, dg, dp_cap=dp_cap))
             if ng < count:
-                failing.append((r, ng))
+                failing.append((vs, max(r, ng + 1)))
     if not failing:
         return True, None
-    min_size = min(max(r, ng + 1) for r, ng in failing)
-    for idx in combinations(wt.heavy(), min_size):
-        vs = frozenset(wt[i] for i in idx)
-        if gcd_of(vs) == 1:
-            continue
-        if len(good_degrees(vs)) < min_size:
-            return False, tuple(idx)
-    raise InternalConsistencyError(
-        "value-level violation found but no index witness materialized")
+    size = min(s for _, s in failing)
+
+    def least_realization(vs: tuple[int, ...]) -> tuple[int, ...]:
+        # V violates at each size s with ng < s, |V| <= s <= |indices of V|;
+        # the lex-least such set: each value's least index, then the smallest.
+        firsts = [classes[v][0] for v in vs]
+        rest = sorted(i for v in vs for i in classes[v][1:])
+        return tuple(sorted(firsts + rest[:size - len(vs)]))
+
+    return False, min(least_realization(vs) for vs, s in failing if s == size)
 
 
 def pair_is_trivial(weights: WeightsLike, degrees: DegreesLike | None = None, *,

@@ -1,0 +1,83 @@
+"""Golden corpus for `wciq analyze`: inputs, exit codes and report digests.
+
+Each line of `data/analyze_golden.jsonl` holds one pair, the nef mode, the
+exit code of `wciq analyze`, and the SHA-256 of its stdout and stderr with
+the report's `timings` removed. `test_analyze_golden.py` replays the lines.
+
+The corpus is the padded and cli-cold items of the benchmark generators
+(seed 3, two blocks each) plus 300 seeded random pairs with repeated
+values and weight-1 padding. Regenerate it, after a reviewed change to the
+reports, from the repository root with
+
+    PYTHONPATH=src python tests/analyze_corpus.py > tests/data/analyze_golden.jsonl
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from wciq.cli import main as cli_main
+
+GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
+MODES = ("any", "nice", "strong")
+
+
+def analyze_digest(weights, degrees, mode: str) -> tuple[int, str]:
+    """Exit code and digest of one in-process `wciq analyze` run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.json"
+        path.write_text(json.dumps({"weights": list(weights), "degrees": list(degrees)}),
+                        encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli_main(["analyze", "--input", str(path), "--mode", mode])
+    text = out.getvalue()
+    if text:
+        report = json.loads(text)
+        report.pop("timings", None)
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return rc, hashlib.sha256(f"{text}\n--\n{err.getvalue()}".encode()).hexdigest()
+
+
+def random_pairs(rng: random.Random, n: int):
+    """Pairs of 1-4 distinct values from 2..30 with 1-3 copies each (the
+    first value at least twice), 0-6 ones, shuffled, and 1-4 degrees."""
+    for _ in range(n):
+        values = rng.sample(range(2, 31), rng.randint(1, 4))
+        weights = [1] * rng.randint(0, 6)
+        for k, v in enumerate(values):
+            weights += [v] * rng.randint(2 if k == 0 else 1, 3)
+        rng.shuffle(weights)
+        degrees = [rng.randint(2, 60) for _ in range(rng.randint(1, 4))]
+        yield weights, degrees, rng.choice(MODES)
+
+
+def corpus():
+    """(weights, degrees, mode) of every golden item, in file order."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for name in ("padded", "cli-cold"):
+        stream = workloads.blocks(name, 3)
+        for _ in range(2):
+            for item in next(stream):
+                yield item.payload["weights"], item.payload["degrees"], item.payload["mode"]
+    yield from random_pairs(random.Random("wciq-golden"), 300)
+
+
+def main() -> None:
+    for weights, degrees, mode in corpus():
+        rc, digest = analyze_digest(weights, degrees, mode)
+        print(json.dumps({"weights": weights, "degrees": degrees, "mode": mode,
+                          "rc": rc, "digest": digest}, separators=(",", ":")))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,0 +1,140 @@
+"""Value-class sweeps against the index-level references in wciq.oracles.
+
+The fast paths sweep distinct heavy values (or twin classes of vertices)
+and expand to indices at the end; the references sweep index sets. Inputs
+repeat values, interleave them, and pad with weight-1 indices, with at
+most 12 heavy indices so the references stay cheap. Equality is exact:
+facet lists in order, witnesses, and verdicts.
+"""
+
+import time
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from wciq.complexes import Complex, minimal_nonfaces, singular_complex, sr_presentation
+from wciq.oracles import (
+    lex_walk_strictly_regular,
+    naive_minimal_nonfaces,
+    naive_nondivisible_facets,
+    naive_pair_nontriviality_witness,
+    naive_pair_trivial_all_indices,
+    naive_strongly_nondivisible_facets,
+)
+from wciq.regularity import (
+    is_strictly_regular,
+    is_wellformed_wps,
+    nondivisible_complex,
+    pair_is_trivial,
+    pair_nontriviality_witness,
+    pair_trivial_all_indices,
+    strongly_nondivisible_complex,
+)
+
+
+@st.composite
+def padded_weights(draw, max_values=4, max_mult=3, max_ones=4):
+    """Up to 4 distinct heavy values with up to 3 copies each, shuffled
+    among up to 4 weight-1 indices."""
+    values = draw(st.lists(st.integers(2, 36), max_size=max_values, unique=True))
+    weights = [1] * draw(st.integers(0 if values else 1, max_ones))
+    for v in values:
+        weights += [v] * draw(st.integers(1, max_mult))
+    return tuple(draw(st.permutations(weights)))
+
+
+@st.composite
+def twin_complexes(draw):
+    """A random complex on up to 5 classes, each class blown up into 1-3
+    twin vertices, with the labels shuffled and up to 2 isolated labels."""
+    n_classes = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, 3)) for _ in range(n_classes)]
+    n = sum(sizes) + draw(st.integers(0, 2))
+    labels = draw(st.permutations(range(n)))
+    members, at = [], 0
+    for size in sizes:
+        members.append(labels[at:at + size])
+        at += size
+    class_facets = draw(st.lists(
+        st.sets(st.integers(0, n_classes - 1), min_size=1), min_size=1, max_size=6))
+    facets = [[v for c in f for v in members[c]] for f in class_facets]
+    return Complex.from_facets(n, facets)
+
+
+class TestDivisibilityFamilies:
+    @given(padded_weights())
+    @settings(deadline=None, max_examples=200)
+    def test_facets_match_index_sweep(self, weights):
+        nd = naive_nondivisible_facets(weights)
+        snd = naive_strongly_nondivisible_facets(weights)
+        assert nondivisible_complex(weights).sorted_facets() == nd
+        assert strongly_nondivisible_complex(weights).sorted_facets() == snd
+        rep = pair_is_trivial(weights)
+        assert list(rep.nondivisible_facets) == nd
+        assert list(rep.strongly_nondivisible_facets) == snd
+
+    @given(padded_weights())
+    @settings(deadline=None, max_examples=200)
+    def test_witness_matches_face_walk(self, weights):
+        assert pair_nontriviality_witness(weights) == \
+            naive_pair_nontriviality_witness(weights)
+
+    @given(padded_weights())
+    @settings(deadline=None, max_examples=200)
+    def test_literal_reading_matches_sweep(self, weights):
+        assert pair_trivial_all_indices(weights) is \
+            naive_pair_trivial_all_indices(weights)
+
+    def test_repeated_value_witness(self):
+        # two copies of each value: the least index of each value realizes it
+        weights = (15, 1, 10, 6, 6, 10, 15)
+        assert pair_nontriviality_witness(weights) == frozenset({0, 2, 3})
+        assert naive_pair_nontriviality_witness(weights) == frozenset({0, 2, 3})
+
+
+class TestMinimalNonfaces:
+    @given(twin_complexes())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_subset_sweep(self, cx):
+        # compare iteration order too: reports list each generator as stored
+        def listed(gens):
+            return [list(g) for g in gens]
+
+        assert listed(minimal_nonfaces(cx)) == listed(naive_minimal_nonfaces(cx))
+        verts = cx.vertices
+        assert listed(minimal_nonfaces(cx, within=verts)) == \
+            listed(naive_minimal_nonfaces(cx, within=verts))
+
+    @given(padded_weights())
+    @settings(deadline=None, max_examples=100)
+    def test_singular_presentation(self, weights):
+        wc = singular_complex(weights)
+        verts = tuple(sorted(wc.vertex_weights))
+        assert sr_presentation(wc).generators == \
+            tuple(naive_minimal_nonfaces(wc.complex, within=verts))
+
+
+class TestStrictRegularity:
+    @given(padded_weights(), st.lists(st.integers(1, 60), max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_lex_walk(self, weights, degrees):
+        assert is_strictly_regular(weights, degrees) == \
+            lex_walk_strictly_regular(weights, degrees)
+
+    def test_two_values_many_copies(self):
+        # 40 copies of 2 share 36 degrees of 6, so 37 of them violate; the
+        # index walk over combinations of 60 heavy indices never finishes
+        start = time.perf_counter()
+        result = is_strictly_regular([1] + [3] * 20 + [2] * 40, [6] * 36)
+        assert result == (False, tuple(range(21, 58)))
+        assert time.perf_counter() - start < 5.0
+
+
+class TestWellFormed:
+    @given(padded_weights(max_ones=2))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_drop_one_definition(self, weights):
+        expect = all(
+            gcd(*(a for j, a in enumerate(weights) if j != i)) == 1
+            for i in range(len(weights)))
+        assert is_wellformed_wps(weights) is expect
