@@ -10,6 +10,7 @@ chains over realized weight tuples cannot overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -157,19 +158,45 @@ def lcm_or_one(values: Iterable[int]) -> int:
     return math.lcm(*tuple(values))
 
 
+#: Residue tables answer a query when the smallest generator a (after
+#: dividing out the gcd) satisfies a <= d >> _TABLE_SHIFT. Nearer to d, one
+#: bitset over 0..d is cheaper than the O(k*a) table build.
+_TABLE_SHIFT = 8
+
+#: Residue tables kept per process; the least recently used goes first.
+_TABLE_CACHE_SIZE = 256
+
+
 def is_representable(d: int, weights: Iterable[int], *,
                      dp_cap: int = DEFAULT_DP_CAP):
     """Is d a non-negative integer combination of the given weights?
 
     Returns True, False, or UNKNOWN. The verdict depends only on the set of
     distinct weight values. d = 0 is always representable (the empty
-    combination). If any single weight divides d the answer is True without
-    building a table. Otherwise a membership table over 0..d is built when
-    d <= dp_cap; beyond the cap the verdict is UNKNOWN, never a guess.
+    combination). If any single weight divides d the answer is True. Beyond
+    dp_cap the verdict is UNKNOWN, never a guess, so dp_cap still caps d.
+
+    Otherwise the gcd g of the weights is divided out (g not dividing d
+    means False), and with a the smallest reduced weight: when
+    a <= (d // g) >> 8, the answer comes from the residue (Apery) table of
+    the reduced weights, built once in O(k*a) steps and then shared by every
+    degree; else from a bitset over 0..d // g. At most 256 tables are kept,
+    each with a <= dp_cap >> 8 entries (3906 at the default cap).
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 0:
         raise InputError(f"target must be a non-negative integer, got {d!r}")
-    vals = sorted({_check_positive_int(a, "weight") for a in weights})
+    return _decide(d, *_prepare(weights), dp_cap)
+
+
+def _prepare(weights: Iterable[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """Distinct weights ascending, their gcd, and the weights divided by it."""
+    vals = tuple(sorted({_check_positive_int(a, "weight") for a in weights}))
+    g = math.gcd(*vals)
+    return vals, g, tuple(a // g for a in vals)
+
+
+def _decide(d: int, vals: tuple[int, ...], g: int, reduced: tuple[int, ...],
+            dp_cap: int):
     if d == 0:
         return True
     if any(d % a == 0 for a in vals):
@@ -178,6 +205,16 @@ def is_representable(d: int, weights: Iterable[int], *,
         return False
     if d > dp_cap:
         return UNKNOWN
+    if d % g:
+        return False
+    d //= g
+    if reduced[0] <= d >> _TABLE_SHIFT:
+        return _table_representable(d, reduced)
+    return _bitset_representable(d, reduced)
+
+
+def _bitset_representable(d: int, vals: tuple[int, ...]) -> bool:
+    """Membership over distinct ascending vals by a bitset over 0..d."""
     # Bitset closure: bit x of `reach` is set when x is a representable sum.
     mask = (1 << (d + 1)) - 1
     reach = 1
@@ -193,21 +230,56 @@ def is_representable(d: int, weights: Iterable[int], *,
     return bool((reach >> d) & 1)
 
 
+def _table_representable(d: int, gens: tuple[int, ...]) -> bool:
+    """Membership over distinct ascending gens by their residue table."""
+    return d >= _residue_table(gens)[d % gens[0]]
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _residue_table(gens: tuple[int, ...]) -> tuple:
+    """Entry r is the least representable number congruent to r modulo
+    gens[0], or math.inf if there is none (the Apery set of the semigroup).
+
+    Round robin (Boecker & Liptak, "A fast and simple algorithm for the
+    money changing problem", Algorithmica 2007): each further generator b
+    walks the gcd(a, b) cycles r -> r + b (mod a), each from its least
+    entry, so the table costs O(k*a) steps.
+    """
+    a = gens[0]
+    table = [math.inf] * a
+    table[0] = 0
+    for b in gens[1:]:
+        cycles = math.gcd(a, b)
+        for p in range(cycles):
+            n = min(table[p::cycles])
+            if n == math.inf:
+                continue
+            for _ in range(a // cycles - 1):
+                n += b
+                r = n % a
+                if table[r] < n:
+                    n = table[r]
+                else:
+                    table[r] = n
+    return tuple(table)
+
+
 def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
                           dp_cap: int = DEFAULT_DP_CAP) -> frozenset[int]:
     """1-based indices j whose degree is representable over the weights.
 
-    An UNKNOWN verdict is a hard stop: the caller asked for an exact set,
-    so the offending degree is reported as a resource error.
+    The weights are validated and reduced once for all degrees. An UNKNOWN
+    verdict is a hard stop: the caller asked for an exact set, so the
+    offending degree is reported as a resource error.
     """
     dg = as_degrees(degrees)
-    vals = tuple(weights)
+    prepared = _prepare(weights)
     out = set()
     for j, d in enumerate(dg, start=1):
-        verdict = is_representable(d, vals, dp_cap=dp_cap)
+        verdict = _decide(d, *prepared, dp_cap)
         if verdict is UNKNOWN:
             raise ResourceLimitError(
-                f"representability of degree d_{j} = {d} over {sorted(set(vals))} "
+                f"representability of degree d_{j} = {d} over {list(prepared[0])} "
                 f"exceeds the dp cap {dp_cap}")
         if verdict:
             out.add(j)

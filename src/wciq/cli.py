@@ -14,6 +14,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -34,11 +35,6 @@ from wciq.nef import (
     construct_strong_nef_partition,
     fano_index,
     find_nef_partition,
-)
-from wciq.oracles import (
-    brute_force_representable,
-    naive_partition_exists,
-    naive_strictly_regular,
 )
 from wciq.regularity import is_strictly_regular, pair_is_trivial, pair_trivial_all_indices
 from wciq.realize import realize_map_instance, realize_weights, verify_realization
@@ -375,6 +371,13 @@ def cmd_realize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # The brute-force references load only for this subcommand.
+    from wciq.oracles import (
+        brute_force_representable,
+        naive_partition_exists,
+        naive_strictly_regular,
+    )
+
     wt, dg = _load_pair(args)
     heavy = wt.heavy()
     if len(heavy) > _ORACLE_MAX_HEAVY:
@@ -428,7 +431,9 @@ def cmd_oracle(args) -> int:
     return 0 if not divergences else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `wciq` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="wciq",
         description="Combinatorial analysis of weighted complete intersection data")

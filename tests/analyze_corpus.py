@@ -6,10 +6,15 @@ the report's `timings` removed. `test_analyze_golden.py` replays the lines.
 
 The corpus is the padded and cli-cold items of the benchmark generators
 (seed 3, two blocks each) plus 300 seeded random pairs with repeated
-values and weight-1 padding. Regenerate it, after a reviewed change to the
-reports, from the repository root with
+values and weight-1 padding. `data/analyze_golden_large_degree.jsonl` holds
+the large-degree items of the same generators (seed 3, two blocks): degrees
+up to 10^7, where membership answers from residue tables, plus the two items
+whose degree lies past the dp cap. Regenerate either file, after a reviewed
+change to the reports, from the repository root with
 
     PYTHONPATH=src python tests/analyze_corpus.py > tests/data/analyze_golden.jsonl
+    PYTHONPATH=src python tests/analyze_corpus.py large-degree \
+        > tests/data/analyze_golden_large_degree.jsonl
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from pathlib import Path
 from wciq.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
+GOLDEN_LARGE_DEGREE = Path(__file__).parent / "data" / "analyze_golden_large_degree.jsonl"
 MODES = ("any", "nice", "strong")
 
 
@@ -59,25 +65,31 @@ def random_pairs(rng: random.Random, n: int):
         yield weights, degrees, rng.choice(MODES)
 
 
-def corpus():
-    """(weights, degrees, mode) of every golden item, in file order."""
+def bench_pairs(name: str):
+    """(weights, degrees, mode) of two seed-3 blocks of a bench workload."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
+    stream = workloads.blocks(name, 3)
+    for _ in range(2):
+        for item in next(stream):
+            yield item.payload["weights"], item.payload["degrees"], item.payload["mode"]
+
+
+def corpus():
+    """(weights, degrees, mode) of every golden item, in file order."""
     for name in ("padded", "cli-cold"):
-        stream = workloads.blocks(name, 3)
-        for _ in range(2):
-            for item in next(stream):
-                yield item.payload["weights"], item.payload["degrees"], item.payload["mode"]
+        yield from bench_pairs(name)
     yield from random_pairs(random.Random("wciq-golden"), 300)
 
 
-def main() -> None:
-    for weights, degrees, mode in corpus():
+def main(argv: list[str]) -> None:
+    pairs = bench_pairs("large-degree") if argv == ["large-degree"] else corpus()
+    for weights, degrees, mode in pairs:
         rc, digest = analyze_digest(weights, degrees, mode)
         print(json.dumps({"weights": weights, "degrees": degrees, "mode": mode,
                           "rc": rc, "digest": digest}, separators=(",", ":")))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,6 +1,10 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import math
+import time
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from wciq import arith
 from wciq.arith import (
     UNKNOWN,
     DegreeTuple,
@@ -119,6 +123,92 @@ class TestRepresentable:
         # the representable set is closed under addition
         if is_representable(d1, vals) is True and is_representable(d2, vals) is True:
             assert is_representable(d1 + d2, vals) is True
+
+
+def _gens(values):
+    return tuple(sorted(set(values)))
+
+
+class TestKernels:
+    """The residue-table and bitset kernels, called directly on the same
+    sorted distinct generators, against brute force and each other."""
+
+    @given(st.integers(0, 300), st.sets(st.integers(1, 40), min_size=1, max_size=5))
+    @settings(deadline=None, max_examples=300)
+    def test_both_match_brute_force(self, d, vals):
+        gens = _gens(vals)
+        expect = brute_force_representable(d, vals)
+        assert arith._table_representable(d, gens) is expect
+        assert arith._bitset_representable(d, gens) is expect
+
+    @given(st.integers(0, 10**5), st.sets(st.integers(1, 60), min_size=1, max_size=5))
+    @settings(deadline=None, max_examples=200)
+    def test_table_matches_bitset(self, d, vals):
+        gens = _gens(vals)
+        assert arith._table_representable(d, gens) is arith._bitset_representable(d, gens)
+
+    @given(st.integers(2, 60), st.integers(2, 60))
+    @settings(deadline=None, max_examples=200)
+    def test_frobenius_number_of_coprime_pair(self, a, b):
+        assume(a != b and math.gcd(a, b) == 1)
+        gens = _gens((a, b))
+        frobenius = a * b - a - b
+        for kernel in (arith._table_representable, arith._bitset_representable):
+            assert kernel(frobenius, gens) is False
+            assert kernel(frobenius + 1, gens) is True
+
+    @given(st.integers(2, 12), st.sets(st.integers(1, 20), min_size=1, max_size=4),
+           st.integers(0, 300), st.integers(0, 11))
+    @settings(deadline=None, max_examples=300)
+    def test_common_factor(self, g, vals, q, r):
+        # d on and off the multiples of the gcd
+        vals = {g * v for v in vals}
+        d = g * q + r % g
+        expect = brute_force_representable(d, vals)
+        assert is_representable(d, vals) is expect
+        assert arith._table_representable(d, _gens(vals)) is expect
+
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 300))
+    @settings(deadline=None, max_examples=200)
+    def test_duplicates_and_values_above_d(self, vals, d):
+        vals = vals + vals[:2] + [d + 1, 2 * d + 7]
+        expect = brute_force_representable(d, vals)
+        assert is_representable(d, vals) is expect
+        degree = max(d, 1)
+        expect_degrees = {1} if brute_force_representable(degree, vals) else set()
+        assert representable_degrees(vals, [degree]) == expect_degrees
+        assert arith._table_representable(d, _gens(vals)) is expect
+        assert arith._bitset_representable(d, _gens(vals)) is expect
+
+    @given(st.sets(st.integers(2, 40), min_size=2, max_size=4), st.integers(1, 5),
+           st.integers(-2, 1))
+    @settings(deadline=None, max_examples=100)
+    def test_crossover_boundary(self, vals, g, offset):
+        # The table answers exactly when a <= (d // g) >> 8.
+        gens = tuple(v // math.gcd(*vals) for v in _gens(vals))
+        vals = {g * v for v in gens}
+        d = g * (256 * gens[0] + offset)
+        assume(all(d % v for v in vals))
+        arith._residue_table.cache_clear()
+        verdict = is_representable(d, vals)
+        built = arith._residue_table.cache_info().currsize
+        assert built == (offset >= 0)
+        assert verdict is arith._bitset_representable(d // g, gens)
+        assert verdict is arith._table_representable(d // g, gens)
+
+    def test_worst_case_stays_on_bitset(self):
+        # a close to d: a residue table would take about half a second
+        arith._residue_table.cache_clear()
+        start = time.perf_counter()
+        assert is_representable(999_999, [999_983, 999_984, 999_990]) is False
+        assert time.perf_counter() - start < 0.5
+        assert arith._residue_table.cache_info().currsize == 0
+
+    def test_cache_bound_is_documented(self):
+        maxsize = arith._residue_table.cache_info().maxsize
+        assert maxsize == arith._TABLE_CACHE_SIZE
+        assert f"{maxsize} tables" in " ".join(is_representable.__doc__.split())
+        assert f"dp_cap >> {arith._TABLE_SHIFT}" in is_representable.__doc__
 
 
 class TestRepresentableDegrees:

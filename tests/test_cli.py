@@ -314,3 +314,32 @@ class TestInputHandling:
         _, out = run(["complex", "--input", small_file], capsys)
         assert out.endswith("\n")
         assert canonical_json(json.loads(out)) == out
+
+
+class TestRepeatedCalls:
+    """The parser is built once per process; later calls must behave as
+    the first."""
+
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = captured.out
+        if out:
+            report = json.loads(out)
+            report.pop("timings", None)
+            out = canonical_json(report)
+        return code, out, captured.err
+
+    @pytest.mark.parametrize("argv,code", [
+        (["analyze", "--mode", "nice", "--input"], 1),
+        (["complex", "--input"], 0),
+        (["analyze", "--mode", "bogus", "--input"], 2),
+    ])
+    def test_same_result_twice(self, argv, code, map_file, capsys):
+        first = self.outcome(argv + [map_file], capsys)
+        assert first[0] == code
+        assert self.outcome(argv + [map_file], capsys) == first
