@@ -13,7 +13,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence, Union
 
 from wciq.errors import InputError, ResourceLimitError
 
@@ -77,9 +78,19 @@ class WeightTuple:
     def total(self) -> int:
         return sum(self.weights)
 
+    @functools.cached_property
+    def classes(self) -> dict[int, tuple[int, ...]]:
+        """Value classes: each distinct value, ascending, mapped to the
+        ascending indices carrying it. Built once per tuple and shared by
+        every caller, so it must not be modified."""
+        out: dict[int, list[int]] = {}
+        for i, a in enumerate(self.weights):
+            out.setdefault(a, []).append(i)
+        return {a: tuple(out[a]) for a in sorted(out)}
+
     def ones(self) -> tuple[int, ...]:
         """Indices carrying weight exactly 1, ascending."""
-        return tuple(i for i, a in enumerate(self.weights) if a == 1)
+        return self.indices_of(1)
 
     def heavy(self) -> tuple[int, ...]:
         """Indices carrying weight greater than 1, ascending."""
@@ -87,10 +98,14 @@ class WeightTuple:
 
     def heavy_values(self) -> tuple[int, ...]:
         """Distinct weight values greater than 1, ascending."""
-        return tuple(sorted({a for a in self.weights if a > 1}))
+        return tuple(a for a in self.classes if a > 1)
 
     def indices_of(self, value: int) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.weights) if a == value)
+        return self.classes.get(value, ())
+
+    def divisible_by(self, b: int) -> tuple[int, ...]:
+        """Indices whose weight b divides, ascending."""
+        return tuple(i for i, a in enumerate(self.weights) if a % b == 0)
 
 
 @dataclass(frozen=True)
@@ -158,6 +173,15 @@ def lcm_or_one(values: Iterable[int]) -> int:
     return math.lcm(*tuple(values))
 
 
+def common_factor_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Subsets of the values with gcd above 1, by size, then lexicographic
+    in the given order."""
+    for r in range(1, len(values) + 1):
+        for vs in combinations(values, r):
+            if math.gcd(*vs) > 1:
+                yield vs
+
+
 #: Residue tables answer a query when the smallest generator a (after
 #: dividing out the gcd) satisfies a <= d >> _TABLE_SHIFT. Nearer to d, one
 #: bitset over 0..d is cheaper than the O(k*a) table build.
@@ -188,9 +212,26 @@ def is_representable(d: int, weights: Iterable[int], *,
     return _decide(d, *_prepare(weights), dp_cap)
 
 
+def representable(d: int, values: Iterable[int], *,
+                  dp_cap: int = DEFAULT_DP_CAP) -> bool:
+    """`is_representable` for a positive degree over values taken from a
+    validated WeightTuple, which are not validated again. Where that would
+    return UNKNOWN, this raises ResourceLimitError instead."""
+    vals = tuple(sorted(set(values)))
+    verdict = _decide(d, *_reduce(vals), dp_cap)
+    if verdict is UNKNOWN:
+        raise ResourceLimitError(
+            f"representability of {d} over {list(vals)} exceeds the dp cap {dp_cap}")
+    return verdict
+
+
 def _prepare(weights: Iterable[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """Distinct weights ascending, their gcd, and the weights divided by it."""
-    vals = tuple(sorted({_check_positive_int(a, "weight") for a in weights}))
+    """Validated distinct weights ascending, reduced as by `_reduce`."""
+    return _reduce(tuple(sorted({_check_positive_int(a, "weight") for a in weights})))
+
+
+def _reduce(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """Distinct ascending vals, their gcd, and the vals divided by it."""
     g = math.gcd(*vals)
     return vals, g, tuple(a // g for a in vals)
 

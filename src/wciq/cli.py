@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from wciq.arith import DEFAULT_DP_CAP, UNKNOWN, is_representable
+from wciq.arith import DEFAULT_DP_CAP, representable
 from wciq.complexes import base_complex, singular_complex, sr_presentation
 from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
 from wciq.maps import (
@@ -131,12 +131,17 @@ def _poset_map_json(rep) -> dict:
     }
 
 
+def _failed_json(exc: PreconditionFailure) -> dict:
+    return {
+        "failed_hypothesis": exc.hypothesis,
+        "witness": None if exc.witness is None else sorted(exc.witness),
+    }
+
+
 def _flatten(prefix: str, value, out: list[str]):
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], out)
-    elif isinstance(value, list):
-        out.append(f"{prefix}: {value}")
     else:
         out.append(f"{prefix}: {value}")
 
@@ -206,11 +211,7 @@ def cmd_analyze(args) -> int:
         partition, _, deltas = construct_strong_nef_partition(
             wt, dg, dp_cap=args.dp_cap)
     except PreconditionFailure as exc:
-        construction = {
-            "ok": False,
-            "failed_hypothesis": exc.hypothesis,
-            "witness": None if exc.witness is None else sorted(exc.witness),
-        }
+        construction = {"ok": False, **_failed_json(exc)}
         constructed = False
     else:
         construction = {
@@ -262,12 +263,7 @@ def cmd_nef(args) -> int:
             partition, family, deltas = construct_strong_nef_partition(
                 wt, dg, dp_cap=args.dp_cap)
         except PreconditionFailure as exc:
-            report = {
-                "input": pair_to_json(wt, dg),
-                "ok": False,
-                "failed_hypothesis": exc.hypothesis,
-                "witness": None if exc.witness is None else sorted(exc.witness),
-            }
+            report = {"input": pair_to_json(wt, dg), "ok": False, **_failed_json(exc)}
             _emit(report, args.format)
             return 1
         report = {
@@ -298,12 +294,7 @@ def cmd_posetmap(args) -> int:
         try:
             family = build_admissible_family(wt, dg, dp_cap=args.dp_cap)
         except PreconditionFailure as exc:
-            report = {
-                "input": pair_to_json(wt, dg),
-                "built": False,
-                "failed_hypothesis": exc.hypothesis,
-                "witness": None if exc.witness is None else sorted(exc.witness),
-            }
+            report = {"input": pair_to_json(wt, dg), "built": False, **_failed_json(exc)}
             _emit(report, args.format)
             return 1
         if family is None:
@@ -389,13 +380,10 @@ def cmd_oracle(args) -> int:
 
     divergences: list[str] = []
     rep_table = {}
-    heavy_values = set(wt.heavy_values())
+    heavy_values = wt.heavy_values()
     for j in range(1, len(dg) + 1):
         d = dg.degree(j)
-        fast = is_representable(d, heavy_values, dp_cap=args.dp_cap)
-        if fast is UNKNOWN:
-            raise ResourceLimitError(
-                f"representability of degree {j} exceeds the dp cap {args.dp_cap}")
+        fast = representable(d, heavy_values, dp_cap=args.dp_cap)
         slow = brute_force_representable(d, heavy_values)
         rep_table[str(j)] = {"fast": fast, "brute": slow}
         if fast != slow:

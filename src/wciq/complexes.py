@@ -29,12 +29,10 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
-    UNKNOWN,
     WeightsLike,
-    WeightTuple,
     as_weights,
     distinct_prime_factors,
-    is_representable,
+    representable,
 )
 from wciq.errors import InputError, ResourceLimitError
 
@@ -219,13 +217,9 @@ def singular_complex(weights: WeightsLike) -> WeightedComplex:
     """
     wt = as_weights(weights)
     primes: set[int] = set()
-    for a in wt:
-        if a > 1:
-            primes.update(distinct_prime_factors(a))
-    strata = {
-        frozenset(i for i, a in enumerate(wt) if a % p == 0)
-        for p in primes
-    }
+    for a in wt.heavy_values():
+        primes.update(distinct_prime_factors(a))
+    strata = {frozenset(wt.divisible_by(p)) for p in primes}
     facets = [s for s in strata if not any(s < t for t in strata)]
     cx = Complex.from_facets(len(wt), facets)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
@@ -244,20 +238,10 @@ def base_complex(weights: WeightsLike, d: int, *,
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise InputError(f"degree must be a positive integer, got {d!r}")
     values = [v for v in wt.heavy_values() if d % v != 0]
-
-    def not_representable(vals: frozenset[int]) -> bool:
-        verdict = is_representable(d, vals, dp_cap=dp_cap)
-        if verdict is UNKNOWN:
-            raise ResourceLimitError(
-                f"representability of {d} over {sorted(vals)} exceeds the "
-                f"dp cap {dp_cap}")
-        return verdict is False
-
-    value_facets = maximal_members(values, not_representable)
-    facets = [
-        frozenset(i for v in vals for i in wt.indices_of(v))
-        for vals in value_facets
-    ]
+    value_facets = maximal_members(
+        values, lambda vals: not representable(d, vals, dp_cap=dp_cap))
+    facets = [frozenset(i for v in vals for i in wt.classes[v])
+              for vals in value_facets]
     cx = Complex.from_facets(len(wt), facets)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 

@@ -35,16 +35,16 @@ from typing import Iterable, Mapping
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
-    UNKNOWN,
     DegreesLike,
     DegreeTuple,
     WeightsLike,
     WeightTuple,
     as_degrees,
     as_weights,
+    common_factor_subsets,
     gcd_of,
-    is_representable,
     poset_covers,
+    representable,
     representable_degrees,
 )
 from wciq.complexes import Complex, WeightedComplex, singular_complex
@@ -58,7 +58,7 @@ from wciq.regularity import is_strictly_regular
 
 #: Above this many source faces the verifier switches to value-class
 #: representatives instead of full face enumeration.
-DEFAULT_FACE_LIMIT = 4096
+FACE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -265,9 +265,6 @@ class AdmissibleFamily:
     def vertex_image(self, i: int) -> int:
         return self.injections[self.vertex_weight(i)][i]
 
-    def face_image(self, face: Iterable[int]) -> frozenset[int]:
-        return induced_face_map(self, face)
-
 
 def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
     """All gcds above 1 of nonempty sets of weight values: the face weights
@@ -289,10 +286,7 @@ def _family_skeleton(wt: WeightTuple, dg: DegreeTuple, dp_cap: int):
     """Shared precomputation: domains, admissible degree sets, cover edges,
     and divisor vertex pairs."""
     im_phi = occurring_face_weights(wt)
-    domains = {
-        b: tuple(i for i, a in enumerate(wt) if a % b == 0)
-        for b in im_phi
-    }
+    domains = {b: wt.divisible_by(b) for b in im_phi}
     good = {
         b: tuple(sorted(representable_degrees(
             {wt[i] for i in domains[b]}, dg, dp_cap=dp_cap)))
@@ -447,7 +441,7 @@ def check_family_invariants(weights: WeightsLike, degrees: DegreesLike,
         problems.append(f"occurring face weights mismatch: {fam.im_phi} vs {im_phi}")
         return problems
     for b in im_phi:
-        expect = tuple(i for i, a in enumerate(wt) if a % b == 0)
+        expect = wt.divisible_by(b)
         if tuple(fam.domains.get(b, ())) != expect:
             problems.append(f"domain of {b} mismatch: {fam.domains.get(b)} vs {expect}")
             continue
@@ -458,11 +452,8 @@ def check_family_invariants(weights: WeightsLike, degrees: DegreesLike,
         images = list(inj.values())
         if len(set(images)) != len(images):
             problems.append(f"injection at {b} is not injective: {inj}")
-        try:
-            admissible = representable_degrees(
-                {wt[i] for i in expect}, dg, dp_cap=dp_cap)
-        except ResourceLimitError:
-            raise
+        admissible = representable_degrees(
+            {wt[i] for i in expect}, dg, dp_cap=dp_cap)
         bad = [j for j in images if j not in admissible]
         if bad:
             problems.append(
@@ -520,7 +511,7 @@ def vertex_fibers(fam: AdmissibleFamily) -> dict[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PosetMapReport:
-    """Empirical verification of the induced face map.
+    """Verification of the induced face map.
 
     property1: image cardinality equals face cardinality on every face.
     property2: every image degree of a face is representable over the
@@ -528,10 +519,17 @@ class PosetMapReport:
     property3: no edge between vertices with dividing weights is
     contracted by the weight-level images.
     order_preserving: nested faces have nested images.
+
+    Properties 1 and 3 follow from the family invariants: every injection
+    is injective on its domain, and a heavy vertex i has the image
+    injections[wt[i]][i], the pair the divisor-pair invariant compares.
+    So they hold, without witness, whenever the invariants do, and are
+    false under "invariants-failed". Property 2 and order preservation
+    are checked face by face.
     scope is "all-faces" for full enumeration; beyond the face limit a
     canonical subfamily (at most two least indices per weight value)
-    stands in for properties 1 and order preservation, while property 2
-    switches to exact value-class records.
+    stands in for order preservation, while property 2 switches to exact
+    value-class records.
     """
 
     family_violations: tuple[str, ...]
@@ -551,18 +549,10 @@ class PosetMapReport:
                 and self.property2 and self.property3 and self.order_preserving)
 
 
-def _restricted_indices(wt: WeightTuple, per_value: int = 2) -> list[int]:
-    out: list[int] = []
-    for v in wt.heavy_values():
-        out.extend(wt.indices_of(v)[:per_value])
-    return sorted(out)
-
-
 def verify_poset_map(weights: WeightsLike, degrees: DegreesLike,
                      fam: AdmissibleFamily, *,
-                     dp_cap: int = DEFAULT_DP_CAP,
-                     face_limit: int = DEFAULT_FACE_LIMIT) -> PosetMapReport:
-    """Check the induced face map empirically and report every verdict."""
+                     dp_cap: int = DEFAULT_DP_CAP) -> PosetMapReport:
+    """Check the induced face map and report every verdict."""
     wt = as_weights(weights)
     dg = as_degrees(degrees)
     violations = tuple(check_family_invariants(wt, dg, fam, dp_cap=dp_cap))
@@ -571,88 +561,50 @@ def verify_poset_map(weights: WeightsLike, degrees: DegreesLike,
                               False, None, "invariants-failed")
 
     sing = singular_complex(wt)
-    faces = sing.complex.faces(limit=face_limit)
-    scope = "all-faces"
-    class_records: list[tuple[tuple[int, ...], int, bool]] = []
+    faces = sing.complex.faces(limit=FACE_LIMIT)
+    records: list[tuple[tuple[int, ...], int, bool]] = []
     if faces is None:
         scope = "value-class-representatives"
-        keep = set(_restricted_indices(wt))
+        values = wt.heavy_values()
+        keep = {i for v in values for i in wt.classes[v][:2]}
         restricted = Complex.from_facets(
             sing.complex.n_vertices,
             [f & keep for f in sing.complex.facets if f & keep])
-        faces = restricted.faces(limit=face_limit)
+        faces = restricted.faces(limit=FACE_LIMIT)
         if faces is None:
             raise ResourceLimitError(
-                f"face enumeration exceeds {face_limit} even on value-class "
+                f"face enumeration exceeds {FACE_LIMIT} even on value-class "
                 f"representatives")
         # Exact property-2 coverage: for every value set with gcd above 1,
         # the maximal index set is a face and its image is the superset of
         # every class member's image.
-        values = wt.heavy_values()
-        if 2 ** len(values) > face_limit:
+        if 2 ** len(values) > FACE_LIMIT:
             raise ResourceLimitError(
                 f"value-subset sweep over {len(values)} values exceeds "
-                f"{face_limit} classes")
-        for r in range(1, len(values) + 1):
-            for vs in combinations(values, r):
-                if gcd_of(vs) == 1:
-                    continue
-                members = tuple(sorted(
-                    i for v in vs for i in wt.indices_of(v)))
-                img = sorted(induced_face_map(fam, members))
-                for j in img:
-                    ok = is_representable(
-                        dg.degree(j), set(vs), dp_cap=dp_cap)
-                    if ok is UNKNOWN:
-                        raise ResourceLimitError(
-                            f"representability of d_{j} over {sorted(vs)} "
-                            f"exceeds the dp cap {dp_cap}")
-                    class_records.append((members, j, ok is True))
-
-    face_sets = [tuple(f) for f in faces]
-    face_lookup = {frozenset(f) for f in face_sets}
-
-    property1 = True
-    p1_witness = None
-    records: list[tuple[tuple[int, ...], int, bool]] = []
-    for face in face_sets:
-        img = induced_face_map(fam, face)
-        if len(img) != len(face) and property1:
-            property1 = False
-            p1_witness = face
-        if scope == "all-faces":
-            for j in sorted(img):
-                ok = is_representable(
-                    dg.degree(j), {wt[i] for i in face}, dp_cap=dp_cap)
-                if ok is UNKNOWN:
-                    raise ResourceLimitError(
-                        f"representability of d_{j} over face {face} exceeds "
-                        f"the dp cap {dp_cap}")
-                records.append((face, j, ok is True))
-    if scope != "all-faces":
-        records = class_records
+                f"{FACE_LIMIT} classes")
+        for vs in common_factor_subsets(values):
+            members = tuple(sorted(i for v in vs for i in wt.classes[v]))
+            for j in sorted(induced_face_map(fam, members)):
+                records.append(
+                    (members, j, representable(dg.degree(j), vs, dp_cap=dp_cap)))
+    else:
+        scope = "all-faces"
+        for face in faces:
+            for j in sorted(induced_face_map(fam, face)):
+                records.append((face, j, representable(
+                    dg.degree(j), {wt[i] for i in face}, dp_cap=dp_cap)))
     property2 = all(ok for _, _, ok in records)
 
-    property3 = True
-    p3_witness = None
-    heavy = wt.heavy()
-    for i, k in combinations(heavy, 2):
-        if wt[k] % wt[i] != 0 and wt[i] % wt[k] != 0:
-            continue
-        if fam.vertex_image(i) == fam.vertex_image(k):
-            property3 = False
-            p3_witness = (i, k)
-            break
-
+    face_lookup = set(faces)
     order_preserving = True
     order_witness = None
-    for face in face_sets:
+    for face in faces:
         if len(face) < 2:
             continue
         img = induced_face_map(fam, face)
         for drop in range(len(face)):
             sub = face[:drop] + face[drop + 1:]
-            if frozenset(sub) not in face_lookup:
+            if sub not in face_lookup:
                 continue
             if not induced_face_map(fam, sub) <= img:
                 order_preserving = False
@@ -662,5 +614,5 @@ def verify_poset_map(weights: WeightsLike, degrees: DegreesLike,
             break
 
     return PosetMapReport(
-        violations, property1, p1_witness, property2, tuple(records),
-        property3, p3_witness, order_preserving, order_witness, scope)
+        violations, True, None, property2, tuple(records),
+        True, None, order_preserving, order_witness, scope)

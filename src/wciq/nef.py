@@ -133,7 +133,7 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
     dg = as_degrees(degrees)
     c = len(dg)
     values = wt.heavy_values()
-    mult = {v: len(wt.indices_of(v)) for v in values}
+    mult = {v: len(wt.classes[v]) for v in values}
     n_ones = len(wt.ones())
 
     # counts[v] = how many v-weighted indices go to each part 0..c
@@ -217,7 +217,7 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
         parts[j].extend(ones[pos:pos + deficits[j]])
         pos += deficits[j]
     for v in values:
-        idx = list(wt.indices_of(v))
+        idx = wt.classes[v]
         at = 0
         for j in range(c + 1):
             parts[j].extend(idx[at:at + counts[v][j]])

@@ -27,8 +27,9 @@ from wciq.arith import (
     lcm_or_one,
     representable_degrees,
 )
-from wciq.complexes import Complex, maximal_members
+from wciq.complexes import Complex, maximal_members, singular_complex
 from wciq.errors import InternalConsistencyError, ResourceLimitError
+from wciq.maps import AdmissibleFamily, check_family_invariants, induced_face_map
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -236,3 +237,28 @@ def lex_walk_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
             return False, tuple(idx)
     raise InternalConsistencyError(
         "value-level violation found but no index witness materialized")
+
+
+def swept_poset_properties(weights: WeightsLike, degrees: DegreesLike,
+                           fam: AdmissibleFamily, *,
+                           dp_cap: int = DEFAULT_DP_CAP):
+    """Properties 1 and 3 of `verify_poset_map`, swept instead of read off
+    the family invariants: (property1, witness, property3, witness).
+
+    Once the invariants pass, every face of the singular complex is checked
+    for an image of its own cardinality, and every pair of heavy indices
+    with dividing weights for distinct vertex images; the first failure in
+    (cardinality, lex) order is the witness. A family that fails its
+    invariants fails both, without witness.
+    """
+    wt = as_weights(weights)
+    if check_family_invariants(wt, degrees, fam, dp_cap=dp_cap):
+        return False, None, False, None
+    p1_witness = next(
+        (face for face in singular_complex(wt).complex.faces()
+         if len(induced_face_map(fam, face)) != len(face)), None)
+    p3_witness = next(
+        ((i, k) for i, k in combinations(wt.heavy(), 2)
+         if (wt[k] % wt[i] == 0 or wt[i] % wt[k] == 0)
+         and fam.vertex_image(i) == fam.vertex_image(k)), None)
+    return p1_witness is None, p1_witness, p3_witness is None, p3_witness

@@ -29,7 +29,7 @@ from wciq.arith import (
     WeightsLike,
     as_degrees,
     as_weights,
-    gcd_of,
+    common_factor_subsets,
     lcm_or_one,
     representable_degrees,
 )
@@ -120,7 +120,7 @@ def _value_class_complex(wt, member) -> Complex:
     value_facets = maximal_members(wt.heavy_values(), member)
     facets = frozenset(
         frozenset(sorted(idx)) for vs in value_facets
-        for idx in product(*(wt.indices_of(v) for v in vs)))
+        for idx in product(*(wt.classes[v] for v in vs)))
     return Complex(len(wt), facets)
 
 
@@ -148,7 +148,7 @@ def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
     while level:
         failing = [vs for vs in level if not _strongly_non_divisible(vs)]
         if failing:
-            return frozenset(min(sorted(wt.indices_of(v)[0] for v in vs)
+            return frozenset(min(sorted(wt.classes[v][0] for v in vs)
                                  for vs in failing))
         level = [vs + (v,) for vs in level for v in values
                  if v > vs[-1] and _non_divisible(vs + (v,))]
@@ -183,16 +183,13 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
         raise ResourceLimitError(
             f"strict regularity over {len(values)} distinct values exceeds "
             f"the supported scale ({_VALUE_SUBSET_LIMIT})")
-    classes = {v: wt.indices_of(v) for v in values}
+    classes = wt.classes
     failing: list[tuple[tuple[int, ...], int]] = []
-    for r in range(1, len(values) + 1):
-        for vs in combinations(values, r):
-            if gcd_of(vs) == 1:
-                continue
-            count = sum(len(classes[v]) for v in vs)
-            ng = len(representable_degrees(vs, dg, dp_cap=dp_cap))
-            if ng < count:
-                failing.append((vs, max(r, ng + 1)))
+    for vs in common_factor_subsets(values):
+        count = sum(len(classes[v]) for v in vs)
+        ng = len(representable_degrees(vs, dg, dp_cap=dp_cap))
+        if ng < count:
+            failing.append((vs, max(len(vs), ng + 1)))
     if not failing:
         return True, None
     size = min(s for _, s in failing)

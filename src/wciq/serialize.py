@@ -129,7 +129,7 @@ def family_from_json(data: Any, weights) -> AdmissibleFamily:
     domains = {}
     injections = {}
     for b in im_phi:
-        domains[b] = tuple(i for i, a in enumerate(wt) if a % b == 0)
+        domains[b] = wt.divisible_by(b)
         raw = injections_raw.get(str(b))
         if not isinstance(raw, Mapping):
             raise InputError(f"missing injection table for face weight {b}")

@@ -15,6 +15,7 @@ from wciq.arith import (
     lcm_of,
     lcm_or_one,
     poset_covers,
+    representable,
     representable_degrees,
 )
 from wciq.errors import InputError, ResourceLimitError
@@ -82,6 +83,13 @@ class TestUnknown:
         assert is_representable(10**7, [3], dp_cap=10**6) is UNKNOWN
         # a divisor shortcut answers without touching the table
         assert is_representable(10**7, [10], dp_cap=10**6) is True
+
+    def test_strict_call_raises_past_the_cap(self):
+        assert representable(10**7, (10, 3), dp_cap=10**6) is True
+        assert representable(29, (15, 6, 10, 6)) is False
+        with pytest.raises(ResourceLimitError,
+                           match=r"of 10000001 over \[3, 6\] exceeds the dp cap 1000000"):
+            representable(10**7 + 1, (6, 3), dp_cap=10**6)
 
 
 class TestRepresentable:

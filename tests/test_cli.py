@@ -218,6 +218,14 @@ class TestPosetmap:
         assert report["built"] is False
         assert report["failed_hypothesis"] == "strictly_regular"
 
+    def test_verify_dp_cap_limits(self, map_file, tmp_path, capsys):
+        _, out = run(["posetmap", "build", "--input", map_file], capsys)
+        fam = write_json(tmp_path, "fam.json", json.loads(out)["family"])
+        code = main(["posetmap", "verify", "--input", map_file,
+                     "--family", fam, "--dp-cap", "1"])
+        assert code == 3
+        assert "exceeds the dp cap 1" in capsys.readouterr().err
+
 
 class TestRealize:
     def test_plain_realization(self, tmp_path, capsys):
@@ -292,6 +300,14 @@ class TestOracle:
                           {"weights": [1, 2], "degrees": [201]})
         code, _ = run(["oracle", "--input", pair], capsys)
         assert code == 3
+
+    def test_dp_cap_limits(self, map_file, capsys):
+        # 16 is neither divisible by nor within the cap of any heavy value
+        code = main(["oracle", "--input", map_file, "--dp-cap", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource limit: representability of 16 over [6, 10, 15] "
+            "exceeds the dp cap 1\n")
 
 
 class TestInputHandling:

@@ -12,7 +12,9 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from wciq.arith import WeightTuple
 from wciq.complexes import Complex, minimal_nonfaces, singular_complex, sr_presentation
+from wciq.maps import AdmissibleFamily, build_admissible_family, verify_poset_map
 from wciq.oracles import (
     lex_walk_strictly_regular,
     naive_minimal_nonfaces,
@@ -20,6 +22,7 @@ from wciq.oracles import (
     naive_pair_nontriviality_witness,
     naive_pair_trivial_all_indices,
     naive_strongly_nondivisible_facets,
+    swept_poset_properties,
 )
 from wciq.regularity import (
     is_strictly_regular,
@@ -138,3 +141,50 @@ class TestWellFormed:
             gcd(*(a for j, a in enumerate(weights) if j != i)) == 1
             for i in range(len(weights)))
         assert is_wellformed_wps(weights) is expect
+
+
+class TestWeightClasses:
+    @given(padded_weights(), st.integers(1, 40))
+    @settings(deadline=None, max_examples=200)
+    def test_classes_match_index_scan(self, weights, b):
+        wt = WeightTuple.of(weights)
+        assert list(wt.classes.items()) == [
+            (v, tuple(i for i, a in enumerate(weights) if a == v))
+            for v in sorted(set(weights))]
+        assert wt.divisible_by(b) == tuple(sorted(
+            i for v, idx in wt.classes.items() if v % b == 0 for i in idx))
+        assert wt.ones() == tuple(i for i, a in enumerate(weights) if a == 1)
+        assert wt.heavy_values() == tuple(sorted({a for a in weights if a > 1}))
+
+
+@st.composite
+def regular_pairs(draw):
+    """Padded weights with one degree per heavy index that the index's own
+    weight divides, which makes the pair strictly regular, plus up to two
+    random degrees."""
+    weights = draw(padded_weights(max_values=3, max_mult=2, max_ones=2))
+    degrees = [a * draw(st.integers(1, 4)) for a in weights if a > 1]
+    degrees += draw(st.lists(st.integers(2, 60), max_size=2))
+    return weights, tuple(draw(st.permutations(degrees)))
+
+
+class TestPosetMapProperties:
+    @given(regular_pairs(), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_match_face_and_pair_sweeps(self, pair, data):
+        # Built families pass their invariants; a copy with one injection
+        # entry moved to another degree index may or may not.
+        weights, degrees = pair
+        fam = build_admissible_family(weights, degrees)
+        families = [] if fam is None else [fam]
+        if fam is not None and fam.im_phi:
+            b = data.draw(st.sampled_from(fam.im_phi))
+            i = data.draw(st.sampled_from(fam.domains[b]))
+            injections = {q: dict(m) for q, m in fam.injections.items()}
+            injections[b][i] = data.draw(st.integers(1, len(degrees)))
+            families.append(AdmissibleFamily(fam.im_phi, fam.domains, injections))
+        for f in families:
+            rep = verify_poset_map(weights, degrees, f)
+            assert (rep.property1, rep.property1_witness,
+                    rep.property3, rep.property3_witness) == \
+                swept_poset_properties(weights, degrees, f)
