@@ -5,6 +5,10 @@ PreconditionFailure to 1, ResourceLimitError to 3. InternalConsistencyError
 signals that a derived identity failed at runtime and is never caught.
 """
 
+#: Node budget of every backtracking search (the nef partition search and
+#: the admissible family search); exceeding it raises ResourceLimitError.
+DEFAULT_NODE_BUDGET = 2_000_000
+
 
 class InputError(ValueError):
     """Malformed or out-of-contract input (bad schema, bad index, bad shape)."""

@@ -23,7 +23,9 @@ degree.
 The family search is a backtracking constraint solve with
 most-constrained-variable ordering and fixed tie-breaks (ascending b,
 ascending vertex index, ascending degree index), so identical inputs give
-identical families.
+identical families. It shares the node budget `errors.DEFAULT_NODE_BUDGET`
+with the nef partition search, read at each call, and raises
+ResourceLimitError past it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping
 
+from wciq import errors
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
@@ -349,40 +352,21 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     assignment: dict[tuple[int, int], int] = {}
     used: dict[int, set[int]] = {b: set() for b in im_phi}
 
-    def complete(b: int) -> bool:
-        return len(used[b]) == len(domains[b])
-
-    def diagonal_conflict(b: int, i: int, j: int) -> bool:
-        # Vertex separation applies between weight-level injections only.
-        if b != wt[i]:
-            return False
-        for k in partners.get(i, ()):
-            other = assignment.get((wt[k], k))
-            if other == j:
-                return True
-        return False
-
     def candidates(b: int, i: int) -> list[int]:
-        out = []
-        for j in good[b]:
-            if j in used[b]:
-                continue
-            if diagonal_conflict(b, i, j):
-                continue
-            ok = True
-            for q in covers_down[b]:
-                if complete(q):
-                    if j not in used[q]:
-                        ok = False
-                        break
-                elif j not in good_sets[q]:
-                    ok = False
-                    break
-            if ok:
-                out.append(j)
+        taken = used[b]
+        if b == wt[i]:
+            # Vertex separation applies between weight-level injections only.
+            taken = taken | {assignment.get((wt[k], k)) for k in partners.get(i, ())}
+        out = [j for j in good[b] if j not in taken]
+        for q in covers_down[b]:
+            # A finished cover fixes its image; an open one needs admissibility.
+            within = used[q] if len(used[q]) == len(domains[q]) else good_sets[q]
+            out = [j for j in out if j in within]
         return out
 
     cover_edges = [(q, b) for b in im_phi for q in covers_down[b]]
+    budget = errors.DEFAULT_NODE_BUDGET
+    nodes = 0
 
     def globally_feasible() -> bool:
         for q, b in cover_edges:
@@ -395,6 +379,11 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
         return True
 
     def solve() -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise ResourceLimitError(
+                f"admissible family search exceeded the node budget {budget}")
         unassigned = [v for v in variables if v not in assignment]
         if not unassigned:
             return True

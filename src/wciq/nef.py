@@ -6,6 +6,10 @@ leftover part I_0 then sums to the Fano index automatically. It is nice
 when I_0 contains a weight-one index, and strong when I_0 consists of
 weight-one indices only and every weight in I_j divides the j-th degree.
 
+Since I_0 sums to the Fano index, no partition exists when the index is
+negative and no nice one when it is below 1: find_nef_partition answers
+those in closed form, and its None is a proof of nonexistence either way.
+
 Two ways in: a direct combinatorial search over distributions of the
 repeated heavy weights (find_nef_partition), and the structural
 construction from an admissible injection family, whose vertex fibers
@@ -27,6 +31,7 @@ from wciq.arith import (
     as_weights,
 )
 from wciq.errors import (
+    DEFAULT_NODE_BUDGET,
     InputError,
     InternalConsistencyError,
     PreconditionFailure,
@@ -38,8 +43,6 @@ from wciq.regularity import (
     is_strictly_regular,
     pair_nontriviality_witness,
 )
-
-DEFAULT_NODE_BUDGET = 2_000_000
 
 _MODES = ("any", "nice", "strong")
 
@@ -120,24 +123,42 @@ def classify_partition(weights: WeightsLike, degrees: DegreesLike,
 def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
                        mode: str = "strong", *,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> NefPartition | None:
-    """Exhaustive search for a partition of the requested kind.
+    """Bounded search for a partition of the requested kind.
 
-    Weight-one indices are interchangeable, so the search runs over
-    distributions of each repeated heavy value across the parts and fills
-    the remaining deficits with ones. None means proven nonexistence
-    within the mode, not a timeout; running out of nodes raises instead.
+    I_0 sums to the Fano index, so no partition exists when the index is
+    negative, and no nice one when it is below 1 or there is no weight-one
+    index; these closed forms answer before any search. Otherwise
+    weight-one indices are interchangeable, so the search runs over
+    distributions of each repeated heavy value across the parts (values
+    ascending, each distribution ascending in (k_0, ..., k_c)) and fills
+    the remaining deficits with ones. Each part has a room: d_j less its
+    heavy mass for j >= 1, and for I_0 the heavy mass it may still take
+    (the index, less one in nice mode). A value v puts at most room // v
+    copies into a part, so every complete distribution is a partition
+    and the first one found is the lexicographically first; a branch
+    where some value left to place no longer fits into the room of the
+    parts it may enter is cut. None means proven nonexistence within the
+    mode, not a timeout; running out of nodes raises instead.
     """
     if mode not in _MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
     wt = as_weights(weights)
     dg = as_degrees(degrees)
-    c = len(dg)
+    ones = wt.ones()
+    spare = wt.total - dg.total - (mode == "nice")
+    if spare < 0 or (mode == "nice" and not ones):
+        return None
+    degs = list(dg)
+    c = len(degs)
     values = wt.heavy_values()
-    mult = {v: len(wt.classes[v]) for v in values}
-    n_ones = len(wt.ones())
-
-    # counts[v] = how many v-weighted indices go to each part 0..c
-    counts: dict[int, tuple[int, ...]] = {}
+    room = [spare] + degs
+    # entries[vi]: the parts values[vi] may enter; in strong mode only the
+    # I_j whose degree it divides, never I_0
+    entries = [[j for j in range(1, c + 1) if degs[j - 1] % v == 0]
+               if mode == "strong" else range(c + 1) for v in values]
+    mults = [len(wt.classes[v]) for v in values]
+    # counts[vi][j] = how many copies of values[vi] go to part j
+    counts = [[0] * (c + 1) for _ in values]
     nodes = 0
 
     def spend() -> None:
@@ -147,81 +168,62 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
             raise ResourceLimitError(
                 f"partition search exceeded the node budget {node_budget}")
 
-    def distributions(v: int):
-        """All ways to split mult[v] copies of v over parts 0..c,
-        ascending lexicographically in (k_0, ..., k_c)."""
-        m = mult[v]
-        allowed = [True] + [
-            mode != "strong" or dg.degree(j) % v == 0 for j in range(1, c + 1)]
-        if mode == "strong":
-            allowed[0] = False
+    def distributions(vi: int):
+        """Place the copies of values[vi] in every way the rooms allow,
+        updating room in place; yields once per complete distribution."""
+        v = values[vi]
+        dist = counts[vi]
+        caps = [0] * (c + 1)
+        for j in entries[vi]:
+            caps[j] = room[j] // v
+        # tail[j]: copies that parts j..c can still take
+        tail = caps + [0]
+        for j in range(c, -1, -1):
+            tail[j] += tail[j + 1]
 
-        def rec(j: int, left: int, acc: list[int]):
+        def rec(j: int, left: int):
             spend()
-            if j == c:
-                if left == 0 or allowed[j]:
-                    yield tuple(acc + [left])
+            if j > c:
+                yield
                 return
-            top = left if allowed[j] else 0
-            for k in range(0, top + 1):
-                yield from rec(j + 1, left - k, acc + [k])
+            for k in range(max(0, left - tail[j + 1]), min(left, caps[j]) + 1):
+                dist[j] = k
+                room[j] -= k * v
+                yield from rec(j + 1, left - k)
+                room[j] += k * v
 
-        yield from rec(0, m, [])
+        yield from rec(0, mults[vi])
+
+    def fits(vi: int) -> bool:
+        """Can each value from vi on still fit into its parts' room?"""
+        return all(sum(room[j] // values[wi] for j in entries[wi]) >= mults[wi]
+                   for wi in range(vi, len(values)))
 
     def assign(vi: int) -> bool:
         spend()
         if vi == len(values):
-            deficits = []
-            for j in range(1, c + 1):
-                used = sum(v * counts[v][j] for v in values)
-                r = dg.degree(j) - used
-                if r < 0:
-                    return False
-                deficits.append(r)
-            if sum(deficits) > n_ones:
-                return False
-            leftover = n_ones - sum(deficits)
-            if mode == "nice" and leftover < 1:
-                return False
             return True
-        v = values[vi]
-        for dist in distributions(v):
-            # prune: parts must not already exceed their degree
-            ok = True
-            for j in range(1, c + 1):
-                used = sum(u * counts[u][j] for u in values[:vi]) + v * dist[j]
-                if used > dg.degree(j):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            counts[v] = dist
-            if assign(vi + 1):
-                return True
-            del counts[v]
-        return False
+        return fits(vi) and any(assign(vi + 1) for _ in distributions(vi))
 
     if not assign(0):
         return None
 
-    # Deterministic expansion of the counts into index parts.
+    # The generators of a found partition are abandoned at their yields, so
+    # counts and room still hold it. Deterministic expansion into index
+    # parts: the ones go to I_0 first, then fill each deficit room[j].
     parts: list[list[int]] = [[] for _ in range(c + 1)]
-    ones = list(wt.ones())
-    deficits = [0] * (c + 1)
-    for j in range(1, c + 1):
-        deficits[j] = dg.degree(j) - sum(v * counts[v][j] for v in values)
-    leftover = n_ones - sum(deficits)
+    leftover = len(ones) - sum(room[1:])
     parts[0].extend(ones[:leftover])
     pos = leftover
     for j in range(1, c + 1):
-        parts[j].extend(ones[pos:pos + deficits[j]])
-        pos += deficits[j]
-    for v in values:
+        parts[j].extend(ones[pos:pos + room[j]])
+        pos += room[j]
+    for v, dist in zip(values, counts):
         idx = wt.classes[v]
         at = 0
         for j in range(c + 1):
-            parts[j].extend(idx[at:at + counts[v][j]])
-            at += counts[v][j]
+            parts[j].extend(idx[at:at + dist[j]])
+            at += dist[j]
     return NefPartition(tuple(tuple(p) for p in parts))
 
 

@@ -2,8 +2,8 @@
 
 Everything here trades time for obviousness: plain coefficient
 enumeration instead of the bitset closure, full subset sweeps instead of
-value-class reductions, and per-index part assignment instead of the
-multiplicity search. The tie-breaks mirror the fast implementations so
+value-class reductions, and per-index part assignment or an unbounded
+walk over every split instead of the bounded multiplicity search. The tie-breaks mirror the fast implementations so
 witnesses can be compared verbatim.
 
 The index-level sweeps are exponential in the number of indices they
@@ -28,8 +28,13 @@ from wciq.arith import (
     representable_degrees,
 )
 from wciq.complexes import Complex, maximal_members, singular_complex
-from wciq.errors import InternalConsistencyError, ResourceLimitError
+from wciq.errors import (
+    DEFAULT_NODE_BUDGET,
+    InternalConsistencyError,
+    ResourceLimitError,
+)
 from wciq.maps import AdmissibleFamily, check_family_invariants, induced_face_map
+from wciq.nef import NefPartition
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -262,3 +267,110 @@ def swept_poset_properties(weights: WeightsLike, degrees: DegreesLike,
          if (wt[k] % wt[i] == 0 or wt[i] % wt[k] == 0)
          and fam.vertex_image(i) == fam.vertex_image(k)), None)
     return p1_witness is None, p1_witness, p3_witness is None, p3_witness
+
+
+def lex_nef_search(weights: WeightsLike, degrees: DegreesLike,
+                   mode: str = "strong", *,
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> NefPartition | None:
+    """Unbounded multiplicity search: the reference for `find_nef_partition`.
+
+    Walks every split of each repeated heavy value over the parts (values
+    ascending, each split ascending in (k_0, ..., k_c)), recomputing the
+    used mass of every part at every node and filtering over-full parts
+    afterwards, so the first partition it returns is the one the bounded
+    search must return. The node budget counts its own nodes.
+    """
+    wt = as_weights(weights)
+    dg = as_degrees(degrees)
+    c = len(dg)
+    values = wt.heavy_values()
+    mult = {v: len(wt.classes[v]) for v in values}
+    n_ones = len(wt.ones())
+
+    # counts[v] = how many v-weighted indices go to each part 0..c
+    counts: dict[int, tuple[int, ...]] = {}
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError(
+                f"partition search exceeded the node budget {node_budget}")
+
+    def distributions(v: int):
+        """All ways to split mult[v] copies of v over parts 0..c,
+        ascending lexicographically in (k_0, ..., k_c)."""
+        m = mult[v]
+        allowed = [True] + [
+            mode != "strong" or dg.degree(j) % v == 0 for j in range(1, c + 1)]
+        if mode == "strong":
+            allowed[0] = False
+
+        def rec(j: int, left: int, acc: list[int]):
+            spend()
+            if j == c:
+                if left == 0 or allowed[j]:
+                    yield tuple(acc + [left])
+                return
+            top = left if allowed[j] else 0
+            for k in range(0, top + 1):
+                yield from rec(j + 1, left - k, acc + [k])
+
+        yield from rec(0, m, [])
+
+    def assign(vi: int) -> bool:
+        spend()
+        if vi == len(values):
+            deficits = []
+            for j in range(1, c + 1):
+                used = sum(v * counts[v][j] for v in values)
+                r = dg.degree(j) - used
+                if r < 0:
+                    return False
+                deficits.append(r)
+            if sum(deficits) > n_ones:
+                return False
+            leftover = n_ones - sum(deficits)
+            if mode == "nice" and leftover < 1:
+                return False
+            return True
+        v = values[vi]
+        for dist in distributions(v):
+            # prune: parts must not already exceed their degree
+            ok = True
+            for j in range(1, c + 1):
+                used = sum(u * counts[u][j] for u in values[:vi]) + v * dist[j]
+                if used > dg.degree(j):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            counts[v] = dist
+            if assign(vi + 1):
+                return True
+            del counts[v]
+        return False
+
+    if not assign(0):
+        return None
+
+    # Deterministic expansion of the counts into index parts.
+    parts: list[list[int]] = [[] for _ in range(c + 1)]
+    ones = list(wt.ones())
+    deficits = [0] * (c + 1)
+    for j in range(1, c + 1):
+        deficits[j] = dg.degree(j) - sum(v * counts[v][j] for v in values)
+    leftover = n_ones - sum(deficits)
+    parts[0].extend(ones[:leftover])
+    pos = leftover
+    for j in range(1, c + 1):
+        parts[j].extend(ones[pos:pos + deficits[j]])
+        pos += deficits[j]
+    for v in values:
+        idx = wt.classes[v]
+        at = 0
+        for j in range(c + 1):
+            parts[j].extend(idx[at:at + counts[v][j]])
+            at += counts[v][j]
+    return NefPartition(tuple(tuple(p) for p in parts))

@@ -122,6 +122,8 @@ def family_from_json(data: Any, weights) -> AdmissibleFamily:
     if not isinstance(data, Mapping) or "im_phi" not in data or "injections" not in data:
         raise InputError('family must be an object with "im_phi" and "injections"')
     wt = as_weights(weights)
+    if not isinstance(data["im_phi"], list):
+        raise InputError('"im_phi" must be an array')
     im_phi = tuple(decode_int(b, "face weight") for b in data["im_phi"])
     injections_raw = data["injections"]
     if not isinstance(injections_raw, Mapping):
@@ -129,6 +131,8 @@ def family_from_json(data: Any, weights) -> AdmissibleFamily:
     domains = {}
     injections = {}
     for b in im_phi:
+        if b < 1:
+            raise InputError(f"face weight must be positive, got {b}")
         domains[b] = wt.divisible_by(b)
         raw = injections_raw.get(str(b))
         if not isinstance(raw, Mapping):

@@ -9,6 +9,15 @@ from math import gcd
 from wciq.complexes import Complex
 from wciq.oracles import brute_force_representable
 
+#: Strictly regular (20 heavy indices over 4 values), but the admissible
+#: family search backtracks without end on it.
+STUCK_FAMILY_PAIR = {
+    "weights": [12, 8, 12, 1, 34, 8, 31, 12, 31, 31, 8, 8, 31, 1, 31, 12, 31,
+                12, 8, 12],
+    "degrees": [124, 62, 62, 124, 8, 36, 16, 32, 8, 16, 12, 36, 62, 24, 136,
+                12, 62, 12, 8],
+}
+
 
 def random_weights(rng: random.Random, *, max_len: int = 8,
                    max_value: int = 30) -> tuple[int, ...]:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from wciq import errors
 from wciq.cli import main
 from wciq.serialize import canonical_json
+
+from helpers import STUCK_FAMILY_PAIR
 
 REF_PAIR = {
     "weights": [1] * 62 + [6, 10, 15],
@@ -217,6 +220,23 @@ class TestPosetmap:
         report = json.loads(out)
         assert report["built"] is False
         assert report["failed_hypothesis"] == "strictly_regular"
+
+    def test_verify_rejects_zero_face_weight(self, map_file, tmp_path, capsys):
+        fam = write_json(tmp_path, "zero.json",
+                         {"im_phi": [0], "injections": {"0": {}}})
+        code = main(["posetmap", "verify", "--input", map_file, "--family", fam])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: face weight must be positive, got 0\n")
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["posetmap", "build"]])
+    def test_family_search_budget(self, argv, tmp_path, capsys, monkeypatch):
+        pair = write_json(tmp_path, "stuck.json", STUCK_FAMILY_PAIR)
+        monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 1_000)
+        assert main(argv + ["--input", pair]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: admissible family search exceeded the node "
+            "budget 1000\n")
 
     def test_verify_dp_cap_limits(self, map_file, tmp_path, capsys):
         _, out = run(["posetmap", "build", "--input", map_file], capsys)

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
+from wciq import errors
 from wciq.complexes import singular_complex
-from wciq.errors import InputError, PreconditionFailure
+from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
 from wciq.maps import (
     AdmissibleFamily,
     WeightedMap,
@@ -15,6 +18,8 @@ from wciq.maps import (
     verify_poset_map,
     vertex_fibers,
 )
+
+from helpers import STUCK_FAMILY_PAIR
 
 RHO = (1, 6, 10, 15)
 MU = (16, 21, 25, 30)
@@ -60,6 +65,15 @@ class TestBuildFamily:
     def test_deterministic(self, reference_family):
         again = build_admissible_family(RHO, MU)
         assert again.injections == reference_family.injections
+
+    def test_node_budget(self, monkeypatch):
+        monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 10_000)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError,
+                           match="admissible family search exceeded the node budget 10000"):
+            build_admissible_family(STUCK_FAMILY_PAIR["weights"],
+                                    STUCK_FAMILY_PAIR["degrees"])
+        assert time.perf_counter() - start < 1
 
     def test_csp_summary_inventory(self):
         s = family_csp_summary(RHO, MU)

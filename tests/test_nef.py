@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +11,10 @@ from wciq.nef import (
     fano_index,
     find_nef_partition,
 )
-from wciq.oracles import naive_partition_exists
+from wciq.oracles import lex_nef_search, naive_partition_exists
 
 MU = (16, 21, 25, 30)
+MODES = ("any", "nice", "strong")
 
 
 def padded(t):
@@ -109,6 +112,86 @@ class TestFindNefPartition:
         assert (found is not None) == naive_partition_exists(weights, degrees, mode)
         if found is not None:
             assert classify_partition(weights, degrees, found).satisfies(mode)
+
+
+@st.composite
+def nef_pairs(draw):
+    """Up to three heavy values with multiplicities up to 4, up to 6
+    weight-one indices, shuffled, and 0-4 degrees."""
+    classes = draw(st.lists(st.tuples(st.integers(2, 12), st.integers(1, 4)),
+                            max_size=3, unique_by=lambda t: t[0]))
+    n_ones = draw(st.integers(0 if classes else 1, 6))
+    weights = [1] * n_ones + [v for v, m in classes for _ in range(m)]
+    weights = draw(st.permutations(weights))
+    degrees = draw(st.lists(st.integers(1, 30), max_size=4))
+    return tuple(weights), tuple(degrees)
+
+
+#: Fano index -1, 0 and 1, with and without weight-one indices, and with no
+#: degrees at all.
+EDGE_PAIRS = [
+    ((1, 2), (4,)),
+    ((2, 3), (6,)),
+    ((1, 1, 2), (4,)),
+    ((2, 2, 3), (7,)),
+    ((1, 1, 1, 2), (4,)),
+    ((1, 2, 2, 2), (6,)),
+    ((2, 3, 3), (7,)),
+    ((1, 1), ()),
+    ((2,), ()),
+    ((1, 2), ()),
+]
+
+
+class TestBoundedSearch:
+    """The bounded search against the unbounded lex-order reference."""
+
+    @given(nef_pairs(), st.sampled_from(MODES))
+    @settings(deadline=None, max_examples=300)
+    def test_same_partition_as_reference(self, pair, mode):
+        weights, degrees = pair
+        try:
+            expected = lex_nef_search(weights, degrees, mode, node_budget=20_000)
+        except ResourceLimitError:
+            return
+        assert find_nef_partition(weights, degrees, mode) == expected
+
+    def test_edge_pairs_cover_the_index_boundary(self):
+        indices = {fano_index(w, d) for w, d in EDGE_PAIRS}
+        assert {-1, 0, 1} <= indices
+        assert any(not d for _, d in EDGE_PAIRS)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("weights,degrees", EDGE_PAIRS)
+    def test_edge_pairs(self, weights, degrees, mode):
+        found = find_nef_partition(weights, degrees, mode)
+        assert (found is not None) == naive_partition_exists(weights, degrees, mode)
+        assert found == lex_nef_search(weights, degrees, mode)
+        if found is not None:
+            assert classify_partition(weights, degrees, found).satisfies(mode)
+
+    def test_negative_index_is_refuted_before_the_budget(self):
+        # index -1: even a budget of one node is not reached
+        assert find_nef_partition((1, 2, 2), (6,), "any", node_budget=1) is None
+
+    def test_many_copies(self):
+        weights = (1,) * 3 + (6, 10, 15, 21) * 4
+        degrees = (41, 43, 37, 47)
+        start = time.perf_counter()
+        found = find_nef_partition(weights, degrees, "any")
+        assert time.perf_counter() - start < 1
+        assert found == NefPartition((
+            (0, 6, 10), (1, 4, 5, 9), (2, 14, 18), (3, 7, 8, 13),
+            (11, 12, 15, 16, 17)))
+        assert found == lex_nef_search(weights, degrees, "any")
+
+    def test_negative_index_past_the_old_budget(self):
+        # index -6; the unbounded search runs out of its 2M nodes here
+        weights = (1,) * 2 + (6, 10, 15, 21, 35, 14) * 3
+        degrees = (53, 59, 61, 67, 71)
+        start = time.perf_counter()
+        assert find_nef_partition(weights, degrees, "any") is None
+        assert time.perf_counter() - start < 1
 
 
 class TestConstruct:
