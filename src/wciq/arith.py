@@ -159,15 +159,6 @@ def gcd_of(values: Iterable[int]) -> int:
     return math.gcd(*vals)
 
 
-def lcm_of(values: Iterable[int]) -> int:
-    """Least common multiple of a nonempty collection, arbitrary precision."""
-    vals = tuple(values)
-    if not vals:
-        raise InputError("lcm of an empty collection is undefined here; "
-                         "use lcm_or_one when the empty case should be 1")
-    return math.lcm(*vals)
-
-
 def lcm_or_one(values: Iterable[int]) -> int:
     """Least common multiple, with the empty collection mapped to 1."""
     return math.lcm(*tuple(values))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -301,12 +301,3 @@ def sr_presentation(wc: WeightedComplex) -> SRPresentation:
     gens = tuple(minimal_nonfaces(wc.complex, within=verts))
     return SRPresentation(verts, degrees, gens)
 
-
-def faces_up_to(cx: Complex, k: int) -> Iterator[frozenset[int]]:
-    """All nonempty faces of dimension at most k (cardinality at most k+1),
-    each exactly once, ordered by (cardinality, lex)."""
-    if k < 0:
-        return iter(())
-    listed = cx.faces(max_card=k + 1)
-    assert listed is not None
-    return iter(frozenset(t) for t in listed)

@@ -6,7 +6,8 @@ signals that a derived identity failed at runtime and is never caught.
 """
 
 #: Node budget of every backtracking search (the nef partition search and
-#: the admissible family search); exceeding it raises ResourceLimitError.
+#: the admissible family search, which counts one node per image set it
+#: tries); exceeding it raises ResourceLimitError.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 

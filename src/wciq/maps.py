@@ -20,12 +20,12 @@ Order preservation on nested faces is not forced by the invariants and is
 verified empirically, as is the per-face representability of every image
 degree.
 
-The family search is a backtracking constraint solve with
-most-constrained-variable ordering and fixed tie-breaks (ascending b,
-ascending vertex index, ascending degree index), so identical inputs give
-identical families. It shares the node budget `errors.DEFAULT_NODE_BUDGET`
-with the nef partition search, read at each call, and raises
-ResourceLimitError past it.
+The family search runs over image sets, one per face weight, from the
+largest face weight down; interchangeable vertices are never told apart.
+The injections are read off the image sets in a fixed order, so identical
+inputs give identical families. It shares the node budget
+`errors.DEFAULT_NODE_BUDGET` with the nef partition search, read at each
+call, and raises ResourceLimitError past it.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
 
 
 def _family_skeleton(wt: WeightTuple, dg: DegreeTuple, dp_cap: int):
-    """Shared precomputation: domains, admissible degree sets, cover edges,
-    and divisor vertex pairs."""
+    """Shared precomputation: occurring face weights, domains, and
+    admissible degree sets."""
     im_phi = occurring_face_weights(wt)
     domains = {b: wt.divisible_by(b) for b in im_phi}
     good = {
@@ -295,13 +295,7 @@ def _family_skeleton(wt: WeightTuple, dg: DegreeTuple, dp_cap: int):
             {wt[i] for i in domains[b]}, dg, dp_cap=dp_cap)))
         for b in im_phi
     }
-    covers_down = {b: tuple(sorted(poset_covers(im_phi, b))) for b in im_phi}
-    heavy = wt.heavy()
-    divisor_pairs = [
-        (i, k) for i, k in combinations(heavy, 2)
-        if wt[k] % wt[i] == 0 or wt[i] % wt[k] == 0
-    ]
-    return im_phi, domains, good, covers_down, divisor_pairs
+    return im_phi, domains, good
 
 
 def family_csp_summary(weights: WeightsLike, degrees: DegreesLike, *,
@@ -310,13 +304,16 @@ def family_csp_summary(weights: WeightsLike, degrees: DegreesLike, *,
     accompanying an unsatisfiable search."""
     wt = as_weights(weights)
     dg = as_degrees(degrees)
-    im_phi, domains, good, covers_down, divisor_pairs = _family_skeleton(wt, dg, dp_cap)
+    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
     return {
         "im_phi": list(im_phi),
         "domains": {str(b): list(domains[b]) for b in im_phi},
         "admissible_degrees": {str(b): list(good[b]) for b in im_phi},
-        "cover_edges": [[q, b] for b in im_phi for q in covers_down[b]],
-        "divisor_vertex_pairs": [list(p) for p in divisor_pairs],
+        "cover_edges": [[q, b] for b in im_phi
+                        for q in sorted(poset_covers(im_phi, b))],
+        "divisor_vertex_pairs": [
+            [i, k] for i, k in combinations(wt.heavy(), 2)
+            if wt[k] % wt[i] == 0 or wt[i] % wt[k] == 0],
     }
 
 
@@ -325,9 +322,37 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     """Build an admissible injection family, or return None when the
     constraints are unsatisfiable.
 
-    Requires strict regularity, which guarantees each injection enough
-    admissible degrees on its own; the solver couples the injections via
-    cover image containment and divisor-pair vertex separation.
+    Requires strict regularity. Write D_b for the domain at face weight b,
+    S_b for the image set of the injection there, good[b] for its
+    admissible degrees, and m_v for the multiplicity of a heavy value v.
+    The search runs over the S_b, visiting b in descending order: S_b is
+    the union U_b of the S_w already chosen for the multiples w of b in
+    im_phi, plus a padding of |D_b| - |U_b| indices from good[b] outside
+    U_b, paddings tried in lex order. A branch is cut when |U_b| > |D_b|.
+    The root and every S_b tried count one node each against
+    `errors.DEFAULT_NODE_BUDGET`.
+
+    The search is complete. Take any admissible family. For b | w in
+    im_phi there is a chain of covers from b up to w, and cover
+    containment along it gives S_w inside S_b; so U_b lies inside S_b,
+    which lies inside good[b] and has |D_b| members. Hence S_b is U_b
+    plus a padding of the searched shape, and a None proves that no
+    family exists. Conversely every complete choice is a family's image
+    sets: U_b lies in good[b], because each S_w lies in good[w] and a
+    degree representable over the values of D_w is representable over
+    the larger value set of D_b; and S_b lies inside U_q, hence inside
+    S_q, for every cover q of b.
+
+    The injections are then read off the S_b. Heavy values v, descending,
+    take as weight-level image set T_v the least m_v members of S_v that
+    no multiple of v has taken. This pick cannot fail: D_v holds the
+    class of v and the classes of its multiples, so |S_v| = |D_v| =
+    m_v + sum of m_w over the multiples w of v, and the taken members
+    lie in S_v and number that sum at most. T_v then avoids T_w for
+    every multiple w, which is divisor-pair separation. At each b, the
+    class of b maps ascending onto T_b ascending (T_b empty when b is
+    not a weight), and the rest of D_b ascending onto the rest of S_b
+    ascending. Identical inputs give identical families.
     """
     wt = as_weights(weights)
     dg = as_degrees(degrees)
@@ -338,78 +363,45 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
             f"weights are not strictly regular for the degrees; "
             f"violating index subset {witness}",
             witness=witness)
-    im_phi, domains, good, covers_down, divisor_pairs = _family_skeleton(wt, dg, dp_cap)
-    if not im_phi:
-        return AdmissibleFamily((), {}, {})
-
-    good_sets = {b: frozenset(good[b]) for b in im_phi}
-    variables = [(b, i) for b in im_phi for i in domains[b]]
-    partners: dict[int, list[int]] = {}
-    for i, k in divisor_pairs:
-        partners.setdefault(i, []).append(k)
-        partners.setdefault(k, []).append(i)
-
-    assignment: dict[tuple[int, int], int] = {}
-    used: dict[int, set[int]] = {b: set() for b in im_phi}
-
-    def candidates(b: int, i: int) -> list[int]:
-        taken = used[b]
-        if b == wt[i]:
-            # Vertex separation applies between weight-level injections only.
-            taken = taken | {assignment.get((wt[k], k)) for k in partners.get(i, ())}
-        out = [j for j in good[b] if j not in taken]
-        for q in covers_down[b]:
-            # A finished cover fixes its image; an open one needs admissibility.
-            within = used[q] if len(used[q]) == len(domains[q]) else good_sets[q]
-            out = [j for j in out if j in within]
-        return out
-
-    cover_edges = [(q, b) for b in im_phi for q in covers_down[b]]
+    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
+    order = im_phi[::-1]
+    images: dict[int, frozenset[int]] = {}
     budget = errors.DEFAULT_NODE_BUDGET
     nodes = 0
 
-    def globally_feasible() -> bool:
-        for q, b in cover_edges:
-            needed = used[b] - used[q]
-            if not needed:
-                continue
-            slack = len(domains[q]) - len(used[q])
-            if len(needed) > slack or not needed <= good_sets[q]:
-                return False
-        return True
-
-    def solve() -> bool:
+    def search(at: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise ResourceLimitError(
                 f"admissible family search exceeded the node budget {budget}")
-        unassigned = [v for v in variables if v not in assignment]
-        if not unassigned:
+        if at == len(order):
             return True
-        scored = []
-        for b, i in unassigned:
-            cands = candidates(b, i)
-            if not cands:
-                return False
-            scored.append((len(cands), b, i, cands))
-        _, b, i, cands = min(scored, key=lambda t: (t[0], t[1], t[2]))
-        for j in cands:
-            assignment[(b, i)] = j
-            used[b].add(j)
-            if globally_feasible() and solve():
+        b = order[at]
+        union = frozenset().union(*(images[w] for w in order[:at] if w % b == 0))
+        pad = len(domains[b]) - len(union)
+        if pad < 0:
+            return False
+        free = [j for j in good[b] if j not in union]
+        for padding in combinations(free, pad):
+            images[b] = union.union(padding)
+            if search(at + 1):
                 return True
-            used[b].discard(j)
-            del assignment[(b, i)]
         return False
 
-    if not solve():
+    if not search(0):
         return None
-    fam = AdmissibleFamily(
-        im_phi,
-        domains,
-        {b: {i: assignment[(b, i)] for i in domains[b]} for b in im_phi},
-    )
+    weight_level: dict[int, list[int]] = {}
+    for v in reversed(wt.heavy_values()):
+        taken = {j for w, t in weight_level.items() if w % v == 0 for j in t}
+        free = [j for j in sorted(images[v]) if j not in taken]
+        weight_level[v] = free[:len(wt.classes[v])]
+    injections = {}
+    for b in im_phi:
+        own = iter(weight_level.get(b, ()))
+        rest = iter(sorted(images[b].difference(weight_level.get(b, ()))))
+        injections[b] = {i: next(own if wt[i] == b else rest) for i in domains[b]}
+    fam = AdmissibleFamily(im_phi, domains, injections)
     leftovers = check_family_invariants(wt, dg, fam, dp_cap=dp_cap)
     if leftovers:
         raise InternalConsistencyError(

@@ -2,13 +2,17 @@
 
 Everything here trades time for obviousness: plain coefficient
 enumeration instead of the bitset closure, full subset sweeps instead of
-value-class reductions, and per-index part assignment or an unbounded
-walk over every split instead of the bounded multiplicity search. The tie-breaks mirror the fast implementations so
-witnesses can be compared verbatim.
+value-class reductions, per-index part assignment or an unbounded walk
+over every split instead of the bounded multiplicity search, and
+vertex-level backtracking or plain enumeration instead of the image-set
+family search. The tie-breaks mirror the fast implementations so
+witnesses can be compared verbatim; the family references agree with the
+fast search on existence only.
 
 The index-level sweeps are exponential in the number of indices they
 range over; they are meant for tuples with at most about 12 heavy
-indices, the scale of the `oracle` subcommand.
+indices, the scale of the `oracle` subcommand, and the family
+enumeration for at most 6.
 """
 
 from __future__ import annotations
@@ -25,16 +29,24 @@ from wciq.arith import (
     as_weights,
     gcd_of,
     lcm_or_one,
+    poset_covers,
     representable_degrees,
 )
 from wciq.complexes import Complex, maximal_members, singular_complex
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InternalConsistencyError,
+    PreconditionFailure,
     ResourceLimitError,
 )
-from wciq.maps import AdmissibleFamily, check_family_invariants, induced_face_map
+from wciq.maps import (
+    AdmissibleFamily,
+    _family_skeleton,
+    check_family_invariants,
+    induced_face_map,
+)
 from wciq.nef import NefPartition
+from wciq.regularity import is_strictly_regular
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -374,3 +386,180 @@ def lex_nef_search(weights: WeightsLike, degrees: DegreesLike,
             parts[j].extend(idx[at:at + counts[v][j]])
             at += counts[v][j]
     return NefPartition(tuple(tuple(p) for p in parts))
+
+
+def mrv_family_search(weights: WeightsLike, degrees: DegreesLike, *,
+                      dp_cap: int = DEFAULT_DP_CAP,
+                      node_budget: int = DEFAULT_NODE_BUDGET) -> AdmissibleFamily | None:
+    """Vertex-level family search: the reference for
+    `build_admissible_family`'s existence verdict.
+
+    Backtracks over (face weight, vertex) variables, most-constrained
+    first with ties broken by ascending b and vertex index, trying degree
+    indices ascending and recomputing every candidate list at every node.
+    It re-explores every permutation of interchangeable vertices, so it
+    can exhaust its node budget on pairs the image-set search decides at
+    once. Its families may differ from the image-set search's canonical
+    ones; only existence is comparable.
+    """
+    wt = as_weights(weights)
+    dg = as_degrees(degrees)
+    regular, witness = is_strictly_regular(wt, dg, dp_cap=dp_cap)
+    if not regular:
+        raise PreconditionFailure(
+            "strictly_regular",
+            f"weights are not strictly regular for the degrees; "
+            f"violating index subset {witness}",
+            witness=witness)
+    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
+    covers_down = {b: tuple(sorted(poset_covers(im_phi, b))) for b in im_phi}
+    divisor_pairs = [
+        (i, k) for i, k in combinations(wt.heavy(), 2)
+        if wt[k] % wt[i] == 0 or wt[i] % wt[k] == 0
+    ]
+    if not im_phi:
+        return AdmissibleFamily((), {}, {})
+
+    good_sets = {b: frozenset(good[b]) for b in im_phi}
+    variables = [(b, i) for b in im_phi for i in domains[b]]
+    partners: dict[int, list[int]] = {}
+    for i, k in divisor_pairs:
+        partners.setdefault(i, []).append(k)
+        partners.setdefault(k, []).append(i)
+
+    assignment: dict[tuple[int, int], int] = {}
+    used: dict[int, set[int]] = {b: set() for b in im_phi}
+
+    def candidates(b: int, i: int) -> list[int]:
+        taken = used[b]
+        if b == wt[i]:
+            # Vertex separation applies between weight-level injections only.
+            taken = taken | {assignment.get((wt[k], k)) for k in partners.get(i, ())}
+        out = [j for j in good[b] if j not in taken]
+        for q in covers_down[b]:
+            # A finished cover fixes its image; an open one needs admissibility.
+            within = used[q] if len(used[q]) == len(domains[q]) else good_sets[q]
+            out = [j for j in out if j in within]
+        return out
+
+    cover_edges = [(q, b) for b in im_phi for q in covers_down[b]]
+    nodes = 0
+
+    def globally_feasible() -> bool:
+        for q, b in cover_edges:
+            needed = used[b] - used[q]
+            if not needed:
+                continue
+            slack = len(domains[q]) - len(used[q])
+            if len(needed) > slack or not needed <= good_sets[q]:
+                return False
+        return True
+
+    def solve() -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError(
+                f"admissible family search exceeded the node budget {node_budget}")
+        unassigned = [v for v in variables if v not in assignment]
+        if not unassigned:
+            return True
+        scored = []
+        for b, i in unassigned:
+            cands = candidates(b, i)
+            if not cands:
+                return False
+            scored.append((len(cands), b, i, cands))
+        _, b, i, cands = min(scored, key=lambda t: (t[0], t[1], t[2]))
+        for j in cands:
+            assignment[(b, i)] = j
+            used[b].add(j)
+            if globally_feasible() and solve():
+                return True
+            used[b].discard(j)
+            del assignment[(b, i)]
+        return False
+
+    if not solve():
+        return None
+    fam = AdmissibleFamily(
+        im_phi,
+        domains,
+        {b: {i: assignment[(b, i)] for i in domains[b]} for b in im_phi},
+    )
+    leftovers = check_family_invariants(wt, dg, fam, dp_cap=dp_cap)
+    if leftovers:
+        raise InternalConsistencyError(
+            f"solver produced a family violating its own invariants: {leftovers}")
+    return fam
+
+
+#: Most heavy indices `brute_force_family` accepts.
+BRUTE_FAMILY_HEAVY = 6
+
+
+def brute_force_family(weights: WeightsLike, degrees: DegreesLike, *,
+                       dp_cap: int = DEFAULT_DP_CAP) -> AdmissibleFamily | None:
+    """Every admissible family by enumeration: the referee of a `None`
+    from the family searches.
+
+    The invariants read only the image set S_b of each injection and the
+    weight-level image set T_v of each heavy value v, and any bijections
+    onto sets that pass them form a family. So the enumerator walks every
+    S_b, a subset of the admissible degrees of the size of the domain, for
+    b descending, dropping it unless it contains the S_w of every multiple
+    w already placed; then every T_v, a subset of S_v of the size of the
+    class, for v descending, dropping it unless it avoids the T_w of every
+    multiple. The first complete choice, with ascending indices mapped to
+    ascending images, is checked against `check_family_invariants` and
+    returned. Strict regularity is not required. Only tuples with at most
+    `BRUTE_FAMILY_HEAVY` heavy indices are accepted.
+    """
+    wt = as_weights(weights)
+    dg = as_degrees(degrees)
+    if len(wt.heavy()) > BRUTE_FAMILY_HEAVY:
+        raise ResourceLimitError(
+            f"brute-force family enumeration takes at most {BRUTE_FAMILY_HEAVY} "
+            f"heavy indices, got {len(wt.heavy())}")
+    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
+    values = wt.heavy_values()
+    S: dict[int, frozenset[int]] = {}
+    T: dict[int, frozenset[int]] = {}
+
+    def place_images(at: int) -> bool:
+        if at == len(im_phi):
+            return place_weight_level(len(values) - 1)
+        b = im_phi[-1 - at]
+        for chosen in combinations(good[b], len(domains[b])):
+            S[b] = frozenset(chosen)
+            if all(S[w] <= S[b] for w in S if w != b and w % b == 0) \
+                    and place_images(at + 1):
+                return True
+            del S[b]
+        return False
+
+    def place_weight_level(at: int) -> bool:
+        if at < 0:
+            return True
+        v = values[at]
+        for chosen in combinations(sorted(S[v]), len(wt.classes[v])):
+            T[v] = frozenset(chosen)
+            if all(not T[w] & T[v] for w in T if w != v and w % v == 0) \
+                    and place_weight_level(at - 1):
+                return True
+            del T[v]
+        return False
+
+    if not place_images(0):
+        return None
+    injections = {}
+    for b in im_phi:
+        own = iter(sorted(T.get(b, ())))
+        rest = iter(sorted(S[b] - T.get(b, frozenset())))
+        injections[b] = {i: next(own if wt[i] == b else rest) for i in domains[b]}
+    fam = AdmissibleFamily(im_phi, domains, injections)
+    problems = check_family_invariants(wt, dg, fam, dp_cap=dp_cap)
+    if problems:
+        raise InternalConsistencyError(
+            f"enumerated family violates its invariants: {problems}")
+    return fam

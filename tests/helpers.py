@@ -9,13 +9,29 @@ from math import gcd
 from wciq.complexes import Complex
 from wciq.oracles import brute_force_representable
 
-#: Strictly regular (20 heavy indices over 4 values), but the admissible
-#: family search backtracks without end on it.
+#: Strictly regular (20 heavy indices over 4 values). The vertex-level
+#: family search (`oracles.mrv_family_search`) backtracks without end on
+#: it; the image-set search builds a family in 7 nodes.
 STUCK_FAMILY_PAIR = {
     "weights": [12, 8, 12, 1, 34, 8, 31, 12, 31, 31, 8, 8, 31, 1, 31, 12, 31,
                 12, 8, 12],
     "degrees": [124, 62, 62, 124, 8, 36, 16, 32, 8, 16, 12, 36, 62, 24, 136,
                 12, 62, 12, 8],
+}
+
+#: Strictly regular, yet no admissible family exists. Each of 30, 42, 70
+#: admits only degree 210, so S_6, S_10 and S_14 each hold 210 and one
+#: pair sum (72, 100, 112); their union has 4 members, but the domain at
+#: face weight 2 has only 3.
+TRIANGLE_PAIR = {"weights": [1, 30, 42, 70], "degrees": [210, 72, 100, 112]}
+
+#: TRIANGLE_PAIR beside five copies of the coprime value 11 with sixteen
+#: multiples of 11 as degrees. The image-set search refutes the triangle
+#: once for each of the C(16, 5) image sets at face weight 11, so it
+#: answers None only after 34,950 nodes.
+BUDGET_FAMILY_PAIR = {
+    "weights": TRIANGLE_PAIR["weights"] + [11] * 5,
+    "degrees": TRIANGLE_PAIR["degrees"] + [11 * k for k in range(1, 17)],
 }
 
 

@@ -12,7 +12,6 @@ from wciq.arith import (
     distinct_prime_factors,
     gcd_of,
     is_representable,
-    lcm_of,
     lcm_or_one,
     poset_covers,
     representable,
@@ -59,12 +58,9 @@ class TestGcdLcm:
         with pytest.raises(InputError):
             gcd_of([])
 
-    def test_lcm_of_and_lcm_or_one(self):
-        assert lcm_of([6, 10]) == 30
+    def test_lcm_or_one(self):
         assert lcm_or_one([]) == 1
         assert lcm_or_one([4, 6]) == 12
-        with pytest.raises(InputError):
-            lcm_of([])
 
     def test_distinct_prime_factors(self):
         assert distinct_prime_factors(1) == ()

@@ -6,7 +6,7 @@ from wciq import errors
 from wciq.cli import main
 from wciq.serialize import canonical_json
 
-from helpers import STUCK_FAMILY_PAIR
+from helpers import BUDGET_FAMILY_PAIR
 
 REF_PAIR = {
     "weights": [1] * 62 + [6, 10, 15],
@@ -231,7 +231,7 @@ class TestPosetmap:
 
     @pytest.mark.parametrize("argv", [["analyze"], ["posetmap", "build"]])
     def test_family_search_budget(self, argv, tmp_path, capsys, monkeypatch):
-        pair = write_json(tmp_path, "stuck.json", STUCK_FAMILY_PAIR)
+        pair = write_json(tmp_path, "budget.json", BUDGET_FAMILY_PAIR)
         monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 1_000)
         assert main(argv + ["--input", pair]) == 3
         assert capsys.readouterr().err == (

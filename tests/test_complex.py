@@ -7,7 +7,6 @@ from wciq.complexes import (
     Complex,
     WeightedComplex,
     base_complex,
-    faces_up_to,
     maximal_members,
     minimal_nonfaces,
     singular_complex,
@@ -206,10 +205,3 @@ class TestSRPresentation:
         assert sr.vertices == (0, 1)
         assert sr.variable_degrees == (2, 3)
         assert sr.generators == (frozenset({0, 1}),)
-
-
-def test_faces_up_to():
-    cx = Complex.from_facets(3, [[0, 1, 2]])
-    assert list(faces_up_to(cx, 0)) == [frozenset({0}), frozenset({1}), frozenset({2})]
-    assert frozenset({0, 1, 2}) in set(faces_up_to(cx, 2))
-    assert list(faces_up_to(cx, -1)) == []

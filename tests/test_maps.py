@@ -1,6 +1,8 @@
+import math
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wciq import errors
 from wciq.complexes import singular_complex
@@ -19,7 +21,10 @@ from wciq.maps import (
     vertex_fibers,
 )
 
-from helpers import STUCK_FAMILY_PAIR
+from wciq.oracles import brute_force_family, mrv_family_search
+from wciq.regularity import is_strictly_regular
+
+from helpers import BUDGET_FAMILY_PAIR, STUCK_FAMILY_PAIR, TRIANGLE_PAIR
 
 RHO = (1, 6, 10, 15)
 MU = (16, 21, 25, 30)
@@ -71,9 +76,27 @@ class TestBuildFamily:
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError,
                            match="admissible family search exceeded the node budget 10000"):
-            build_admissible_family(STUCK_FAMILY_PAIR["weights"],
-                                    STUCK_FAMILY_PAIR["degrees"])
+            build_admissible_family(BUDGET_FAMILY_PAIR["weights"],
+                                    BUDGET_FAMILY_PAIR["degrees"])
         assert time.perf_counter() - start < 1
+
+    def test_budget_pair_is_refuted_under_the_default_budget(self):
+        assert build_admissible_family(BUDGET_FAMILY_PAIR["weights"],
+                                       BUDGET_FAMILY_PAIR["degrees"]) is None
+
+    def test_stuck_pair_within_100_nodes(self, monkeypatch):
+        monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 100)
+        weights, degrees = STUCK_FAMILY_PAIR["weights"], STUCK_FAMILY_PAIR["degrees"]
+        fam = build_admissible_family(weights, degrees)
+        assert fam is not None
+        assert check_family_invariants(weights, degrees, fam) == []
+
+    def test_no_family_on_a_regular_triangle(self):
+        weights, degrees = TRIANGLE_PAIR["weights"], TRIANGLE_PAIR["degrees"]
+        assert is_strictly_regular(weights, degrees) == (True, None)
+        assert build_admissible_family(weights, degrees) is None
+        assert brute_force_family(weights, degrees) is None
+        assert mrv_family_search(weights, degrees) is None
 
     def test_csp_summary_inventory(self):
         s = family_csp_summary(RHO, MU)
@@ -82,6 +105,58 @@ class TestBuildFamily:
         assert s["admissible_degrees"]["6"] == [4]
         assert [2, 6] in s["cover_edges"]
         assert s["divisor_vertex_pairs"] == []
+
+
+#: Heavy values for family pairs: a divisor chain and coprime factors,
+#: or the four products of three of the primes 2, 3, 5, 7, whose pairwise
+#: gcds form the triangles on which a regular pair can lack a family.
+FAMILY_VALUES = (2, 4, 6, 10, 15, 30, 42, 70, 105)
+TRIANGLE_VALUES = (30, 42, 70, 105)
+
+
+@st.composite
+def family_pairs(draw):
+    """Up to 6 heavy indices over 2-4 values, at most one weight-1 index,
+    and as many degrees as heavy indices up to 6, each the sum of two
+    values or the lcm of some."""
+    pool = draw(st.sampled_from([FAMILY_VALUES, TRIANGLE_VALUES]))
+    values = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4, unique=True))
+    heavy = [v for v in values for _ in range(draw(st.integers(1, 2)))][:6]
+    weights = draw(st.permutations([1] * draw(st.integers(0, 1)) + heavy))
+    degrees = []
+    for _ in range(draw(st.integers(len(heavy), 6))):
+        if draw(st.booleans()):
+            degrees.append(sum(draw(st.lists(
+                st.sampled_from(values), min_size=2, max_size=2, unique=True))))
+        else:
+            degrees.append(math.lcm(*draw(st.lists(
+                st.sampled_from(values), min_size=1, max_size=4, unique=True))))
+    return tuple(weights), tuple(degrees)
+
+
+class TestFamilySearchReferences:
+    @given(family_pairs())
+    @example(((70, 30, 105, 105, 1, 70), (100, 210, 175, 175, 135, 210)))
+    @example(((1, 105, 42, 70, 70), (175, 70, 147, 210, 112)))
+    @settings(deadline=None, max_examples=300)
+    def test_existence_matches_references(self, pair):
+        # The brute force referees every verdict, None included; the
+        # vertex-level search wherever it decides within 2,000 nodes.
+        weights, degrees = pair
+        try:
+            fam = build_admissible_family(weights, degrees)
+        except PreconditionFailure:
+            with pytest.raises(PreconditionFailure):
+                mrv_family_search(weights, degrees)
+            return
+        if fam is not None:
+            assert check_family_invariants(weights, degrees, fam) == []
+        assert (brute_force_family(weights, degrees) is None) == (fam is None)
+        try:
+            old = mrv_family_search(weights, degrees, node_budget=2_000)
+        except ResourceLimitError:
+            return
+        assert (old is None) == (fam is None)
 
 
 class TestFamilyInvariantViolations:
