@@ -105,7 +105,8 @@ class WeightTuple:
 
     def divisible_by(self, b: int) -> tuple[int, ...]:
         """Indices whose weight b divides, ascending."""
-        return tuple(i for i, a in enumerate(self.weights) if a % b == 0)
+        return tuple(sorted(i for a, idx in self.classes.items() if a % b == 0
+                            for i in idx))
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,11 @@ def representable(d: int, values: Iterable[int], *,
     validated WeightTuple, which are not validated again. Where that would
     return UNKNOWN, this raises ResourceLimitError instead."""
     vals = tuple(sorted(set(values)))
-    verdict = _decide(d, *_reduce(vals), dp_cap)
+    return _definite(_decide(d, *_reduce(vals), dp_cap), d, vals, dp_cap)
+
+
+def _definite(verdict, d: int, vals: tuple[int, ...], dp_cap: int) -> bool:
+    """A True or False verdict as it is; UNKNOWN as a resource error."""
     if verdict is UNKNOWN:
         raise ResourceLimitError(
             f"representability of {d} over {list(vals)} exceeds the dp cap {dp_cap}")
@@ -305,10 +310,18 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
     offending degree is reported as a resource error.
     """
     dg = as_degrees(degrees)
-    prepared = _prepare(weights)
+    return _admissible(_prepare(weights), dg, dp_cap, [None] * len(dg))
+
+
+def _admissible(prepared: tuple, dg: DegreeTuple, dp_cap: int,
+                verdicts: list) -> frozenset[int]:
+    """`representable_degrees` over prepared values. verdicts[j - 1] holds
+    the verdict on degree j once decided (None before), and is filled in."""
     out = set()
     for j, d in enumerate(dg, start=1):
-        verdict = _decide(d, *prepared, dp_cap)
+        verdict = verdicts[j - 1]
+        if verdict is None:
+            verdict = verdicts[j - 1] = _decide(d, *prepared, dp_cap)
         if verdict is UNKNOWN:
             raise ResourceLimitError(
                 f"representability of degree d_{j} = {d} over {list(prepared[0])} "
@@ -316,6 +329,70 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
         if verdict:
             out.add(j)
     return frozenset(out)
+
+
+class PairFacts:
+    """What is derived about one pair (weights, degrees, dp_cap), each fact
+    at most once. Internal: not part of the package interface.
+
+    The command line builds one holder per command and every public entry
+    point one per call; it is dropped with them, so no fact outlives its
+    pair and nothing is cached across pairs. It keeps the validated tuples
+    and one memo from value set to its membership verdicts: each value set
+    is reduced once and each of its degrees decided once, whichever of
+    `admissible` and `representable` asks. The layers above keep their
+    facts here through `once`: the singular complex (complexes), the
+    divisibility complexes and strict regularity (regularity), the
+    face-weight skeleton and the checked family (maps), and the
+    construction (nef).
+    """
+
+    __slots__ = ("wt", "dg", "dp_cap", "_values", "_facts")
+
+    def __init__(self, weights: WeightsLike, degrees: DegreesLike,
+                 dp_cap: int = DEFAULT_DP_CAP):
+        self.wt = as_weights(weights)
+        self.dg = as_degrees(degrees)
+        self.dp_cap = dp_cap
+        # value set -> [(vals, gcd, reduced), verdict per degree, admissible]
+        self._values: dict[frozenset[int], list] = {}
+        self._facts: dict = {}
+
+    def once(self, derive):
+        """derive(self), computed on the first request and kept. A derive
+        that raises keeps nothing."""
+        facts = self._facts
+        if derive not in facts:
+            facts[derive] = derive(self)
+        return facts[derive]
+
+    def kept(self, derive):
+        """What `once(derive)` has kept, or None before it has run."""
+        return self._facts.get(derive)
+
+    def _row(self, values) -> list:
+        key = frozenset(values)
+        row = self._values.get(key)
+        if row is None:
+            row = self._values[key] = [
+                _reduce(tuple(sorted(key))), [None] * len(self.dg), None]
+        return row
+
+    def admissible(self, values) -> frozenset[int]:
+        """`representable_degrees` over the values, from the memo."""
+        row = self._row(values)
+        if row[2] is None:
+            row[2] = _admissible(row[0], self.dg, self.dp_cap, row[1])
+        return row[2]
+
+    def representable(self, j: int, values) -> bool:
+        """`representable` for the j-th degree over the values, from the memo."""
+        d = self.dg.degree(j)
+        prepared, verdicts, _ = self._row(values)
+        verdict = verdicts[j - 1]
+        if verdict is None:
+            verdict = verdicts[j - 1] = _decide(d, *prepared, self.dp_cap)
+        return _definite(verdict, d, prepared[0], self.dp_cap)
 
 
 def poset_covers(poset: Iterable[int], b: int) -> frozenset[int]:

@@ -19,24 +19,24 @@ import sys
 import time
 from pathlib import Path
 
-from wciq.arith import DEFAULT_DP_CAP, representable
-from wciq.complexes import base_complex, singular_complex, sr_presentation
+from wciq.arith import DEFAULT_DP_CAP, PairFacts, representable
+from wciq.complexes import _base_complex, _singular_complex, sr_presentation
 from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
 from wciq.maps import (
-    build_admissible_family,
-    family_csp_summary,
+    _csp_summary,
+    _family,
+    _poset_map,
     validate_weighted_map,
-    verify_poset_map,
     vertex_fibers,
 )
 from wciq.nef import (
     DEFAULT_NODE_BUDGET,
+    _construction,
     classify_partition,
-    construct_strong_nef_partition,
     fano_index,
     find_nef_partition,
 )
-from wciq.regularity import is_strictly_regular, pair_is_trivial, pair_trivial_all_indices
+from wciq.regularity import _regularity_report, _trivial_all_indices, is_strictly_regular
 from wciq.realize import realize_map_instance, realize_weights, verify_realization
 from wciq.serialize import (
     canonical_json,
@@ -74,6 +74,11 @@ def _read_json_file(path: str | None, what: str):
 
 def _load_pair(args):
     return pair_from_json(_read_json_file(args.input, "input"))
+
+
+def _load_facts(args) -> PairFacts:
+    """The facts holder of the pair file, shared by the whole command."""
+    return PairFacts(*_load_pair(args), args.dp_cap)
 
 
 class _Phases:
@@ -155,8 +160,9 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _complex_section(wt, dg, dp_cap: int) -> dict:
-    sing = singular_complex(wt)
+def _complex_section(facts: PairFacts) -> dict:
+    sing = facts.once(_singular_complex)
+    dg = facts.dg
     section = {
         "singular_complex": weighted_complex_to_json(sing),
         "singular_sr": sr_to_json(sr_presentation(sing)),
@@ -164,8 +170,7 @@ def _complex_section(wt, dg, dp_cap: int) -> dict:
             str(j): {
                 "degree": encode_int(dg.degree(j)),
                 "facets": [list(f) for f in
-                           base_complex(wt, dg.degree(j), dp_cap=dp_cap)
-                           .complex.sorted_facets()],
+                           _base_complex(facts, j).complex.sorted_facets()],
             }
             for j in range(1, len(dg) + 1)
         },
@@ -174,42 +179,38 @@ def _complex_section(wt, dg, dp_cap: int) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    wt, dg = _load_pair(args)
+    facts = _load_facts(args)
+    wt, dg = facts.wt, facts.dg
     phases = _Phases()
     report: dict = {"input": pair_to_json(wt, dg)}
     if args.seed is not None:
         report["seed"] = args.seed
     report["fano_index"] = fano_index(wt, dg)
-    report["regularity"] = _regularity_json(pair_is_trivial(wt, dg, dp_cap=args.dp_cap))
-    report["pair_trivial_literal"] = pair_trivial_all_indices(wt)
+    report["regularity"] = _regularity_json(_regularity_report(facts, with_degrees=True))
+    report["pair_trivial_literal"] = _trivial_all_indices(facts)
     phases.mark("regularity")
 
-    report.update(_complex_section(wt, dg, args.dp_cap))
+    report.update(_complex_section(facts))
     phases.mark("complexes")
 
     family = None
     try:
-        family = build_admissible_family(wt, dg, dp_cap=args.dp_cap)
+        family = facts.once(_family)
     except PreconditionFailure as exc:
         report["family"] = {"built": False, "failed_hypothesis": exc.hypothesis}
     else:
         if family is None:
-            report["family"] = {
-                "built": False,
-                "csp": family_csp_summary(wt, dg, dp_cap=args.dp_cap),
-            }
+            report["family"] = {"built": False, "csp": _csp_summary(facts)}
         else:
             report["family"] = {"built": True, "family": family_to_json(family)}
     if family is not None:
-        report["poset_map"] = _poset_map_json(
-            verify_poset_map(wt, dg, family, dp_cap=args.dp_cap))
+        report["poset_map"] = _poset_map_json(_poset_map(facts, family))
     else:
         report["poset_map"] = None
     phases.mark("family")
 
     try:
-        partition, _, deltas = construct_strong_nef_partition(
-            wt, dg, dp_cap=args.dp_cap)
+        partition, _, deltas, classification = facts.once(_construction)
     except PreconditionFailure as exc:
         construction = {"ok": False, **_failed_json(exc)}
         constructed = False
@@ -218,8 +219,7 @@ def cmd_analyze(args) -> int:
             "ok": True,
             "partition": partition_to_json(partition),
             "deltas": list(deltas),
-            "classification": _classification_json(
-                classify_partition(wt, dg, partition)),
+            "classification": _classification_json(classification),
         }
         constructed = True
     report["construction"] = construction
@@ -239,15 +239,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_complex(args) -> int:
-    wt, dg = _load_pair(args)
-    report = {"input": pair_to_json(wt, dg)}
-    report.update(_complex_section(wt, dg, args.dp_cap))
+    facts = _load_facts(args)
+    report = {"input": pair_to_json(facts.wt, facts.dg)}
+    report.update(_complex_section(facts))
     _emit(report, args.format)
     return 0
 
 
 def cmd_nef(args) -> int:
-    wt, dg = _load_pair(args)
+    facts = _load_facts(args)
+    wt, dg = facts.wt, facts.dg
     if args.action == "find":
         found = find_nef_partition(wt, dg, args.mode, node_budget=args.node_budget)
         report = {
@@ -260,8 +261,7 @@ def cmd_nef(args) -> int:
         return 0 if found is not None else 1
     if args.action == "construct":
         try:
-            partition, family, deltas = construct_strong_nef_partition(
-                wt, dg, dp_cap=args.dp_cap)
+            partition, family, deltas, classification = facts.once(_construction)
         except PreconditionFailure as exc:
             report = {"input": pair_to_json(wt, dg), "ok": False, **_failed_json(exc)}
             _emit(report, args.format)
@@ -272,8 +272,7 @@ def cmd_nef(args) -> int:
             "partition": partition_to_json(partition),
             "deltas": list(deltas),
             "family": family_to_json(family),
-            "classification": _classification_json(
-                classify_partition(wt, dg, partition)),
+            "classification": _classification_json(classification),
         }
         _emit(report, args.format)
         return 0
@@ -289,10 +288,11 @@ def cmd_nef(args) -> int:
 
 
 def cmd_posetmap(args) -> int:
-    wt, dg = _load_pair(args)
+    facts = _load_facts(args)
+    wt, dg = facts.wt, facts.dg
     if args.action == "build":
         try:
-            family = build_admissible_family(wt, dg, dp_cap=args.dp_cap)
+            family = facts.once(_family)
         except PreconditionFailure as exc:
             report = {"input": pair_to_json(wt, dg), "built": False, **_failed_json(exc)}
             _emit(report, args.format)
@@ -301,7 +301,7 @@ def cmd_posetmap(args) -> int:
             report = {
                 "input": pair_to_json(wt, dg),
                 "built": False,
-                "csp": family_csp_summary(wt, dg, dp_cap=args.dp_cap),
+                "csp": _csp_summary(facts),
             }
             _emit(report, args.format)
             return 1
@@ -315,7 +315,7 @@ def cmd_posetmap(args) -> int:
         _emit(report, args.format)
         return 0
     family = family_from_json(_read_json_file(args.family, "family"), wt)
-    rep = verify_poset_map(wt, dg, family, dp_cap=args.dp_cap)
+    rep = _poset_map(facts, family)
     report = {
         "input": pair_to_json(wt, dg),
         "poset_map": _poset_map_json(rep),

@@ -29,10 +29,10 @@ from typing import Callable, Iterable, Mapping
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
+    PairFacts,
     WeightsLike,
     as_weights,
     distinct_prime_factors,
-    representable,
 )
 from wciq.errors import InputError, ResourceLimitError
 
@@ -237,13 +237,26 @@ def base_complex(weights: WeightsLike, d: int, *,
     wt = as_weights(weights)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise InputError(f"degree must be a positive integer, got {d!r}")
+    return _base_complex(PairFacts(wt, (d,), dp_cap), 1)
+
+
+def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:
+    """`base_complex` of the pair's j-th degree, deciding membership from
+    the memo of the facts."""
+    wt = facts.wt
+    d = facts.dg.degree(j)
     values = [v for v in wt.heavy_values() if d % v != 0]
     value_facets = maximal_members(
-        values, lambda vals: not representable(d, vals, dp_cap=dp_cap))
+        values, lambda vals: not facts.representable(j, vals))
     facets = [frozenset(i for v in vals for i in wt.classes[v])
               for vals in value_facets]
     cx = Complex.from_facets(len(wt), facets)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
+
+
+def _singular_complex(facts: PairFacts) -> WeightedComplex:
+    """The singular complex of the pair's weights, for `PairFacts.once`."""
+    return singular_complex(facts.wt)
 
 
 def minimal_nonfaces(cx: Complex,

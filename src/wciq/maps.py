@@ -30,7 +30,7 @@ call, and raises ResourceLimitError past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping
@@ -39,7 +39,7 @@ from wciq import errors
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
-    DegreeTuple,
+    PairFacts,
     WeightsLike,
     WeightTuple,
     as_degrees,
@@ -47,17 +47,15 @@ from wciq.arith import (
     common_factor_subsets,
     gcd_of,
     poset_covers,
-    representable,
-    representable_degrees,
 )
-from wciq.complexes import Complex, WeightedComplex, singular_complex
+from wciq.complexes import Complex, WeightedComplex, _singular_complex, singular_complex
 from wciq.errors import (
     InputError,
     InternalConsistencyError,
     PreconditionFailure,
     ResourceLimitError,
 )
-from wciq.regularity import is_strictly_regular
+from wciq.regularity import _strict_regularity
 
 #: Above this many source faces the verifier switches to value-class
 #: representatives instead of full face enumeration.
@@ -285,16 +283,14 @@ def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
     return tuple(sorted(vals))
 
 
-def _family_skeleton(wt: WeightTuple, dg: DegreeTuple, dp_cap: int):
-    """Shared precomputation: occurring face weights, domains, and
-    admissible degree sets."""
+def _skeleton(facts: PairFacts):
+    """The occurring face weights, their domains, and the admissible degree
+    indices (ascending) at each: what the family search runs on."""
+    wt = facts.wt
     im_phi = occurring_face_weights(wt)
     domains = {b: wt.divisible_by(b) for b in im_phi}
-    good = {
-        b: tuple(sorted(representable_degrees(
-            {wt[i] for i in domains[b]}, dg, dp_cap=dp_cap)))
-        for b in im_phi
-    }
+    good = {b: tuple(sorted(facts.admissible({wt[i] for i in domains[b]})))
+            for b in im_phi}
     return im_phi, domains, good
 
 
@@ -302,9 +298,12 @@ def family_csp_summary(weights: WeightsLike, degrees: DegreesLike, *,
                        dp_cap: int = DEFAULT_DP_CAP) -> dict:
     """Constraint inventory of the family search, used as the certificate
     accompanying an unsatisfiable search."""
-    wt = as_weights(weights)
-    dg = as_degrees(degrees)
-    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
+    return _csp_summary(PairFacts(weights, degrees, dp_cap))
+
+
+def _csp_summary(facts: PairFacts) -> dict:
+    wt = facts.wt
+    im_phi, domains, good = facts.once(_skeleton)
     return {
         "im_phi": list(im_phi),
         "domains": {str(b): list(domains[b]) for b in im_phi},
@@ -354,16 +353,21 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     not a weight), and the rest of D_b ascending onto the rest of S_b
     ascending. Identical inputs give identical families.
     """
-    wt = as_weights(weights)
-    dg = as_degrees(degrees)
-    regular, witness = is_strictly_regular(wt, dg, dp_cap=dp_cap)
+    return PairFacts(weights, degrees, dp_cap).once(_family)
+
+
+def _family(facts: PairFacts) -> AdmissibleFamily | None:
+    """`build_admissible_family` of the pair; the family it returns has
+    passed `check_family_invariants`."""
+    wt = facts.wt
+    regular, witness = facts.once(_strict_regularity)
     if not regular:
         raise PreconditionFailure(
             "strictly_regular",
             f"weights are not strictly regular for the degrees; "
             f"violating index subset {witness}",
             witness=witness)
-    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
+    im_phi, domains, good = facts.once(_skeleton)
     order = im_phi[::-1]
     images: dict[int, frozenset[int]] = {}
     budget = errors.DEFAULT_NODE_BUDGET
@@ -402,7 +406,7 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
         rest = iter(sorted(images[b].difference(weight_level.get(b, ()))))
         injections[b] = {i: next(own if wt[i] == b else rest) for i in domains[b]}
     fam = AdmissibleFamily(im_phi, domains, injections)
-    leftovers = check_family_invariants(wt, dg, fam, dp_cap=dp_cap)
+    leftovers = _invariant_violations(facts, fam)
     if leftovers:
         raise InternalConsistencyError(
             f"solver produced a family violating its own invariants: {leftovers}")
@@ -414,8 +418,11 @@ def check_family_invariants(weights: WeightsLike, degrees: DegreesLike,
                             dp_cap: int = DEFAULT_DP_CAP) -> list[str]:
     """All invariant violations of a family against the given pair,
     as human-readable strings. Empty means the family is admissible."""
-    wt = as_weights(weights)
-    dg = as_degrees(degrees)
+    return _invariant_violations(PairFacts(weights, degrees, dp_cap), fam)
+
+
+def _invariant_violations(facts: PairFacts, fam: AdmissibleFamily) -> list[str]:
+    wt = facts.wt
     problems: list[str] = []
     im_phi = occurring_face_weights(wt)
     if tuple(fam.im_phi) != im_phi:
@@ -433,8 +440,7 @@ def check_family_invariants(weights: WeightsLike, degrees: DegreesLike,
         images = list(inj.values())
         if len(set(images)) != len(images):
             problems.append(f"injection at {b} is not injective: {inj}")
-        admissible = representable_degrees(
-            {wt[i] for i in expect}, dg, dp_cap=dp_cap)
+        admissible = facts.admissible({wt[i] for i in expect})
         bad = [j for j in images if j not in admissible]
         if bad:
             problems.append(
@@ -534,14 +540,22 @@ def verify_poset_map(weights: WeightsLike, degrees: DegreesLike,
                      fam: AdmissibleFamily, *,
                      dp_cap: int = DEFAULT_DP_CAP) -> PosetMapReport:
     """Check the induced face map and report every verdict."""
-    wt = as_weights(weights)
-    dg = as_degrees(degrees)
-    violations = tuple(check_family_invariants(wt, dg, fam, dp_cap=dp_cap))
+    return _poset_map(PairFacts(weights, degrees, dp_cap), fam)
+
+
+def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
+    """`verify_poset_map` of the pair. The family these facts built has
+    passed its invariant check already; any other family is checked."""
+    wt = facts.wt
+    if fam is facts.kept(_family):
+        violations = ()
+    else:
+        violations = tuple(_invariant_violations(facts, fam))
     if violations:
         return PosetMapReport(violations, False, None, False, (), False, None,
                               False, None, "invariants-failed")
 
-    sing = singular_complex(wt)
+    sing = facts.once(_singular_complex)
     faces = sing.complex.faces(limit=FACE_LIMIT)
     records: list[tuple[tuple[int, ...], int, bool]] = []
     if faces is None:
@@ -566,14 +580,13 @@ def verify_poset_map(weights: WeightsLike, degrees: DegreesLike,
         for vs in common_factor_subsets(values):
             members = tuple(sorted(i for v in vs for i in wt.classes[v]))
             for j in sorted(induced_face_map(fam, members)):
-                records.append(
-                    (members, j, representable(dg.degree(j), vs, dp_cap=dp_cap)))
+                records.append((members, j, facts.representable(j, vs)))
     else:
         scope = "all-faces"
         for face in faces:
             for j in sorted(induced_face_map(fam, face)):
-                records.append((face, j, representable(
-                    dg.degree(j), {wt[i] for i in face}, dp_cap=dp_cap)))
+                records.append(
+                    (face, j, facts.representable(j, {wt[i] for i in face})))
     property2 = all(ok for _, _, ok in records)
 
     face_lookup = set(faces)

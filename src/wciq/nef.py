@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
+    PairFacts,
     WeightsLike,
     as_degrees,
     as_weights,
@@ -37,10 +38,11 @@ from wciq.errors import (
     PreconditionFailure,
     ResourceLimitError,
 )
-from wciq.maps import AdmissibleFamily, build_admissible_family, vertex_fibers
+from wciq.maps import AdmissibleFamily, _family, vertex_fibers
 from wciq.regularity import (
+    _divisibility,
+    _strict_regularity,
     is_linear_cone,
-    is_strictly_regular,
     pair_nontriviality_witness,
 )
 
@@ -108,15 +110,13 @@ def classify_partition(weights: WeightsLike, degrees: DegreesLike,
         missing = sorted(set(range(len(wt))) - seen)
         raise InputError(f"indices {missing} belong to no part")
 
-    valid = all(
-        sum(wt[i] for i in partition.parts[j]) == dg.degree(j)
-        for j in range(1, len(dg) + 1))
-    nice = valid and any(wt[i] == 1 for i in partition.leftover)
+    w = wt.weights
+    paired = list(zip(dg.degrees, partition.parts[1:]))
+    valid = all(sum(w[i] for i in part) == d for d, part in paired)
+    nice = valid and any(w[i] == 1 for i in partition.leftover)
     strong = (valid
-              and all(wt[i] == 1 for i in partition.leftover)
-              and all(dg.degree(j) % wt[i] == 0
-                      for j in range(1, len(dg) + 1)
-                      for i in partition.parts[j]))
+              and all(w[i] == 1 for i in partition.leftover)
+              and all(d % w[i] == 0 for d, part in paired for i in part))
     return NefClassification(valid, nice, strong)
 
 
@@ -242,27 +242,35 @@ def construct_strong_nef_partition(
     Returns the partition, the family it came from, and the per-degree
     slack amounts (how many weight-one indices each part absorbed).
     """
-    wt = as_weights(weights)
-    dg = as_degrees(degrees)
+    return PairFacts(weights, degrees, dp_cap).once(_construction)[:3]
+
+
+def _construction(facts: PairFacts) -> tuple[
+        NefPartition, AdmissibleFamily, tuple[int, ...], NefClassification]:
+    """`construct_strong_nef_partition` of the pair, with the partition's
+    classification (strong, or the construction fails) as fourth member."""
+    wt = facts.wt
+    dg = facts.dg
     if is_linear_cone(wt, dg):
         raise PreconditionFailure(
             "not_linear_cone", "some weight equals one of the degrees")
     idx = fano_index(wt, dg)
     if idx <= 0:
         raise PreconditionFailure("fano", f"the index {idx} is not positive")
-    regular, witness = is_strictly_regular(wt, dg, dp_cap=dp_cap)
+    regular, witness = facts.once(_strict_regularity)
     if not regular:
         raise PreconditionFailure(
             "strictly_regular",
             f"violating index subset {sorted(witness)}", witness=witness)
-    pair_witness = pair_nontriviality_witness(wt)
-    if pair_witness is not None:
+    nd, snd = facts.once(_divisibility)
+    if nd != snd:
+        pair_witness = pair_nontriviality_witness(wt)
         raise PreconditionFailure(
             "pair_trivial",
             f"non-divisible but not strongly non-divisible subset "
             f"{sorted(pair_witness)}", witness=pair_witness)
 
-    fam = build_admissible_family(wt, dg, dp_cap=dp_cap)
+    fam = facts.once(_family)
     if fam is None:
         raise InternalConsistencyError(
             "no admissible family exists although all preconditions hold")
@@ -288,7 +296,8 @@ def construct_strong_nef_partition(
         parts.append(ones[pos:pos + deltas[j - 1]] + list(fibers.get(j, ())))
         pos += deltas[j - 1]
     partition = NefPartition(tuple(tuple(p) for p in parts))
-    if not classify_partition(wt, dg, partition).strong:
+    classification = classify_partition(wt, dg, partition)
+    if not classification.strong:
         raise InternalConsistencyError(
             "constructed partition failed its own classification")
-    return partition, fam, tuple(deltas)
+    return partition, fam, tuple(deltas), classification

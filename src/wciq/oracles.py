@@ -24,6 +24,7 @@ from typing import Iterable
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
+    PairFacts,
     WeightsLike,
     as_degrees,
     as_weights,
@@ -41,7 +42,7 @@ from wciq.errors import (
 )
 from wciq.maps import (
     AdmissibleFamily,
-    _family_skeleton,
+    _skeleton,
     check_family_invariants,
     induced_face_map,
 )
@@ -411,7 +412,7 @@ def mrv_family_search(weights: WeightsLike, degrees: DegreesLike, *,
             f"weights are not strictly regular for the degrees; "
             f"violating index subset {witness}",
             witness=witness)
-    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
+    im_phi, domains, good = PairFacts(wt, dg, dp_cap).once(_skeleton)
     covers_down = {b: tuple(sorted(poset_covers(im_phi, b))) for b in im_phi}
     divisor_pairs = [
         (i, k) for i, k in combinations(wt.heavy(), 2)
@@ -521,7 +522,7 @@ def brute_force_family(weights: WeightsLike, degrees: DegreesLike, *,
         raise ResourceLimitError(
             f"brute-force family enumeration takes at most {BRUTE_FAMILY_HEAVY} "
             f"heavy indices, got {len(wt.heavy())}")
-    im_phi, domains, good = _family_skeleton(wt, dg, dp_cap)
+    im_phi, domains, good = PairFacts(wt, dg, dp_cap).once(_skeleton)
     values = wt.heavy_values()
     S: dict[int, frozenset[int]] = {}
     T: dict[int, frozenset[int]] = {}

@@ -21,17 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
-from math import gcd
+from math import gcd, inf
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
+    PairFacts,
     WeightsLike,
     as_degrees,
     as_weights,
     common_factor_subsets,
     lcm_or_one,
-    representable_degrees,
 )
 from wciq.complexes import Complex, maximal_members
 from wciq.errors import InputError, ResourceLimitError
@@ -112,12 +112,11 @@ def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
     return _strongly_non_divisible([wt[i] for i in _validate_subset(wt, subset)])
 
 
-def _value_class_complex(wt, member) -> Complex:
-    """Complex over the heavy indices of a family that `member` decides on
-    value sets. Both divisibility families admit at most one index per
-    value, so each maximal value set expands to every choice of one index
-    per value, and those index sets are maximal by construction."""
-    value_facets = maximal_members(wt.heavy_values(), member)
+def _value_class_complex(wt, value_facets) -> Complex:
+    """Complex over the heavy indices of a divisibility family, given its
+    maximal value sets. Both divisibility families admit at most one index
+    per value, so each maximal value set expands to every choice of one
+    index per value, and those index sets are maximal by construction."""
     facets = frozenset(
         frozenset(sorted(idx)) for vs in value_facets
         for idx in product(*(wt.classes[v] for v in vs)))
@@ -126,13 +125,16 @@ def _value_class_complex(wt, member) -> Complex:
 
 def nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the non-divisible subsets over indices of weight above 1."""
-    return _value_class_complex(as_weights(weights), _non_divisible)
+    wt = as_weights(weights)
+    return _value_class_complex(wt, maximal_members(wt.heavy_values(), _non_divisible))
 
 
 def strongly_nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the strongly non-divisible subsets over indices of weight
     above 1."""
-    return _value_class_complex(as_weights(weights), _strongly_non_divisible)
+    wt = as_weights(weights)
+    return _value_class_complex(
+        wt, maximal_members(wt.heavy_values(), _strongly_non_divisible))
 
 
 def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
@@ -155,14 +157,28 @@ def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
     return None
 
 
+def _divisibility(facts: PairFacts) -> tuple[list, list]:
+    """The maximal non-divisible and strongly non-divisible value sets of
+    the pair's weights: the facets of both complexes before they expand
+    to indices. The pair is trivial exactly when the two lists agree."""
+    values = facts.wt.heavy_values()
+    return (maximal_members(values, _non_divisible),
+            maximal_members(values, _strongly_non_divisible))
+
+
 def pair_trivial_all_indices(weights: WeightsLike) -> bool:
     """Literal reading over all indices, weight-1 ones included. A weight-1
     singleton is a non-divisible facet that is never strongly
     non-divisible, so any weight-1 index makes this reading non-trivial;
     without ones the vertex set is the heavy set."""
-    wt = as_weights(weights)
-    return not wt.ones() and (nondivisible_complex(wt).facets
-                              == strongly_nondivisible_complex(wt).facets)
+    return _trivial_all_indices(PairFacts(weights, ()))
+
+
+def _trivial_all_indices(facts: PairFacts) -> bool:
+    if facts.wt.ones():
+        return False
+    nd, snd = facts.once(_divisibility)
+    return nd == snd
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
@@ -174,25 +190,34 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
     over value subsets with gcd above 1 and compares against the full
     index multiplicity of each value set. On failure the witness is the
     minimal-cardinality, then lexicographically least, violating index
-    subset.
+    subset. A failing value set V violates at sizes of |V| and more, and
+    the subsets come by size, so the sweep stops at the first subset
+    larger than the least violation size found; a True verdict sweeps
+    every subset.
     """
-    wt = as_weights(weights)
-    dg = as_degrees(degrees)
-    values = wt.heavy_values()
+    return PairFacts(weights, degrees, dp_cap).once(_strict_regularity)
+
+
+def _strict_regularity(facts: PairFacts):
+    values = facts.wt.heavy_values()
     if len(values) > _VALUE_SUBSET_LIMIT:
         raise ResourceLimitError(
             f"strict regularity over {len(values)} distinct values exceeds "
             f"the supported scale ({_VALUE_SUBSET_LIMIT})")
-    classes = wt.classes
+    classes = facts.wt.classes
     failing: list[tuple[tuple[int, ...], int]] = []
+    size = inf
     for vs in common_factor_subsets(values):
+        if len(vs) > size:
+            break
         count = sum(len(classes[v]) for v in vs)
-        ng = len(representable_degrees(vs, dg, dp_cap=dp_cap))
+        ng = len(facts.admissible(vs))
         if ng < count:
-            failing.append((vs, max(len(vs), ng + 1)))
+            s = max(len(vs), ng + 1)
+            failing.append((vs, s))
+            size = min(size, s)
     if not failing:
         return True, None
-    size = min(s for _, s in failing)
 
     def least_realization(vs: tuple[int, ...]) -> tuple[int, ...]:
         # V violates at each size s with ng < s, |V| <= s <= |indices of V|;
@@ -208,23 +233,26 @@ def pair_is_trivial(weights: WeightsLike, degrees: DegreesLike | None = None, *,
                     dp_cap: int = DEFAULT_DP_CAP) -> RegularityReport:
     """Full regularity report for a weight tuple, degree-aware when a
     degree tuple is supplied."""
-    wt = as_weights(weights)
-    nd = nondivisible_complex(wt)
-    snd = strongly_nondivisible_complex(wt)
-    trivial = nd.facets == snd.facets
+    facts = PairFacts(weights, () if degrees is None else degrees, dp_cap)
+    return _regularity_report(facts, with_degrees=degrees is not None)
+
+
+def _regularity_report(facts: PairFacts, with_degrees: bool) -> RegularityReport:
+    nd, snd = facts.once(_divisibility)
     linear_cone: bool | None = None
     regular: bool | None = None
     witness: tuple[int, ...] | None = None
-    if degrees is not None:
-        dg = as_degrees(degrees)
-        linear_cone = is_linear_cone(wt, dg)
-        regular, witness = is_strictly_regular(wt, dg, dp_cap=dp_cap)
+    if with_degrees:
+        linear_cone = is_linear_cone(facts.wt, facts.dg)
+        regular, witness = facts.once(_strict_regularity)
     return RegularityReport(
-        well_formed=is_wellformed_wps(wt),
+        well_formed=is_wellformed_wps(facts.wt),
         linear_cone=linear_cone,
         strictly_regular=regular,
         violating_subset=witness,
-        pair_trivial=trivial,
-        nondivisible_facets=tuple(tuple(f) for f in nd.sorted_facets()),
-        strongly_nondivisible_facets=tuple(tuple(f) for f in snd.sorted_facets()),
+        pair_trivial=nd == snd,
+        nondivisible_facets=tuple(
+            tuple(f) for f in _value_class_complex(facts.wt, nd).sorted_facets()),
+        strongly_nondivisible_facets=tuple(
+            tuple(f) for f in _value_class_complex(facts.wt, snd).sorted_facets()),
     )

@@ -9,6 +9,8 @@ read the files; loads accept both forms.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
+from math import inf
 from typing import Any, Mapping
 
 from wciq.arith import DegreeTuple, WeightTuple, as_degrees, as_weights
@@ -22,7 +24,69 @@ _SAFE_INT = 1 << 53
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """obj as `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
+    writes it, plus the trailing newline.
+
+    With an indent, json.dumps always runs its pure-Python encoder. This
+    recursive one writes the same bytes in about half the time: strings
+    go through the C string encoder that ensure_ascii=False selects, and
+    a list of plain ints is joined in one go.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj: Any, newline: str) -> str:
+    """obj as json.dumps writes it, where `newline` starts the line obj
+    ends on (a newline and that line's indent)."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_encode(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring(_key(k)) + ": " + _encode(v, inner)
+            for k, v in sorted(obj.items())]) + newline + "}"
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps spells it."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _encode(k, "")
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 def encode_int(n: int) -> int | str:

@@ -1,8 +1,10 @@
+import functools
 import json
+import sys
 
 import pytest
 
-from wciq import errors
+from wciq import arith, errors, maps, nef, regularity
 from wciq.cli import main
 from wciq.serialize import canonical_json
 
@@ -99,6 +101,53 @@ class TestAnalyze:
         assert json.loads(out)["search"]["found"] is True
 
 
+def count_calls(monkeypatch, fn) -> list:
+    """Rebind every name a wciq module binds to fn to a wrapper that records
+    the arguments of each call, and return that record."""
+    calls = []
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "wciq" or name.startswith("wciq."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestAnalyzeOnce:
+    """One `analyze` derives each fact of its pair once."""
+
+    PAIR = {"weights": [1] * 11 + [2, 2, 3, 3, 5], "degrees": [6, 9, 10]}
+
+    def test_each_fact_once(self, tmp_path, monkeypatch, capsys):
+        path = write_json(tmp_path, "pair.json", self.PAIR)
+        searches = count_calls(monkeypatch, maps._family)
+        sweeps = count_calls(monkeypatch, regularity._strict_regularity)
+        subset_walks = count_calls(monkeypatch, arith.common_factor_subsets)
+        invariant_checks = count_calls(monkeypatch, maps._invariant_violations)
+        classifications = count_calls(monkeypatch, nef.classify_partition)
+        witnesses = count_calls(monkeypatch, regularity.pair_nontriviality_witness)
+        degree_sets = count_calls(monkeypatch, arith._admissible)
+        reductions = count_calls(monkeypatch, arith._reduce)
+        code, out = run(["analyze", "--input", path], capsys)
+        assert code == 0
+        assert json.loads(out)["construction"]["ok"] is True
+        assert len(searches) == 1
+        assert len(sweeps) == len(subset_walks) == 1
+        assert len(invariant_checks) == 1
+        assert len(classifications) == 1
+        assert witnesses == []
+        # representable degree sets and reductions: at most one per value set
+        value_sets = [prepared[0] for prepared, *_ in degree_sets]
+        assert value_sets and len(value_sets) == len(set(value_sets))
+        assert len(reductions) == len(set(reductions))
+
+
 class TestComplex:
     def test_reference_complexes(self, map_file, capsys):
         code, out = run(["complex", "--input", map_file], capsys)
@@ -115,9 +164,10 @@ class TestComplex:
         assert bases["4"] == {"degree": 30, "facets": []}
 
     def test_dp_cap_limits(self, map_file, capsys):
-        code, _ = run(
-            ["complex", "--input", map_file, "--dp-cap", "1"], capsys)
+        code = main(["complex", "--input", map_file, "--dp-cap", "1"])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "resource limit: representability of 16 over [6] exceeds the dp cap 1\n")
 
 
 class TestNef:

@@ -24,6 +24,26 @@ from wciq.serialize import (
 )
 
 
+def dumps_reference(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+#: Arbitrary JSON values with str keys: every code point (control
+#: characters and lone surrogates included), floats with nan, infinities
+#: and -0.0, ints past 2**53, bools mixed into int lists, tuples, and
+#: empty and nested containers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 80), 2 ** 80)
+    | st.floats() | st.text(st.characters(exclude_categories=())),
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.lists(st.integers() | st.booleans(), max_size=6)
+        | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4),
+                          inner, max_size=5)),
+    max_leaves=30)
+
+
 class TestCanonicalJson:
     def test_shape(self):
         out = canonical_json({"b": 1, "a": [1, 2]})
@@ -33,6 +53,32 @@ class TestCanonicalJson:
         data = {"x": {"q": 1, "p": 2}, "a": True}
         assert canonical_json(data) == canonical_json(
             json.loads(canonical_json(data)))
+
+    @given(JSON_VALUES)
+    @settings(deadline=None, max_examples=400)
+    def test_matches_json_dumps(self, value):
+        assert canonical_json(value) == dumps_reference(value)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], {"a": {}}, (), (1, (2, 3), [True, 4]),
+        [0, True, 1, False, -(2 ** 70), 2 ** 53],
+        [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324],
+        {"é\u2028\x00\x1f\"\\\ud800": "\U0001f600\x7f\t"},
+        {1: "a", 2 ** 60: [True]}, {2.5: 0, -0.0: 1}, {True: 0, False: 1}, {None: 0},
+    ])
+    def test_edge_values(self, value):
+        assert canonical_json(value) == dumps_reference(value)
+
+    def test_deep_nesting(self):
+        value = 0
+        for depth in range(60):
+            value = [1, {"d": value}] if depth % 2 else {"k": value, "": []}
+        assert canonical_json(value) == dumps_reference(value)
+
+    def test_rejects_what_json_rejects(self):
+        for bad in ({1: 2, "a": 3}, {(1,): 2}, {1, 2}, object()):
+            with pytest.raises(TypeError):
+                canonical_json(bad)
 
 
 class TestIntEncoding:

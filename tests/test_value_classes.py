@@ -124,6 +124,23 @@ class TestStrictRegularity:
         assert is_strictly_regular(weights, degrees) == \
             lex_walk_strictly_regular(weights, degrees)
 
+    @given(padded_weights(max_values=7, max_mult=2, max_ones=2),
+           st.lists(st.integers(1, 40), max_size=5))
+    @settings(deadline=None, max_examples=200)
+    def test_size_cut_matches_lex_walk(self, weights, degrees):
+        # many distinct values, so violations of several sizes compete and
+        # the sweep stops early on most failing inputs
+        assert is_strictly_regular(weights, degrees) == \
+            lex_walk_strictly_regular(weights, degrees)
+
+    def test_twenty_values_fail_fast(self):
+        # {6} already violates at size 1; the sweep used to walk all 2^20
+        # value subsets
+        start = time.perf_counter()
+        result = is_strictly_regular([6 * i for i in range(1, 21)], (7, 11))
+        assert result == (False, (0,))
+        assert time.perf_counter() - start < 1.0
+
     def test_two_values_many_copies(self):
         # 40 copies of 2 share 36 degrees of 6, so 37 of them violate; the
         # index walk over combinations of 60 heavy indices never finishes
