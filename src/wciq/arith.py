@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from wciq.errors import InputError, ResourceLimitError
 
@@ -165,13 +164,41 @@ def lcm_or_one(values: Iterable[int]) -> int:
     return math.lcm(*tuple(values))
 
 
-def common_factor_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Subsets of the values with gcd above 1, by size, then lexicographic
-    in the given order."""
-    for r in range(1, len(values) + 1):
-        for vs in combinations(values, r):
-            if math.gcd(*vs) > 1:
-                yield vs
+def mask_levels(n: int, flags: Callable[[int], int]) -> Iterator[tuple[int, int]]:
+    """(mask, flags(mask)) for the members of a downward-closed family of
+    subsets of range(n), by size, then lex; flags is nonzero on members only.
+    Level-wise (Apriori): each mask comes once, from the member below its top
+    bit, and is asked about only if its immediate sub-masks are members."""
+    level = [0]
+    while level:
+        members, nxt = set(level), []
+        for prefix in level:
+            for top in range(prefix.bit_length(), n):
+                mask = prefix | 1 << top
+                if all(mask ^ 1 << k in members for k in range(top) if prefix >> k & 1):
+                    f = flags(mask)
+                    if f:
+                        yield mask, f
+                        nxt.append(mask)
+        level = nxt
+
+
+def maximal_masks(n: int, flags: Callable[[int], int]) -> list[tuple[int, int]]:
+    """(mask, bits) in walk order for the masks maximal in some of several
+    downward-closed families, bit b of flags(mask) and of bits for family b."""
+    found = dict(mask_levels(n, flags))
+    covered = dict.fromkeys([0, *found], 0)
+    for mask, f in found.items():
+        for k in range(mask.bit_length()):
+            if mask >> k & 1:
+                covered[mask ^ 1 << k] |= f
+    return [(mask, f & ~covered[mask]) for mask, f in found.items() if f & ~covered[mask]]
+
+
+def common_factor_masks(values: Sequence[int]) -> Iterator[int]:
+    """Masks of the value subsets with gcd above 1, by size, then lex."""
+    return (mask for mask, _ in mask_levels(len(values), lambda mask: math.gcd(
+        *(v for k, v in enumerate(values) if mask >> k & 1)) > 1))
 
 
 #: Residue tables answer a query when the smallest generator a (after
@@ -210,15 +237,15 @@ def representable(d: int, values: Iterable[int], *,
     validated WeightTuple, which are not validated again. Where that would
     return UNKNOWN, this raises ResourceLimitError instead."""
     vals = tuple(sorted(set(values)))
-    return _definite(_decide(d, *_reduce(vals), dp_cap), d, vals, dp_cap)
-
-
-def _definite(verdict, d: int, vals: tuple[int, ...], dp_cap: int) -> bool:
-    """A True or False verdict as it is; UNKNOWN as a resource error."""
+    verdict = _decide(d, *_reduce(vals), dp_cap)
     if verdict is UNKNOWN:
-        raise ResourceLimitError(
-            f"representability of {d} over {list(vals)} exceeds the dp cap {dp_cap}")
+        raise _past_cap(d, vals, dp_cap)
     return verdict
+
+
+def _past_cap(what, vals: tuple[int, ...], dp_cap: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"representability of {what} over {list(vals)} exceeds the dp cap {dp_cap}")
 
 
 def _prepare(weights: Iterable[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
@@ -309,23 +336,12 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
     verdict is a hard stop: the caller asked for an exact set, so the
     offending degree is reported as a resource error.
     """
-    dg = as_degrees(degrees)
-    return _admissible(_prepare(weights), dg, dp_cap, [None] * len(dg))
-
-
-def _admissible(prepared: tuple, dg: DegreeTuple, dp_cap: int,
-                verdicts: list) -> frozenset[int]:
-    """`representable_degrees` over prepared values. verdicts[j - 1] holds
-    the verdict on degree j once decided (None before), and is filled in."""
+    prepared = _prepare(weights)
     out = set()
-    for j, d in enumerate(dg, start=1):
-        verdict = verdicts[j - 1]
-        if verdict is None:
-            verdict = verdicts[j - 1] = _decide(d, *prepared, dp_cap)
+    for j, d in enumerate(as_degrees(degrees), start=1):
+        verdict = _decide(d, *prepared, dp_cap)
         if verdict is UNKNOWN:
-            raise ResourceLimitError(
-                f"representability of degree d_{j} = {d} over {list(prepared[0])} "
-                f"exceeds the dp cap {dp_cap}")
+            raise _past_cap(f"degree d_{j} = {d}", prepared[0], dp_cap)
         if verdict:
             out.add(j)
     return frozenset(out)
@@ -335,27 +351,23 @@ class PairFacts:
     """What is derived about one pair (weights, degrees, dp_cap), each fact
     at most once. Internal: not part of the package interface.
 
-    The command line builds one holder per command and every public entry
-    point one per call; it is dropped with them, so no fact outlives its
-    pair and nothing is cached across pairs. It keeps the validated tuples
-    and one memo from value set to its membership verdicts: each value set
-    is reduced once and each of its degrees decided once, whichever of
-    `admissible` and `representable` asks. The layers above keep their
-    facts here through `once`: the singular complex (complexes), the
-    divisibility complexes and strict regularity (regularity), the
-    face-weight skeleton and the checked family (maps), and the
-    construction (nef).
+    One holder per command or public call, so no fact outlives its pair.
+    A value set is a mask (bit k for values[k], the distinct heavy values
+    ascending) with one `row` of verdicts. Through `once` the layers keep
+    the singular complex, base facets, divisibility complexes, strict
+    regularity, family skeleton, checked family and construction.
     """
 
-    __slots__ = ("wt", "dg", "dp_cap", "_values", "_facts")
+    __slots__ = ("wt", "dg", "dp_cap", "values", "_bit", "_rows", "_facts")
 
     def __init__(self, weights: WeightsLike, degrees: DegreesLike,
                  dp_cap: int = DEFAULT_DP_CAP):
         self.wt = as_weights(weights)
         self.dg = as_degrees(degrees)
         self.dp_cap = dp_cap
-        # value set -> [(vals, gcd, reduced), verdict per degree, admissible]
-        self._values: dict[frozenset[int], list] = {}
+        self.values = self.wt.heavy_values()
+        self._bit = {v: 1 << k for k, v in enumerate(self.values)}
+        self._rows: dict[int, tuple[int, int]] = {}
         self._facts: dict = {}
 
     def once(self, derive):
@@ -370,29 +382,52 @@ class PairFacts:
         """What `once(derive)` has kept, or None before it has run."""
         return self._facts.get(derive)
 
-    def _row(self, values) -> list:
-        key = frozenset(values)
-        row = self._values.get(key)
+    def mask(self, indices: Iterable[int]) -> int:
+        """The mask of the values at the given heavy indices."""
+        return sum({self._bit[self.wt.weights[i]] for i in indices})
+
+    def values_of(self, mask: int) -> tuple[int, ...]:
+        """The heavy values of a mask, ascending."""
+        return tuple(v for k, v in enumerate(self.values) if mask >> k & 1)
+
+    def row(self, mask: int) -> tuple[int, int]:
+        """Disjoint (representable, UNKNOWN) degree bits of a value set, bit
+        j - 1 for degree j. Membership is monotone: the representable bits of
+        immediate sub-masks with rows carry over, and only open degrees are
+        decided, so each (value set, degree) is decided at most once."""
+        row = self._rows.get(mask)
         if row is None:
-            row = self._values[key] = [
-                _reduce(tuple(sorted(key))), [None] * len(self.dg), None]
+            rep = unknown = 0
+            for k in range(mask.bit_length()):
+                if mask >> k & 1:
+                    rep |= self._rows.get(mask ^ 1 << k, (0,))[0]
+            prepared = None
+            for j, d in enumerate(self.dg.degrees):
+                if not rep >> j & 1:
+                    prepared = prepared or _reduce(self.values_of(mask))
+                    verdict = _decide(d, *prepared, self.dp_cap)
+                    if verdict is UNKNOWN:
+                        unknown |= 1 << j
+                    elif verdict:
+                        rep |= 1 << j
+            row = self._rows[mask] = (rep, unknown)
         return row
 
-    def admissible(self, values) -> frozenset[int]:
-        """`representable_degrees` over the values, from the memo."""
-        row = self._row(values)
-        if row[2] is None:
-            row[2] = _admissible(row[0], self.dg, self.dp_cap, row[1])
-        return row[2]
+    def admissible(self, mask: int) -> tuple[int, ...]:
+        """`representable_degrees` over the value set, ascending, from its row."""
+        rep, unknown = self.row(mask)
+        if unknown:
+            j = (unknown & -unknown).bit_length()
+            raise _past_cap(f"degree d_{j} = {self.dg.degree(j)}",
+                            self.values_of(mask), self.dp_cap)
+        return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
 
-    def representable(self, j: int, values) -> bool:
-        """`representable` for the j-th degree over the values, from the memo."""
-        d = self.dg.degree(j)
-        prepared, verdicts, _ = self._row(values)
-        verdict = verdicts[j - 1]
-        if verdict is None:
-            verdict = verdicts[j - 1] = _decide(d, *prepared, self.dp_cap)
-        return _definite(verdict, d, prepared[0], self.dp_cap)
+    def representable(self, j: int, mask: int) -> bool:
+        """`representable` for the j-th degree over the value set, from its row."""
+        rep, unknown = self.row(mask)
+        if unknown >> j - 1 & 1:
+            raise _past_cap(self.dg.degree(j), self.values_of(mask), self.dp_cap)
+        return bool(rep >> j - 1 & 1)
 
 
 def poset_covers(poset: Iterable[int], b: int) -> frozenset[int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -33,15 +33,12 @@ from wciq.arith import (
     WeightsLike,
     as_weights,
     distinct_prime_factors,
+    maximal_masks,
 )
 from wciq.errors import InputError, ResourceLimitError
 
 #: Vertex-count guard for exponential enumerations (minimal non-faces).
 _ENUMERATION_VERTEX_LIMIT = 20
-
-
-def _sorted_key(s: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(s))
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ class Complex:
 
     def sorted_facets(self) -> list[tuple[int, ...]]:
         """Facets as sorted tuples, in lexicographic order."""
-        return sorted(_sorted_key(f) for f in self.facets)
+        return sorted(tuple(sorted(f)) for f in self.facets)
 
 
 @dataclass(frozen=True, eq=True)
@@ -172,41 +169,6 @@ class SRPresentation:
     generators: tuple[frozenset[int], ...]
 
 
-def maximal_members(items: Iterable[int],
-                    member: Callable[[frozenset[int]], bool]) -> list[frozenset[int]]:
-    """Inclusion-maximal sets of a downward-closed family given by `member`.
-
-    `member` must be closed under taking subsets (and true on singletons it
-    admits). Level search: grow admissible sets one vertex at a time; a set
-    with no admissible extension is maximal.
-    """
-    verts = sorted(set(items))
-    cache: dict[frozenset[int], bool] = {}
-
-    def ok(s: frozenset[int]) -> bool:
-        if s not in cache:
-            cache[s] = member(s)
-        return cache[s]
-
-    level = [frozenset([v]) for v in verts if ok(frozenset([v]))]
-    maximal: list[frozenset[int]] = []
-    while level:
-        nxt: set[frozenset[int]] = set()
-        for s in level:
-            extended = False
-            for v in verts:
-                if v in s:
-                    continue
-                t = s | {v}
-                if ok(t):
-                    nxt.add(t)
-                    extended = True
-            if not extended:
-                maximal.append(s)
-        level = sorted(nxt, key=_sorted_key)
-    return sorted(maximal, key=_sorted_key)
-
-
 def singular_complex(weights: WeightsLike) -> WeightedComplex:
     """Weighted complex of index sets sharing a common divisor above 1.
 
@@ -220,8 +182,7 @@ def singular_complex(weights: WeightsLike) -> WeightedComplex:
     for a in wt.heavy_values():
         primes.update(distinct_prime_factors(a))
     strata = {frozenset(wt.divisible_by(p)) for p in primes}
-    facets = [s for s in strata if not any(s < t for t in strata)]
-    cx = Complex.from_facets(len(wt), facets)
+    cx = Complex.from_facets(len(wt), strata)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 
@@ -229,10 +190,10 @@ def base_complex(weights: WeightsLike, d: int, *,
                  dp_cap: int = DEFAULT_DP_CAP) -> WeightedComplex:
     """Weighted complex of index sets over which d is not representable.
 
-    Representability depends only on the set of distinct weight values, so
-    the facet search runs over distinct values and re-expands: all indices
-    carrying a value enter together. Values dividing d (weight 1 included)
-    already represent d alone, so by monotonicity no face contains them.
+    Representability depends only on the distinct weight values, so the
+    facet search runs over value masks and re-expands whole value classes.
+    Values dividing d (weight 1 included) represent d alone, so by
+    monotonicity no face contains them.
     """
     wt = as_weights(weights)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
@@ -240,17 +201,27 @@ def base_complex(weights: WeightsLike, d: int, *,
     return _base_complex(PairFacts(wt, (d,), dp_cap), 1)
 
 
+def _base_facets(facts: PairFacts) -> list[tuple[int, int]]:
+    """The facets of every base complex at once, as value masks with the
+    bits of their degrees. A mask belongs to the degrees neither
+    representable nor UNKNOWN over it (the row's two disjoint bit sets)."""
+    every = (1 << len(facts.dg)) - 1
+    return maximal_masks(len(facts.values), lambda mask: every & ~sum(facts.row(mask)))
+
+
 def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:
-    """`base_complex` of the pair's j-th degree, deciding membership from
-    the memo of the facts."""
+    """`base_complex` of the pair's j-th degree. Whole value classes expand
+    distinct maximal value masks, so the facets are maximal as they come."""
     wt = facts.wt
     d = facts.dg.degree(j)
-    values = [v for v in wt.heavy_values() if d % v != 0]
-    value_facets = maximal_members(
-        values, lambda vals: not facts.representable(j, vals))
-    facets = [frozenset(i for v in vals for i in wt.classes[v])
-              for vals in value_facets]
-    cx = Complex.from_facets(len(wt), facets)
+    # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
+    least = next((1 << k for k, v in enumerate(facts.values) if d % v), 0)
+    if least:
+        facts.representable(j, least)
+    facets = frozenset(
+        frozenset(i for v in facts.values_of(mask) for i in wt.classes[v])
+        for mask, bits in facts.once(_base_facets) if bits >> j - 1 & 1)
+    cx = Complex(len(wt), facets)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 
@@ -300,7 +271,7 @@ def minimal_nonfaces(cx: Complex,
             if all(frozenset.intersection(*combo[:i], *combo[i + 1:]) for i in range(k)):
                 out.extend(frozenset(sorted(vs))
                            for vs in product(*(twins[c] for c in combo)))
-    return sorted(out, key=_sorted_key)
+    return sorted(out, key=sorted)
 
 
 def sr_presentation(wc: WeightedComplex) -> SRPresentation:

@@ -44,7 +44,7 @@ from wciq.arith import (
     WeightTuple,
     as_degrees,
     as_weights,
-    common_factor_subsets,
+    common_factor_masks,
     gcd_of,
     poset_covers,
 )
@@ -289,8 +289,7 @@ def _skeleton(facts: PairFacts):
     wt = facts.wt
     im_phi = occurring_face_weights(wt)
     domains = {b: wt.divisible_by(b) for b in im_phi}
-    good = {b: tuple(sorted(facts.admissible({wt[i] for i in domains[b]})))
-            for b in im_phi}
+    good = {b: facts.admissible(facts.mask(domains[b])) for b in im_phi}
     return im_phi, domains, good
 
 
@@ -440,7 +439,7 @@ def _invariant_violations(facts: PairFacts, fam: AdmissibleFamily) -> list[str]:
         images = list(inj.values())
         if len(set(images)) != len(images):
             problems.append(f"injection at {b} is not injective: {inj}")
-        admissible = facts.admissible({wt[i] for i in expect})
+        admissible = facts.admissible(facts.mask(expect))
         bad = [j for j in images if j not in admissible]
         if bad:
             problems.append(
@@ -560,7 +559,7 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
     records: list[tuple[tuple[int, ...], int, bool]] = []
     if faces is None:
         scope = "value-class-representatives"
-        values = wt.heavy_values()
+        values = facts.values
         keep = {i for v in values for i in wt.classes[v][:2]}
         restricted = Complex.from_facets(
             sing.complex.n_vertices,
@@ -577,16 +576,16 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
             raise ResourceLimitError(
                 f"value-subset sweep over {len(values)} values exceeds "
                 f"{FACE_LIMIT} classes")
-        for vs in common_factor_subsets(values):
-            members = tuple(sorted(i for v in vs for i in wt.classes[v]))
+        for mask in common_factor_masks(values):
+            members = tuple(sorted(i for v in facts.values_of(mask) for i in wt.classes[v]))
             for j in sorted(induced_face_map(fam, members)):
-                records.append((members, j, facts.representable(j, vs)))
+                records.append((members, j, facts.representable(j, mask)))
     else:
         scope = "all-faces"
         for face in faces:
+            mask = facts.mask(face)
             for j in sorted(induced_face_map(fam, face)):
-                records.append(
-                    (face, j, facts.representable(j, {wt[i] for i in face})))
+                records.append((face, j, facts.representable(j, mask)))
     property2 = all(ok for _, _, ok in records)
 
     face_lookup = set(faces)

@@ -262,8 +262,7 @@ def _construction(facts: PairFacts) -> tuple[
         raise PreconditionFailure(
             "strictly_regular",
             f"violating index subset {sorted(witness)}", witness=witness)
-    nd, snd = facts.once(_divisibility)
-    if nd != snd:
+    if not facts.once(_divisibility)[2]:
         pair_witness = pair_nontriviality_witness(wt)
         raise PreconditionFailure(
             "pair_trivial",

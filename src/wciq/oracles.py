@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -33,7 +33,7 @@ from wciq.arith import (
     poset_covers,
     representable_degrees,
 )
-from wciq.complexes import Complex, maximal_members, singular_complex
+from wciq.complexes import Complex, singular_complex
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InternalConsistencyError,
@@ -148,6 +148,51 @@ def naive_partition_exists(weights: WeightsLike, degrees: DegreesLike,
         return any(rec(at + 1, parts + [p]) for p in range(c + 1))
 
     return rec(0, [])
+
+
+def common_factor_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Subsets of the values with gcd above 1, by size, then lexicographic
+    in the given order; the reference for `arith.common_factor_masks`."""
+    for r in range(1, len(values) + 1):
+        for vs in combinations(values, r):
+            if gcd(*vs) > 1:
+                yield vs
+
+
+def maximal_members(items: Iterable[int],
+                    member: Callable[[frozenset[int]], bool]) -> list[frozenset[int]]:
+    """Inclusion-maximal sets of a downward-closed family given by `member`,
+    lexicographic on sorted tuples; the reference for `arith.maximal_masks`.
+
+    `member` must be closed under taking subsets (and true on singletons it
+    admits). Level search: grow admissible sets one vertex at a time; a set
+    with no admissible extension is maximal.
+    """
+    verts = sorted(set(items))
+    cache: dict[frozenset[int], bool] = {}
+
+    def ok(s: frozenset[int]) -> bool:
+        if s not in cache:
+            cache[s] = member(s)
+        return cache[s]
+
+    level = [frozenset([v]) for v in verts if ok(frozenset([v]))]
+    maximal: list[frozenset[int]] = []
+    while level:
+        nxt: set[frozenset[int]] = set()
+        for s in level:
+            extended = False
+            for v in verts:
+                if v in s:
+                    continue
+                t = s | {v}
+                if ok(t):
+                    nxt.add(t)
+                    extended = True
+            if not extended:
+                maximal.append(s)
+        level = sorted(nxt, key=sorted)
+    return sorted(maximal, key=sorted)
 
 
 def _index_non_divisible(wt, idx) -> bool:

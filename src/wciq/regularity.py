@@ -30,10 +30,12 @@ from wciq.arith import (
     WeightsLike,
     as_degrees,
     as_weights,
-    common_factor_subsets,
+    common_factor_masks,
     lcm_or_one,
+    mask_levels,
+    maximal_masks,
 )
-from wciq.complexes import Complex, maximal_members
+from wciq.complexes import Complex
 from wciq.errors import InputError, ResourceLimitError
 
 _VALUE_SUBSET_LIMIT = 20
@@ -81,11 +83,6 @@ def _validate_subset(wt, subset) -> tuple[int, ...]:
     return idx
 
 
-def _non_divisible(ws) -> bool:
-    """No entry of the weight list divides another entry."""
-    return not any(b % a == 0 or a % b == 0 for a, b in combinations(ws, 2))
-
-
 def _strongly_non_divisible(ws) -> bool:
     """No entry divides the lcm of the pairwise gcds of the entries."""
     bound = lcm_or_one(gcd(a, b) for a, b in combinations(ws, 2))
@@ -99,7 +96,8 @@ def is_non_divisible(weights: WeightsLike, subset) -> bool:
     values rule a subset out.
     """
     wt = as_weights(weights)
-    return _non_divisible([wt[i] for i in _validate_subset(wt, subset)])
+    ws = [wt[i] for i in _validate_subset(wt, subset)]
+    return not any(b % a == 0 or a % b == 0 for a, b in combinations(ws, 2))
 
 
 def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
@@ -112,58 +110,61 @@ def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
     return _strongly_non_divisible([wt[i] for i in _validate_subset(wt, subset)])
 
 
-def _value_class_complex(wt, value_facets) -> Complex:
-    """Complex over the heavy indices of a divisibility family, given its
-    maximal value sets. Both divisibility families admit at most one index
-    per value, so each maximal value set expands to every choice of one
-    index per value, and those index sets are maximal by construction."""
+def _value_class_complex(facts: PairFacts, strong: bool) -> Complex:
+    """Complex over the heavy indices of a divisibility family. Both
+    families admit at most one index per value, so each maximal value set
+    expands to every choice of one index per value, and those index sets
+    are maximal by construction."""
+    classes = facts.wt.classes
     facets = frozenset(
-        frozenset(sorted(idx)) for vs in value_facets
-        for idx in product(*(wt.classes[v] for v in vs)))
-    return Complex(len(wt), facets)
+        frozenset(idx) for mask in facts.once(_divisibility)[strong]
+        for idx in product(*(classes[v] for v in facts.values_of(mask))))
+    return Complex(len(facts.wt), facets)
 
 
 def nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the non-divisible subsets over indices of weight above 1."""
-    wt = as_weights(weights)
-    return _value_class_complex(wt, maximal_members(wt.heavy_values(), _non_divisible))
+    return _value_class_complex(PairFacts(weights, ()), False)
 
 
 def strongly_nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the strongly non-divisible subsets over indices of weight
     above 1."""
-    wt = as_weights(weights)
-    return _value_class_complex(
-        wt, maximal_members(wt.heavy_values(), _strongly_non_divisible))
+    return _value_class_complex(PairFacts(weights, ()), True)
 
 
 def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
-    """A smallest non-divisible face that is not strongly non-divisible,
-    or None when the two families agree. Every strongly non-divisible set
-    is non-divisible, so the families differ exactly when such a face
-    exists. The witness is the (cardinality, lex) least such face: value
-    sets are walked by size, and the lex-least realization of a value set
-    takes the least index of each value."""
-    wt = as_weights(weights)
-    values = wt.heavy_values()
-    level = [(v,) for v in values]
-    while level:
-        failing = [vs for vs in level if not _strongly_non_divisible(vs)]
-        if failing:
-            return frozenset(min(sorted(wt.classes[v][0] for v in vs)
-                                 for vs in failing))
-        level = [vs + (v,) for vs in level for v in values
-                 if v > vs[-1] and _non_divisible(vs + (v,))]
-    return None
+    """The (cardinality, lex) least non-divisible face that is not strongly
+    non-divisible, or None when the two families agree: the lex-least
+    realization, by the least index of each value, of the failing value
+    sets of least size, where the walk stops."""
+    facts = PairFacts(weights, ())
+    failing = []
+    for mask, bits in mask_levels(len(facts.values), _divisibility_flags(facts)):
+        if failing and mask.bit_count() > failing[0].bit_count():
+            break
+        if bits == 1:
+            failing.append(mask)
+    return frozenset(min(sorted(facts.wt.classes[v][0] for v in facts.values_of(mask))
+                         for mask in failing)) if failing else None
 
 
-def _divisibility(facts: PairFacts) -> tuple[list, list]:
-    """The maximal non-divisible and strongly non-divisible value sets of
-    the pair's weights: the facets of both complexes before they expand
-    to indices. The pair is trivial exactly when the two lists agree."""
-    values = facts.wt.heavy_values()
-    return (maximal_members(values, _non_divisible),
-            maximal_members(values, _strongly_non_divisible))
+def _divisibility_flags(facts: PairFacts):
+    """`mask_levels` flags: 1 on non-divisible value masks, plus 2 if strongly
+    so. A mask asked about is non-divisible below its top value already."""
+    values = facts.values
+    divides = [sum(1 << k for k, b in enumerate(values) if a != b and not (a % b and b % a))
+               for a in values]
+    return lambda mask: 0 if divides[mask.bit_length() - 1] & mask else (
+        1 | 2 * _strongly_non_divisible(facts.values_of(mask)))
+
+
+def _divisibility(facts: PairFacts) -> tuple[list[int], list[int], bool]:
+    """The maximal non-divisible and strongly non-divisible value masks from
+    one walk, and whether they agree, that is, whether the pair is trivial."""
+    facets = maximal_masks(len(facts.values), _divisibility_flags(facts))
+    nd, snd = [m for m, bits in facets if bits & 1], [m for m, bits in facets if bits & 2]
+    return nd, snd, nd == snd
 
 
 def pair_trivial_all_indices(weights: WeightsLike) -> bool:
@@ -175,10 +176,7 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
 
 
 def _trivial_all_indices(facts: PairFacts) -> bool:
-    if facts.wt.ones():
-        return False
-    nd, snd = facts.once(_divisibility)
-    return nd == snd
+    return not facts.wt.ones() and facts.once(_divisibility)[2]
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
@@ -199,7 +197,7 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _strict_regularity(facts: PairFacts):
-    values = facts.wt.heavy_values()
+    values = facts.values
     if len(values) > _VALUE_SUBSET_LIMIT:
         raise ResourceLimitError(
             f"strict regularity over {len(values)} distinct values exceeds "
@@ -207,11 +205,12 @@ def _strict_regularity(facts: PairFacts):
     classes = facts.wt.classes
     failing: list[tuple[tuple[int, ...], int]] = []
     size = inf
-    for vs in common_factor_subsets(values):
+    for mask in common_factor_masks(values):
+        vs = facts.values_of(mask)
         if len(vs) > size:
             break
         count = sum(len(classes[v]) for v in vs)
-        ng = len(facts.admissible(vs))
+        ng = len(facts.admissible(mask))
         if ng < count:
             s = max(len(vs), ng + 1)
             failing.append((vs, s))
@@ -238,21 +237,19 @@ def pair_is_trivial(weights: WeightsLike, degrees: DegreesLike | None = None, *,
 
 
 def _regularity_report(facts: PairFacts, with_degrees: bool) -> RegularityReport:
-    nd, snd = facts.once(_divisibility)
-    linear_cone: bool | None = None
-    regular: bool | None = None
-    witness: tuple[int, ...] | None = None
+    linear_cone = regular = witness = None
     if with_degrees:
-        linear_cone = is_linear_cone(facts.wt, facts.dg)
+        # first: its value-count guard must precede the divisibility walk
         regular, witness = facts.once(_strict_regularity)
+        linear_cone = is_linear_cone(facts.wt, facts.dg)
     return RegularityReport(
         well_formed=is_wellformed_wps(facts.wt),
         linear_cone=linear_cone,
         strictly_regular=regular,
         violating_subset=witness,
-        pair_trivial=nd == snd,
+        pair_trivial=facts.once(_divisibility)[2],
         nondivisible_facets=tuple(
-            tuple(f) for f in _value_class_complex(facts.wt, nd).sorted_facets()),
+            tuple(f) for f in _value_class_complex(facts, False).sorted_facets()),
         strongly_nondivisible_facets=tuple(
-            tuple(f) for f in _value_class_complex(facts.wt, snd).sorted_facets()),
+            tuple(f) for f in _value_class_complex(facts, True).sorted_facets()),
     )

@@ -9,12 +9,25 @@ The corpus is the padded and cli-cold items of the benchmark generators
 values and weight-1 padding. `data/analyze_golden_large_degree.jsonl` holds
 the large-degree items of the same generators (seed 3, two blocks): degrees
 up to 10^7, where membership answers from residue tables, plus the two items
-whose degree lies past the dp cap. Regenerate either file, after a reviewed
-change to the reports, from the repository root with
+whose degree lies past the dp cap.
+
+`data/low_cap_golden.jsonl` replays the 440 inputs of both files with
+`--dp-cap 30` and `--dp-cap 200`, through `wciq analyze` and `wciq complex`,
+so that which UNKNOWN membership verdict is reported first, and with which
+message, cannot drift. Each line holds one input and, per cap, the exit
+code and digest of both commands.
+
+Regenerate a file, after a reviewed change to the reports, from the
+repository root with
 
     PYTHONPATH=src python tests/analyze_corpus.py > tests/data/analyze_golden.jsonl
     PYTHONPATH=src python tests/analyze_corpus.py large-degree \
         > tests/data/analyze_golden_large_degree.jsonl
+    PYTHONPATH=src python tests/analyze_corpus.py low-cap \
+        > tests/data/low_cap_golden.jsonl
+
+`--dp-cap N` after `large-degree` or no argument runs the analyze corpus at
+that cap instead of the default.
 """
 
 from __future__ import annotations
@@ -32,18 +45,39 @@ from wciq.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
 GOLDEN_LARGE_DEGREE = Path(__file__).parent / "data" / "analyze_golden_large_degree.jsonl"
+LOW_CAP = Path(__file__).parent / "data" / "low_cap_golden.jsonl"
+LOW_CAPS = (30, 200)
 MODES = ("any", "nice", "strong")
 
 
-def analyze_digest(weights, degrees, mode: str) -> tuple[int, str]:
+def analyze_digest(weights, degrees, mode: str,
+                   dp_cap: int | None = None) -> tuple[int, str]:
     """Exit code and digest of one in-process `wciq analyze` run."""
+    cap = [] if dp_cap is None else ["--dp-cap", str(dp_cap)]
+    return cli_digest("analyze", weights, degrees, "--mode", mode, *cap)
+
+
+def complex_digest(weights, degrees, dp_cap: int) -> tuple[int, str]:
+    """Exit code and digest of one in-process `wciq complex` run."""
+    return cli_digest("complex", weights, degrees, "--dp-cap", str(dp_cap))
+
+
+def low_cap_runs(weights, degrees, mode: str) -> dict[str, list]:
+    """Per low cap: exit code and digest of `analyze`, then of `complex`."""
+    return {str(cap): [*analyze_digest(weights, degrees, mode, cap),
+                       *complex_digest(weights, degrees, cap)] for cap in LOW_CAPS}
+
+
+def cli_digest(command: str, weights, degrees, *options: str) -> tuple[int, str]:
+    """Exit code and SHA-256 of stdout and stderr of one in-process
+    `wciq <command>` run on the pair, with the report's `timings` removed."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pair.json"
         path.write_text(json.dumps({"weights": list(weights), "degrees": list(degrees)}),
                         encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli_main(["analyze", "--input", str(path), "--mode", mode])
+            rc = cli_main([command, "--input", str(path), *options])
     text = out.getvalue()
     if text:
         report = json.loads(text)
@@ -83,10 +117,28 @@ def corpus():
     yield from random_pairs(random.Random("wciq-golden"), 300)
 
 
+def golden_inputs():
+    """(weights, degrees, mode) of both analyze golden files, in file order."""
+    for path in (GOLDEN, GOLDEN_LARGE_DEGREE):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            rec = json.loads(line)
+            yield rec["weights"], rec["degrees"], rec["mode"]
+
+
 def main(argv: list[str]) -> None:
+    if argv == ["low-cap"]:
+        for weights, degrees, mode in golden_inputs():
+            print(json.dumps({"weights": weights, "degrees": degrees, "mode": mode,
+                              "runs": low_cap_runs(weights, degrees, mode)},
+                             separators=(",", ":")))
+        return
+    dp_cap = None
+    if argv[-2:-1] == ["--dp-cap"]:
+        dp_cap = int(argv.pop())
+        argv.pop()
     pairs = bench_pairs("large-degree") if argv == ["large-degree"] else corpus()
     for weights, degrees, mode in pairs:
-        rc, digest = analyze_digest(weights, degrees, mode)
+        rc, digest = analyze_digest(weights, degrees, mode, dp_cap)
         print(json.dumps({"weights": weights, "degrees": degrees, "mode": mode,
                           "rc": rc, "digest": digest}, separators=(",", ":")))
 

@@ -1,10 +1,11 @@
 import functools
 import json
 import sys
+import time
 
 import pytest
 
-from wciq import arith, errors, maps, nef, regularity
+from wciq import arith, complexes, errors, maps, nef, regularity
 from wciq.cli import main
 from wciq.serialize import canonical_json
 
@@ -128,24 +129,44 @@ class TestAnalyzeOnce:
         path = write_json(tmp_path, "pair.json", self.PAIR)
         searches = count_calls(monkeypatch, maps._family)
         sweeps = count_calls(monkeypatch, regularity._strict_regularity)
-        subset_walks = count_calls(monkeypatch, arith.common_factor_subsets)
+        subset_walks = count_calls(monkeypatch, arith.common_factor_masks)
+        base_walks = count_calls(monkeypatch, complexes._base_facets)
         invariant_checks = count_calls(monkeypatch, maps._invariant_violations)
         classifications = count_calls(monkeypatch, nef.classify_partition)
         witnesses = count_calls(monkeypatch, regularity.pair_nontriviality_witness)
-        degree_sets = count_calls(monkeypatch, arith._admissible)
         reductions = count_calls(monkeypatch, arith._reduce)
+        decisions = count_calls(monkeypatch, arith._decide)
         code, out = run(["analyze", "--input", path], capsys)
         assert code == 0
         assert json.loads(out)["construction"]["ok"] is True
         assert len(searches) == 1
         assert len(sweeps) == len(subset_walks) == 1
+        assert len(base_walks) == 1
         assert len(invariant_checks) == 1
         assert len(classifications) == 1
         assert witnesses == []
-        # representable degree sets and reductions: at most one per value set
-        value_sets = [prepared[0] for prepared, *_ in degree_sets]
-        assert value_sets and len(value_sets) == len(set(value_sets))
-        assert len(reductions) == len(set(reductions))
+        # at most one reduction per value set, one decision per (value set, degree)
+        assert reductions and len(reductions) == len(set(reductions))
+        asked = [(vals, d) for d, vals, *_ in decisions]
+        assert asked and len(asked) == len(set(asked))
+
+
+class TestValueCountGuard:
+    # 21 pairwise coprime values: every value set is non-divisible, so the
+    # divisibility walk would visit all 2^21 of them before the guard
+    PAIR = {"weights": [1] * 3 + [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                                  41, 43, 47, 53, 59, 61, 67, 71, 73],
+            "degrees": [100]}
+
+    def test_refused_before_the_divisibility_walk(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pair.json", self.PAIR)
+        start = time.perf_counter()
+        code = main(["analyze", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource limit: strict regularity over 21 distinct values exceeds "
+            "the supported scale (20)\n")
 
 
 class TestComplex:

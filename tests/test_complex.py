@@ -7,13 +7,12 @@ from wciq.complexes import (
     Complex,
     WeightedComplex,
     base_complex,
-    maximal_members,
     minimal_nonfaces,
     singular_complex,
     sr_presentation,
 )
 from wciq.errors import InputError, ResourceLimitError
-from wciq.oracles import brute_force_representable
+from wciq.oracles import brute_force_representable, maximal_members
 
 from helpers import all_faces_by_definition, faces_of, random_complex, subset_gcd
 

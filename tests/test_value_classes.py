@@ -8,15 +8,31 @@ facet lists in order, witnesses, and verdicts.
 """
 
 import time
+from itertools import product
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from wciq.arith import WeightTuple
-from wciq.complexes import Complex, minimal_nonfaces, singular_complex, sr_presentation
+from wciq.arith import (
+    DEFAULT_DP_CAP,
+    PairFacts,
+    WeightTuple,
+    common_factor_masks,
+    representable,
+)
+from wciq.complexes import (
+    Complex,
+    _base_complex,
+    minimal_nonfaces,
+    singular_complex,
+    sr_presentation,
+)
+from wciq.errors import ResourceLimitError
 from wciq.maps import AdmissibleFamily, build_admissible_family, verify_poset_map
 from wciq.oracles import (
+    common_factor_subsets,
     lex_walk_strictly_regular,
+    maximal_members,
     naive_minimal_nonfaces,
     naive_nondivisible_facets,
     naive_pair_nontriviality_witness,
@@ -25,7 +41,9 @@ from wciq.oracles import (
     swept_poset_properties,
 )
 from wciq.regularity import (
+    is_non_divisible,
     is_strictly_regular,
+    is_strongly_non_divisible,
     is_wellformed_wps,
     nondivisible_complex,
     pair_is_trivial,
@@ -93,6 +111,75 @@ class TestDivisibilityFamilies:
         weights = (15, 1, 10, 6, 6, 10, 15)
         assert pair_nontriviality_witness(weights) == frozenset({0, 2, 3})
         assert naive_pair_nontriviality_witness(weights) == frozenset({0, 2, 3})
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the message of the resource error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except ResourceLimitError as exc:
+        return f"resource limit: {exc}"
+
+
+#: Low caps make degrees past them UNKNOWN over values not dividing them.
+dp_caps = st.sampled_from([1, 5, 20, 40, DEFAULT_DP_CAP])
+
+
+class TestMaskLattice:
+    """The value-mask walks against the level search over value sets
+    (`oracles.maximal_members`) and the index-subset walk of strict
+    regularity, messages of UNKNOWN verdicts included."""
+
+    @given(padded_weights(), st.lists(st.integers(1, 60), min_size=1, max_size=4), dp_caps)
+    @settings(deadline=None, max_examples=300)
+    def test_base_complexes(self, weights, degrees, dp_cap):
+        wt = WeightTuple.of(weights)
+
+        def reference(d):
+            values = [v for v in wt.heavy_values() if d % v]
+            facets = maximal_members(
+                values, lambda vs: not representable(d, vs, dp_cap=dp_cap))
+            return Complex.from_facets(
+                len(wt), [[i for v in vs for i in wt.classes[v]] for vs in facets]
+            ).sorted_facets()
+
+        facts = PairFacts(wt, degrees, dp_cap)
+        for j, d in enumerate(degrees, start=1):
+            got = outcome(lambda: _base_complex(facts, j).complex.sorted_facets())
+            assert got == outcome(reference, d)
+
+    @given(padded_weights(max_values=6, max_mult=2))
+    @settings(deadline=None, max_examples=200)
+    def test_divisibility_facets(self, weights):
+        wt = WeightTuple.of(weights)
+
+        def reference(member):
+            facets = maximal_members(
+                wt.heavy_values(), lambda vs: member(sorted(vs), range(len(vs))))
+            return Complex.from_facets(
+                len(wt), [idx for vs in facets
+                          for idx in product(*(wt.classes[v] for v in sorted(vs)))]
+            ).sorted_facets()
+
+        rep = pair_is_trivial(weights)
+        assert list(rep.nondivisible_facets) == reference(is_non_divisible)
+        assert list(rep.strongly_nondivisible_facets) == \
+            reference(is_strongly_non_divisible)
+
+    @given(padded_weights(max_values=5, max_mult=2),
+           st.lists(st.integers(1, 60), max_size=4), dp_caps)
+    @settings(deadline=None, max_examples=300)
+    def test_strict_regularity(self, weights, degrees, dp_cap):
+        assert outcome(is_strictly_regular, weights, degrees, dp_cap=dp_cap) == \
+            outcome(lex_walk_strictly_regular, weights, degrees, dp_cap=dp_cap)
+
+    @given(st.lists(st.integers(2, 36), max_size=7, unique=True))
+    @settings(deadline=None, max_examples=200)
+    def test_common_factor_order(self, values):
+        values = sorted(values)
+        assert [tuple(v for k, v in enumerate(values) if mask >> k & 1)
+                for mask in common_factor_masks(values)] == \
+            list(common_factor_subsets(values))
 
 
 class TestMinimalNonfaces:
