@@ -163,7 +163,7 @@ def _emit(report: dict, fmt: str) -> None:
 def _complex_section(facts: PairFacts) -> dict:
     sing = facts.once(_singular_complex)
     dg = facts.dg
-    return {
+    section = {
         "singular_complex": weighted_complex_to_json(sing),
         "singular_sr": sr_to_json(sr_presentation(sing)),
         "base_complexes": {
@@ -175,6 +175,7 @@ def _complex_section(facts: PairFacts) -> dict:
             for j in range(1, len(dg) + 1)
         },
     }
+    return section
 
 
 def cmd_analyze(args) -> int:

@@ -41,6 +41,10 @@ from wciq.errors import InputError, ResourceLimitError
 _ENUMERATION_VERTEX_LIMIT = 20
 
 
+def _sorted_key(s: Iterable[int]) -> tuple[int, ...]:
+    return tuple(sorted(s))
+
+
 @dataclass(frozen=True)
 class Complex:
     """Abstract simplicial complex on vertex labels 0..n_vertices-1."""
@@ -109,7 +113,7 @@ class Complex:
 
     def sorted_facets(self) -> list[tuple[int, ...]]:
         """Facets as sorted tuples, in lexicographic order."""
-        return sorted(tuple(sorted(f)) for f in self.facets)
+        return sorted(_sorted_key(f) for f in self.facets)
 
 
 @dataclass(frozen=True, eq=True)
@@ -271,7 +275,7 @@ def minimal_nonfaces(cx: Complex,
             if all(frozenset.intersection(*combo[:i], *combo[i + 1:]) for i in range(k)):
                 out.extend(frozenset(sorted(vs))
                            for vs in product(*(twins[c] for c in combo)))
-    return sorted(out, key=sorted)
+    return sorted(out, key=_sorted_key)
 
 
 def sr_presentation(wc: WeightedComplex) -> SRPresentation:

@@ -83,6 +83,11 @@ def _validate_subset(wt, subset) -> tuple[int, ...]:
     return idx
 
 
+def _non_divisible(ws) -> bool:
+    """No entry of the weight list divides another entry."""
+    return not any(b % a == 0 or a % b == 0 for a, b in combinations(ws, 2))
+
+
 def _strongly_non_divisible(ws) -> bool:
     """No entry divides the lcm of the pairwise gcds of the entries."""
     bound = lcm_or_one(gcd(a, b) for a, b in combinations(ws, 2))
@@ -96,8 +101,7 @@ def is_non_divisible(weights: WeightsLike, subset) -> bool:
     values rule a subset out.
     """
     wt = as_weights(weights)
-    ws = [wt[i] for i in _validate_subset(wt, subset)]
-    return not any(b % a == 0 or a % b == 0 for a, b in combinations(ws, 2))
+    return _non_divisible([wt[i] for i in _validate_subset(wt, subset)])
 
 
 def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
@@ -145,8 +149,10 @@ def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
             break
         if bits == 1:
             failing.append(mask)
+    if not failing:
+        return None
     return frozenset(min(sorted(facts.wt.classes[v][0] for v in facts.values_of(mask))
-                         for mask in failing)) if failing else None
+                         for mask in failing))
 
 
 def _divisibility_flags(facts: PairFacts):
@@ -176,7 +182,9 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
 
 
 def _trivial_all_indices(facts: PairFacts) -> bool:
-    return not facts.wt.ones() and facts.once(_divisibility)[2]
+    if facts.wt.ones():
+        return False
+    return facts.once(_divisibility)[2]
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
@@ -237,7 +245,9 @@ def pair_is_trivial(weights: WeightsLike, degrees: DegreesLike | None = None, *,
 
 
 def _regularity_report(facts: PairFacts, with_degrees: bool) -> RegularityReport:
-    linear_cone = regular = witness = None
+    linear_cone: bool | None = None
+    regular: bool | None = None
+    witness: tuple[int, ...] | None = None
     if with_degrees:
         # first: its value-count guard must precede the divisibility walk
         regular, witness = facts.once(_strict_regularity)

@@ -25,9 +25,6 @@ repository root with
         > tests/data/analyze_golden_large_degree.jsonl
     PYTHONPATH=src python tests/analyze_corpus.py low-cap \
         > tests/data/low_cap_golden.jsonl
-
-`--dp-cap N` after `large-degree` or no argument runs the analyze corpus at
-that cap instead of the default.
 """
 
 from __future__ import annotations
@@ -132,13 +129,9 @@ def main(argv: list[str]) -> None:
                               "runs": low_cap_runs(weights, degrees, mode)},
                              separators=(",", ":")))
         return
-    dp_cap = None
-    if argv[-2:-1] == ["--dp-cap"]:
-        dp_cap = int(argv.pop())
-        argv.pop()
     pairs = bench_pairs("large-degree") if argv == ["large-degree"] else corpus()
     for weights, degrees, mode in pairs:
-        rc, digest = analyze_digest(weights, degrees, mode, dp_cap)
+        rc, digest = analyze_digest(weights, degrees, mode)
         print(json.dumps({"weights": weights, "degrees": degrees, "mode": mode,
                           "rc": rc, "digest": digest}, separators=(",", ":")))
 
