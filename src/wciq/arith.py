@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from wciq.errors import InputError, ResourceLimitError
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
 
 #: Default ceiling for the semigroup membership table. Queries above the
 #: ceiling that no shortcut resolves return UNKNOWN instead of guessing.
@@ -352,19 +352,22 @@ class PairFacts:
     at most once. Internal: not part of the package interface.
 
     One holder per command or public call, so no fact outlives its pair.
+    node_budget bounds each search run on the holder, each counting its
+    own nodes.
     A value set is a mask (bit k for values[k], the distinct heavy values
     ascending) with one `row` of verdicts. Through `once` the layers keep
     the singular complex, base facets, divisibility complexes, strict
     regularity, family skeleton, checked family and construction.
     """
 
-    __slots__ = ("wt", "dg", "dp_cap", "values", "_bit", "_rows", "_facts")
+    __slots__ = ("wt", "dg", "dp_cap", "node_budget", "values", "_bit", "_rows", "_facts")
 
     def __init__(self, weights: WeightsLike, degrees: DegreesLike,
-                 dp_cap: int = DEFAULT_DP_CAP):
+                 dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
         self.wt = as_weights(weights)
         self.dg = as_degrees(degrees)
         self.dp_cap = dp_cap
+        self.node_budget = node_budget
         self.values = self.wt.heavy_values()
         self._bit = {v: 1 << k for k, v in enumerate(self.values)}
         self._rows: dict[int, tuple[int, int]] = {}

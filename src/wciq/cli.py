@@ -19,9 +19,14 @@ import sys
 import time
 from pathlib import Path
 
-from wciq.arith import DEFAULT_DP_CAP, PairFacts, representable
+from wciq.arith import DEFAULT_DP_CAP, PairFacts
 from wciq.complexes import _base_complex, _singular_complex, sr_presentation
-from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
+from wciq.errors import (
+    DEFAULT_NODE_BUDGET,
+    InputError,
+    PreconditionFailure,
+    ResourceLimitError,
+)
 from wciq.maps import (
     _csp_summary,
     _family,
@@ -29,14 +34,8 @@ from wciq.maps import (
     validate_weighted_map,
     vertex_fibers,
 )
-from wciq.nef import (
-    DEFAULT_NODE_BUDGET,
-    _construction,
-    classify_partition,
-    fano_index,
-    find_nef_partition,
-)
-from wciq.regularity import _regularity_report, _trivial_all_indices, is_strictly_regular
+from wciq.nef import _MODES, _construction, classify_partition, fano_index, find_nef_partition
+from wciq.regularity import _regularity_report, _strict_regularity, _trivial_all_indices
 from wciq.realize import realize_map_instance, realize_weights, verify_realization
 from wciq.serialize import (
     canonical_json,
@@ -59,9 +58,6 @@ from wciq.serialize import (
 _ORACLE_MAX_HEAVY = 12
 _ORACLE_MAX_DEGREE = 200
 
-_MODES = ("any", "nice", "strong")
-
-
 def _read_json_file(path: str | None, what: str):
     if path is None:
         raise InputError(f"--{what} is required for this subcommand")
@@ -70,15 +66,6 @@ def _read_json_file(path: str | None, what: str):
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return load_json(text, what)
-
-
-def _load_pair(args):
-    return pair_from_json(_read_json_file(args.input, "input"))
-
-
-def _load_facts(args) -> PairFacts:
-    """The facts holder of the pair file, shared by the whole command."""
-    return PairFacts(*_load_pair(args), args.dp_cap)
 
 
 class _Phases:
@@ -178,14 +165,44 @@ def _complex_section(facts: PairFacts) -> dict:
     return section
 
 
-def cmd_analyze(args) -> int:
-    facts = _load_facts(args)
-    wt, dg = facts.wt, facts.dg
+def _family_section(facts: PairFacts) -> dict:
+    try:
+        family = facts.once(_family)
+    except PreconditionFailure as exc:
+        return {"built": False, **_failed_json(exc)}
+    if family is None:
+        return {"built": False, "csp": _csp_summary(facts)}
+    return {"built": True, "family": family_to_json(family)}
+
+
+def _construction_section(facts: PairFacts) -> dict:
+    try:
+        partition, _, deltas, classification = facts.once(_construction)
+    except PreconditionFailure as exc:
+        return {"ok": False, **_failed_json(exc)}
+    return {
+        "ok": True,
+        "partition": partition_to_json(partition),
+        "deltas": list(deltas),
+        "classification": _classification_json(classification),
+    }
+
+
+def _search_section(facts: PairFacts, mode: str) -> dict:
+    found = find_nef_partition(facts.wt, facts.dg, mode, node_budget=facts.node_budget)
+    return {
+        "mode": mode,
+        "found": found is not None,
+        "partition": None if found is None else partition_to_json(found),
+    }
+
+
+def cmd_analyze(args, facts: PairFacts) -> tuple[dict, int]:
     phases = _Phases()
-    report: dict = {"input": pair_to_json(wt, dg)}
+    report: dict = {}
     if args.seed is not None:
         report["seed"] = args.seed
-    report["fano_index"] = fano_index(wt, dg)
+    report["fano_index"] = fano_index(facts.wt, facts.dg)
     report["regularity"] = _regularity_json(_regularity_report(facts, with_degrees=True))
     report["pair_trivial_literal"] = _trivial_all_indices(facts)
     phases.mark("regularity")
@@ -193,145 +210,65 @@ def cmd_analyze(args) -> int:
     report.update(_complex_section(facts))
     phases.mark("complexes")
 
-    family = None
-    try:
-        family = facts.once(_family)
-    except PreconditionFailure as exc:
-        report["family"] = {"built": False, "failed_hypothesis": exc.hypothesis}
-    else:
-        if family is None:
-            report["family"] = {"built": False, "csp": _csp_summary(facts)}
-        else:
-            report["family"] = {"built": True, "family": family_to_json(family)}
-    if family is not None:
-        report["poset_map"] = _poset_map_json(_poset_map(facts, family))
-    else:
-        report["poset_map"] = None
+    report["family"] = _family_section(facts)
+    # the regularity section already names the violating subset
+    report["family"].pop("witness", None)
+    family = facts.kept(_family)
+    report["poset_map"] = None if family is None else _poset_map_json(_poset_map(facts, family))
     phases.mark("family")
 
-    try:
-        partition, _, deltas, classification = facts.once(_construction)
-    except PreconditionFailure as exc:
-        construction = {"ok": False, **_failed_json(exc)}
-        constructed = False
-    else:
-        construction = {
-            "ok": True,
-            "partition": partition_to_json(partition),
-            "deltas": list(deltas),
-            "classification": _classification_json(classification),
-        }
-        constructed = True
-    report["construction"] = construction
+    report["construction"] = _construction_section(facts)
     phases.mark("construction")
 
-    found = find_nef_partition(wt, dg, args.mode, node_budget=args.node_budget)
-    report["search"] = {
-        "mode": args.mode,
-        "found": found is not None,
-        "partition": None if found is None else partition_to_json(found),
-    }
+    report["search"] = _search_section(facts, args.mode)
     phases.mark("search")
 
     report["timings"] = phases.table
-    _emit(report, args.format)
-    return 0 if constructed or found is not None else 1
+    return report, 0 if report["construction"]["ok"] or report["search"]["found"] else 1
 
 
-def cmd_complex(args) -> int:
-    facts = _load_facts(args)
-    report = {"input": pair_to_json(facts.wt, facts.dg)}
-    report.update(_complex_section(facts))
-    _emit(report, args.format)
-    return 0
+def cmd_complex(args, facts: PairFacts) -> tuple[dict, int]:
+    return _complex_section(facts), 0
 
 
-def cmd_nef(args) -> int:
-    facts = _load_facts(args)
-    wt, dg = facts.wt, facts.dg
+def cmd_nef(args, facts: PairFacts) -> tuple[dict, int]:
     if args.action == "find":
-        found = find_nef_partition(wt, dg, args.mode, node_budget=args.node_budget)
-        report = {
-            "input": pair_to_json(wt, dg),
-            "mode": args.mode,
-            "found": found is not None,
-            "partition": None if found is None else partition_to_json(found),
-        }
-        _emit(report, args.format)
-        return 0 if found is not None else 1
+        report = _search_section(facts, args.mode)
+        return report, 0 if report["found"] else 1
     if args.action == "construct":
-        try:
-            partition, family, deltas, classification = facts.once(_construction)
-        except PreconditionFailure as exc:
-            report = {"input": pair_to_json(wt, dg), "ok": False, **_failed_json(exc)}
-            _emit(report, args.format)
-            return 1
-        report = {
-            "input": pair_to_json(wt, dg),
-            "ok": True,
-            "partition": partition_to_json(partition),
-            "deltas": list(deltas),
-            "family": family_to_json(family),
-            "classification": _classification_json(classification),
-        }
-        _emit(report, args.format)
-        return 0
+        report = _construction_section(facts)
+        if not report["ok"]:
+            return report, 1
+        report["family"] = family_to_json(facts.once(_construction)[1])
+        return report, 0
     partition = partition_from_json(_read_json_file(args.partition, "partition"))
-    cls = classify_partition(wt, dg, partition)
-    report = {
-        "input": pair_to_json(wt, dg),
+    cls = classify_partition(facts.wt, facts.dg, partition)
+    return {
         "partition": partition_to_json(partition),
         "classification": _classification_json(cls),
-    }
-    _emit(report, args.format)
-    return 0
+    }, 0
 
 
-def cmd_posetmap(args) -> int:
-    facts = _load_facts(args)
-    wt, dg = facts.wt, facts.dg
+def cmd_posetmap(args, facts: PairFacts) -> tuple[dict, int]:
     if args.action == "build":
-        try:
-            family = facts.once(_family)
-        except PreconditionFailure as exc:
-            report = {"input": pair_to_json(wt, dg), "built": False, **_failed_json(exc)}
-            _emit(report, args.format)
-            return 1
-        if family is None:
-            report = {
-                "input": pair_to_json(wt, dg),
-                "built": False,
-                "csp": _csp_summary(facts),
-            }
-            _emit(report, args.format)
-            return 1
-        report = {
-            "input": pair_to_json(wt, dg),
-            "built": True,
-            "family": family_to_json(family),
-            "fibers": {str(j): list(f)
-                       for j, f in vertex_fibers(family).items()},
-        }
-        _emit(report, args.format)
-        return 0
-    family = family_from_json(_read_json_file(args.family, "family"), wt)
+        report = _family_section(facts)
+        if not report["built"]:
+            return report, 1
+        report["fibers"] = {str(j): list(f)
+                            for j, f in vertex_fibers(facts.once(_family)).items()}
+        return report, 0
+    family = family_from_json(_read_json_file(args.family, "family"), facts.wt)
     rep = _poset_map(facts, family)
-    report = {
-        "input": pair_to_json(wt, dg),
-        "poset_map": _poset_map_json(rep),
-    }
-    _emit(report, args.format)
-    return 0 if rep.all_ok else 1
+    return {"poset_map": _poset_map_json(rep)}, 0 if rep.all_ok else 1
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> tuple[dict, int]:
     cx = complex_from_json(_read_json_file(args.complex, "complex"))
     if args.map is None:
         res = realize_weights(cx)
         report = realization_to_json(res)
         report["round_trip"] = verify_realization(cx, res.weights)
-        _emit(report, args.format)
-        return 0
+        return report, 0
     map_data = _read_json_file(args.map, "map")
     if not isinstance(map_data, dict) or "target" not in map_data \
             or "assignment" not in map_data:
@@ -357,11 +294,10 @@ def cmd_realize(args) -> int:
                 else list(validation.contracts_face),
         },
     }
-    _emit(report, args.format)
-    return 0
+    return report, 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
     # The brute-force references load only for this subcommand.
     from wciq.oracles import (
         brute_force_representable,
@@ -369,7 +305,7 @@ def cmd_oracle(args) -> int:
         naive_strictly_regular,
     )
 
-    wt, dg = _load_pair(args)
+    wt, dg = facts.wt, facts.dg
     heavy = wt.heavy()
     if len(heavy) > _ORACLE_MAX_HEAVY:
         raise ResourceLimitError(
@@ -380,16 +316,15 @@ def cmd_oracle(args) -> int:
 
     divergences: list[str] = []
     rep_table = {}
-    heavy_values = wt.heavy_values()
+    all_values = facts.mask(heavy)
     for j in range(1, len(dg) + 1):
-        d = dg.degree(j)
-        fast = representable(d, heavy_values, dp_cap=args.dp_cap)
-        slow = brute_force_representable(d, heavy_values)
+        fast = facts.representable(j, all_values)
+        slow = brute_force_representable(dg.degree(j), facts.values)
         rep_table[str(j)] = {"fast": fast, "brute": slow}
         if fast != slow:
             divergences.append(f"representability of degree {j}")
 
-    fast_reg, fast_wit = is_strictly_regular(wt, dg, dp_cap=args.dp_cap)
+    fast_reg, fast_wit = facts.once(_strict_regularity)
     slow_reg, slow_wit = naive_strictly_regular(wt, dg)
     if fast_reg != slow_reg or fast_wit != slow_wit:
         divergences.append("strict regularity")
@@ -397,14 +332,13 @@ def cmd_oracle(args) -> int:
     partition_table = {}
     for mode in _MODES:
         fast_found = find_nef_partition(
-            wt, dg, mode, node_budget=args.node_budget) is not None
+            wt, dg, mode, node_budget=facts.node_budget) is not None
         slow_found = naive_partition_exists(wt, dg, mode)
         partition_table[mode] = {"fast": fast_found, "brute": slow_found}
         if fast_found != slow_found:
             divergences.append(f"partition existence in mode {mode}")
 
     report = {
-        "input": pair_to_json(wt, dg),
         "representability": rep_table,
         "strict_regularity": {
             "fast": fast_reg,
@@ -415,8 +349,7 @@ def cmd_oracle(args) -> int:
         "partitions": partition_table,
         "divergences": divergences,
     }
-    _emit(report, args.format)
-    return 0 if not divergences else 1
+    return report, 0 if not divergences else 1
 
 
 @functools.cache
@@ -427,36 +360,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Combinatorial analysis of weighted complete intersection data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def pair_command(name, func, help, node_budget=True):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--input", help="pair file: {\"weights\": [...], \"degrees\": [...]}")
         sp.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP,
                         help="largest degree the membership tables will handle")
-        sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                        help="search node budget for partition search")
-        sp.add_argument("--seed", type=int, help="echoed into the report")
+        if node_budget:
+            sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
+                            help="node budget of each search, family and partition")
         sp.add_argument("--format", choices=("json", "text"), default="json")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("analyze", help="full pipeline report on a pair")
-    common(sp)
+    sp = pair_command("analyze", cmd_analyze, "full pipeline report on a pair")
     sp.add_argument("--mode", choices=_MODES, default="strong")
-    sp.set_defaults(func=cmd_analyze)
+    sp.add_argument("--seed", type=int, help="echoed into the report")
 
-    sp = sub.add_parser("complex", help="singular and base complexes of a pair")
-    common(sp)
-    sp.set_defaults(func=cmd_complex)
+    pair_command("complex", cmd_complex, "singular and base complexes of a pair",
+                 node_budget=False)
 
-    sp = sub.add_parser("nef", help="nef partition search and classification")
+    sp = pair_command("nef", cmd_nef, "nef partition search and classification")
     sp.add_argument("action", choices=("find", "construct", "classify"))
-    common(sp)
     sp.add_argument("--mode", choices=_MODES, default="strong")
     sp.add_argument("--partition", help="partition file for classify")
-    sp.set_defaults(func=cmd_nef)
 
-    sp = sub.add_parser("posetmap", help="admissible injection families")
+    sp = pair_command("posetmap", cmd_posetmap, "admissible injection families")
     sp.add_argument("action", choices=("build", "verify"))
-    common(sp)
     sp.add_argument("--family", help="family file for verify")
-    sp.set_defaults(func=cmd_posetmap)
 
     sp = sub.add_parser("realize", help="realize a complex as weight data")
     sp.add_argument("--complex", required=True, help="complex file (JSON)")
@@ -466,18 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_realize)
 
-    sp = sub.add_parser("oracle", help="cross-check fast paths against brute force")
-    common(sp)
-    sp.set_defaults(func=cmd_oracle)
+    pair_command("oracle", cmd_oracle, "cross-check fast paths against brute force")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: a pair subcommand gets the one facts holder of its
+    --input file, and its report gets that pair as "input"."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_realize:
+            report, code = cmd_realize(args)
+        else:
+            facts = PairFacts(*pair_from_json(_read_json_file(args.input, "input")),
+                              args.dp_cap, getattr(args, "node_budget", DEFAULT_NODE_BUDGET))
+            report, code = args.func(args, facts)
+            report["input"] = pair_to_json(facts.wt, facts.dg)
+        _emit(report, args.format)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -93,18 +93,16 @@ class Complex:
             return bool(self.facets)
         return any(fs <= f for f in self.facets)
 
-    def faces(self, max_card: int | None = None,
-              limit: int | None = None) -> list[tuple[int, ...]] | None:
+    def faces(self, limit: int | None = None) -> list[tuple[int, ...]] | None:
         """Nonempty faces as sorted tuples, ordered by (cardinality, lex).
 
-        max_card bounds the face cardinality. When limit is given and more
-        than `limit` faces exist, returns None instead of a list.
+        When limit is given and more than `limit` faces exist, returns None
+        instead of a list.
         """
         seen: set[tuple[int, ...]] = set()
         for f in self.facets:
             fv = sorted(f)
-            top = len(fv) if max_card is None else min(len(fv), max_card)
-            for k in range(1, top + 1):
+            for k in range(1, len(fv) + 1):
                 for combo in combinations(fv, k):
                     seen.add(combo)
                     if limit is not None and len(seen) > limit:
@@ -150,12 +148,6 @@ class WeightedComplex:
         except KeyError as exc:
             raise InputError(f"vertex {exc.args[0]} carries no weight") from exc
         return gcd(*ws) if len(ws) > 1 else ws[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedComplex):
-            return NotImplemented
-        return (self.complex == other.complex
-                and dict(self.vertex_weights) == dict(other.vertex_weights))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ PreconditionFailure to 1, ResourceLimitError to 3. InternalConsistencyError
 signals that a derived identity failed at runtime and is never caught.
 """
 
-#: Node budget of every backtracking search (the nef partition search and
-#: the admissible family search, which counts one node per image set it
-#: tries); exceeding it raises ResourceLimitError.
+#: Default node budget of each backtracking search: the nef partition search
+#: and the admissible family search, which counts one node per image set it
+#: tries. Each search counts its own nodes against the budget it is given
+#: (`--node-budget` on the command line); exceeding it raises
+#: ResourceLimitError.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 

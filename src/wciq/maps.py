@@ -23,9 +23,9 @@ degree.
 The family search runs over image sets, one per face weight, from the
 largest face weight down; interchangeable vertices are never told apart.
 The injections are read off the image sets in a fixed order, so identical
-inputs give identical families. It shares the node budget
-`errors.DEFAULT_NODE_BUDGET` with the nef partition search, read at each
-call, and raises ResourceLimitError past it.
+inputs give identical families. It counts its nodes against the node
+budget of its facts holder, `errors.DEFAULT_NODE_BUDGET` unless a
+command sets one, and raises ResourceLimitError past it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping
 
-from wciq import errors
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
@@ -327,8 +326,8 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     the union U_b of the S_w already chosen for the multiples w of b in
     im_phi, plus a padding of |D_b| - |U_b| indices from good[b] outside
     U_b, paddings tried in lex order. A branch is cut when |U_b| > |D_b|.
-    The root and every S_b tried count one node each against
-    `errors.DEFAULT_NODE_BUDGET`.
+    The root and every S_b tried count one node each against the node
+    budget, `errors.DEFAULT_NODE_BUDGET`.
 
     The search is complete. Take any admissible family. For b | w in
     im_phi there is a chain of covers from b up to w, and cover
@@ -369,7 +368,7 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
     im_phi, domains, good = facts.once(_skeleton)
     order = im_phi[::-1]
     images: dict[int, frozenset[int]] = {}
-    budget = errors.DEFAULT_NODE_BUDGET
+    budget = facts.node_budget
     nodes = 0
 
     def search(at: int) -> bool:

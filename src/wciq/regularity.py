@@ -15,6 +15,9 @@ closed under subsets, so each is represented by its maximal members. Both
 are evaluated over the indices of weight above 1; weight-1 indices never
 matter for divisibility obstructions, and the command line reports the
 literal all-indices reading separately when it differs.
+
+Strict regularity and the divisibility walk run over subsets of the
+distinct heavy values and raise ResourceLimitError past 20 of them.
 """
 
 from __future__ import annotations
@@ -155,9 +158,19 @@ def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
                          for mask in failing))
 
 
+def _check_scale(facts: PairFacts, walk: str) -> None:
+    """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT values:
+    it may visit all 2^k of them."""
+    if len(facts.values) > _VALUE_SUBSET_LIMIT:
+        raise ResourceLimitError(
+            f"{walk} over {len(facts.values)} distinct values exceeds "
+            f"the supported scale ({_VALUE_SUBSET_LIMIT})")
+
+
 def _divisibility_flags(facts: PairFacts):
     """`mask_levels` flags: 1 on non-divisible value masks, plus 2 if strongly
     so. A mask asked about is non-divisible below its top value already."""
+    _check_scale(facts, "divisibility walk")
     values = facts.values
     divides = [sum(1 << k for k, b in enumerate(values) if a != b and not (a % b and b % a))
                for a in values]
@@ -182,6 +195,8 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
 
 
 def _trivial_all_indices(facts: PairFacts) -> bool:
+    # the scale of the walk this reading stands for, ones or not
+    _check_scale(facts, "divisibility walk")
     if facts.wt.ones():
         return False
     return facts.once(_divisibility)[2]
@@ -205,11 +220,8 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _strict_regularity(facts: PairFacts):
+    _check_scale(facts, "strict regularity")
     values = facts.values
-    if len(values) > _VALUE_SUBSET_LIMIT:
-        raise ResourceLimitError(
-            f"strict regularity over {len(values)} distinct values exceeds "
-            f"the supported scale ({_VALUE_SUBSET_LIMIT})")
     classes = facts.wt.classes
     failing: list[tuple[tuple[int, ...], int]] = []
     size = inf

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import sys
@@ -5,8 +6,8 @@ import time
 
 import pytest
 
-from wciq import arith, complexes, errors, maps, nef, regularity
-from wciq.cli import main
+from wciq import arith, complexes, maps, nef, regularity
+from wciq.cli import build_parser, main
 from wciq.serialize import canonical_json
 
 from helpers import BUDGET_FAMILY_PAIR
@@ -301,10 +302,9 @@ class TestPosetmap:
             "error: face weight must be positive, got 0\n")
 
     @pytest.mark.parametrize("argv", [["analyze"], ["posetmap", "build"]])
-    def test_family_search_budget(self, argv, tmp_path, capsys, monkeypatch):
+    def test_family_search_budget(self, argv, tmp_path, capsys):
         pair = write_json(tmp_path, "budget.json", BUDGET_FAMILY_PAIR)
-        monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 1_000)
-        assert main(argv + ["--input", pair]) == 3
+        assert main(argv + ["--input", pair, "--node-budget", "1000"]) == 3
         assert capsys.readouterr().err == (
             "resource limit: admissible family search exceeded the node "
             "budget 1000\n")
@@ -450,3 +450,21 @@ class TestRepeatedCalls:
         first = self.outcome(argv + [map_file], capsys)
         assert first[0] == code
         assert self.outcome(argv + [map_file], capsys) == first
+
+
+class TestParser:
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {name: sorted(opt for action in sp._actions
+                                for opt in action.option_strings if opt not in ("-h", "--help"))
+                   for name, sp in subparsers.choices.items()}
+        pair = ["--dp-cap", "--format", "--input"]
+        assert options == {
+            "analyze": sorted(pair + ["--mode", "--node-budget", "--seed"]),
+            "complex": pair,
+            "nef": sorted(pair + ["--mode", "--node-budget", "--partition"]),
+            "posetmap": sorted(pair + ["--family", "--node-budget"]),
+            "realize": ["--complex", "--format", "--map", "--ones", "--pad"],
+            "oracle": sorted(pair + ["--node-budget"]),
+        }

@@ -41,7 +41,6 @@ class TestComplex:
     def test_faces_order_and_limit(self):
         cx = Complex.from_facets(3, [[0, 1], [1, 2]])
         assert cx.faces() == [(0,), (1,), (2,), (0, 1), (1, 2)]
-        assert cx.faces(max_card=1) == [(0,), (1,), (2,)]
         assert cx.faces(limit=3) is None
         assert cx.faces(limit=5) is not None
 

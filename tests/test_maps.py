@@ -4,12 +4,13 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wciq import errors
+from wciq.arith import PairFacts
 from wciq.complexes import singular_complex
 from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
 from wciq.maps import (
     AdmissibleFamily,
     WeightedMap,
+    _family,
     build_admissible_family,
     check_family_invariants,
     family_csp_summary,
@@ -71,23 +72,22 @@ class TestBuildFamily:
         again = build_admissible_family(RHO, MU)
         assert again.injections == reference_family.injections
 
-    def test_node_budget(self, monkeypatch):
-        monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 10_000)
+    def test_node_budget(self):
+        facts = PairFacts(BUDGET_FAMILY_PAIR["weights"], BUDGET_FAMILY_PAIR["degrees"],
+                          node_budget=10_000)
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError,
                            match="admissible family search exceeded the node budget 10000"):
-            build_admissible_family(BUDGET_FAMILY_PAIR["weights"],
-                                    BUDGET_FAMILY_PAIR["degrees"])
+            facts.once(_family)
         assert time.perf_counter() - start < 1
 
     def test_budget_pair_is_refuted_under_the_default_budget(self):
         assert build_admissible_family(BUDGET_FAMILY_PAIR["weights"],
                                        BUDGET_FAMILY_PAIR["degrees"]) is None
 
-    def test_stuck_pair_within_100_nodes(self, monkeypatch):
-        monkeypatch.setattr(errors, "DEFAULT_NODE_BUDGET", 100)
+    def test_stuck_pair_within_100_nodes(self):
         weights, degrees = STUCK_FAMILY_PAIR["weights"], STUCK_FAMILY_PAIR["degrees"]
-        fam = build_admissible_family(weights, degrees)
+        fam = PairFacts(weights, degrees, node_budget=100).once(_family)
         assert fam is not None
         assert check_family_invariants(weights, degrees, fam) == []
 

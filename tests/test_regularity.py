@@ -1,9 +1,10 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wciq.errors import InputError
+from wciq.errors import InputError, ResourceLimitError
 from wciq.oracles import naive_strictly_regular
 from wciq.regularity import (
     is_linear_cone,
@@ -111,6 +112,23 @@ class TestPairTriviality:
         if witness is not None:
             assert is_non_divisible(weights, witness)
             assert not is_strongly_non_divisible(weights, witness)
+
+
+class TestDivisibilityGuard:
+    # 21 pairwise coprime values: every value set is non-divisible, so the
+    # divisibility walk would visit all 2^21 of them
+    WEIGHTS = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+               59, 61, 67, 71, 73]
+
+    @pytest.mark.parametrize("fn", [pair_is_trivial, nondivisible_complex,
+                                    pair_trivial_all_indices, pair_nontriviality_witness])
+    def test_refused_past_twenty_values(self, fn):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=(
+                r"^divisibility walk over 21 distinct values exceeds "
+                r"the supported scale \(20\)$")):
+            fn(self.WEIGHTS)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestStrictRegularity:
