@@ -183,10 +183,10 @@ def mask_levels(n: int, flags: Callable[[int], int]) -> Iterator[tuple[int, int]
         level = nxt
 
 
-def maximal_masks(n: int, flags: Callable[[int], int]) -> list[tuple[int, int]]:
+def maximal_masks(found: dict[int, int]) -> list[tuple[int, int]]:
     """(mask, bits) in walk order for the masks maximal in some of several
-    downward-closed families, bit b of flags(mask) and of bits for family b."""
-    found = dict(mask_levels(n, flags))
+    downward-closed families, from the walked dict of `mask_levels`: bit b
+    of a mask's flags and of its bits for family b."""
     covered = dict.fromkeys([0, *found], 0)
     for mask, f in found.items():
         for k in range(mask.bit_length()):
@@ -200,6 +200,9 @@ def common_factor_masks(values: Sequence[int]) -> Iterator[int]:
     return (mask for mask, _ in mask_levels(len(values), lambda mask: math.gcd(
         *(v for k, v in enumerate(values) if mask >> k & 1)) > 1))
 
+
+#: Distinct heavy values past which a walk over their subsets is refused.
+_VALUE_SUBSET_LIMIT = 20
 
 #: Residue tables answer a query when the smallest generator a (after
 #: dividing out the gcd) satisfies a <= d >> _TABLE_SHIFT. Nearer to d, one
@@ -384,6 +387,14 @@ class PairFacts:
     def kept(self, derive):
         """What `once(derive)` has kept, or None before it has run."""
         return self._facts.get(derive)
+
+    def check_scale(self, walk: str) -> None:
+        """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT
+        values: it may visit all 2^k of them."""
+        if len(self.values) > _VALUE_SUBSET_LIMIT:
+            raise ResourceLimitError(
+                f"{walk} over {len(self.values)} distinct values exceeds "
+                f"the supported scale ({_VALUE_SUBSET_LIMIT})")
 
     def mask(self, indices: Iterable[int]) -> int:
         """The mask of the values at the given heavy indices."""

@@ -33,6 +33,7 @@ from wciq.arith import (
     WeightsLike,
     as_weights,
     distinct_prime_factors,
+    mask_levels,
     maximal_masks,
 )
 from wciq.errors import InputError, ResourceLimitError
@@ -189,7 +190,8 @@ def base_complex(weights: WeightsLike, d: int, *,
     Representability depends only on the distinct weight values, so the
     facet search runs over value masks and re-expands whole value classes.
     Values dividing d (weight 1 included) represent d alone, so by
-    monotonicity no face contains them.
+    monotonicity no face contains them. Past 20 distinct heavy values the
+    search, which may visit every value set, raises ResourceLimitError.
     """
     wt = as_weights(weights)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
@@ -201,8 +203,10 @@ def _base_facets(facts: PairFacts) -> list[tuple[int, int]]:
     """The facets of every base complex at once, as value masks with the
     bits of their degrees. A mask belongs to the degrees neither
     representable nor UNKNOWN over it (the row's two disjoint bit sets)."""
+    facts.check_scale("base complex walk")
     every = (1 << len(facts.dg)) - 1
-    return maximal_masks(len(facts.values), lambda mask: every & ~sum(facts.row(mask)))
+    return maximal_masks(dict(mask_levels(
+        len(facts.values), lambda mask: every & ~sum(facts.row(mask)))))
 
 
 def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:

@@ -556,6 +556,7 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
     sing = facts.once(_singular_complex)
     faces = sing.complex.faces(limit=FACE_LIMIT)
     records: list[tuple[tuple[int, ...], int, bool]] = []
+    scope = "all-faces"
     if faces is None:
         scope = "value-class-representatives"
         values = facts.values
@@ -579,31 +580,19 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
             members = tuple(sorted(i for v in facts.values_of(mask) for i in wt.classes[v]))
             for j in sorted(induced_face_map(fam, members)):
                 records.append((members, j, facts.representable(j, mask)))
-    else:
-        scope = "all-faces"
+    images = {face: induced_face_map(fam, face) for face in faces}
+    if scope == "all-faces":
         for face in faces:
             mask = facts.mask(face)
-            for j in sorted(induced_face_map(fam, face)):
+            for j in sorted(images[face]):
                 records.append((face, j, facts.representable(j, mask)))
     property2 = all(ok for _, _, ok in records)
 
-    face_lookup = set(faces)
-    order_preserving = True
-    order_witness = None
-    for face in faces:
-        if len(face) < 2:
-            continue
-        img = induced_face_map(fam, face)
-        for drop in range(len(face)):
-            sub = face[:drop] + face[drop + 1:]
-            if sub not in face_lookup:
-                continue
-            if not induced_face_map(fam, sub) <= img:
-                order_preserving = False
-                order_witness = (sub, face)
-                break
-        if not order_preserving:
-            break
+    # faces are downward closed, so every one-smaller sub-face has an image
+    order_witness = next(((sub, face) for face in faces if len(face) > 1
+                          for sub in (face[:k] + face[k + 1:] for k in range(len(face)))
+                          if not images[sub] <= images[face]), None)
+    order_preserving = order_witness is None
 
     return PosetMapReport(
         violations, True, None, property2, tuple(records),

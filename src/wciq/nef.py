@@ -39,12 +39,7 @@ from wciq.errors import (
     ResourceLimitError,
 )
 from wciq.maps import AdmissibleFamily, _family, vertex_fibers
-from wciq.regularity import (
-    _divisibility,
-    _strict_regularity,
-    is_linear_cone,
-    pair_nontriviality_witness,
-)
+from wciq.regularity import _pair_witness, _strict_regularity, is_linear_cone
 
 _MODES = ("any", "nice", "strong")
 
@@ -168,9 +163,19 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
             raise ResourceLimitError(
                 f"partition search exceeded the node budget {node_budget}")
 
-    def distributions(vi: int):
-        """Place the copies of values[vi] in every way the rooms allow,
-        updating room in place; yields once per complete distribution."""
+    def fits(vi: int) -> bool:
+        """Can each value from vi on still fit into its parts' room?"""
+        return all(sum(room[j] // values[wi] for j in entries[wi]) >= mults[wi]
+                   for wi in range(vi, len(values)))
+
+    def assign(vi: int) -> bool:
+        """Place the copies of values[vi:] in every way the rooms allow,
+        updating room and counts in place; True keeps the first partition."""
+        spend()
+        if vi == len(values):
+            return True
+        if not fits(vi):
+            return False
         v = values[vi]
         dist = counts[vi]
         caps = [0] * (c + 1)
@@ -181,36 +186,25 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
         for j in range(c, -1, -1):
             tail[j] += tail[j + 1]
 
-        def rec(j: int, left: int):
+        def place(j: int, left: int) -> bool:
             spend()
             if j > c:
-                yield
-                return
+                return assign(vi + 1)
             for k in range(max(0, left - tail[j + 1]), min(left, caps[j]) + 1):
                 dist[j] = k
                 room[j] -= k * v
-                yield from rec(j + 1, left - k)
+                if place(j + 1, left - k):
+                    return True
                 room[j] += k * v
+            return False
 
-        yield from rec(0, mults[vi])
-
-    def fits(vi: int) -> bool:
-        """Can each value from vi on still fit into its parts' room?"""
-        return all(sum(room[j] // values[wi] for j in entries[wi]) >= mults[wi]
-                   for wi in range(vi, len(values)))
-
-    def assign(vi: int) -> bool:
-        spend()
-        if vi == len(values):
-            return True
-        return fits(vi) and any(assign(vi + 1) for _ in distributions(vi))
+        return place(0, mults[vi])
 
     if not assign(0):
         return None
 
-    # The generators of a found partition are abandoned at their yields, so
-    # counts and room still hold it. Deterministic expansion into index
-    # parts: the ones go to I_0 first, then fill each deficit room[j].
+    # Deterministic expansion into index parts: the ones go to I_0 first,
+    # then fill each deficit room[j].
     parts: list[list[int]] = [[] for _ in range(c + 1)]
     leftover = len(ones) - sum(room[1:])
     parts[0].extend(ones[:leftover])
@@ -262,8 +256,8 @@ def _construction(facts: PairFacts) -> tuple[
         raise PreconditionFailure(
             "strictly_regular",
             f"violating index subset {sorted(witness)}", witness=witness)
-    if not facts.once(_divisibility)[2]:
-        pair_witness = pair_nontriviality_witness(wt)
+    pair_witness = _pair_witness(facts)
+    if pair_witness is not None:
         raise PreconditionFailure(
             "pair_trivial",
             f"non-divisible but not strongly non-divisible subset "

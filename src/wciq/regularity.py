@@ -39,9 +39,7 @@ from wciq.arith import (
     maximal_masks,
 )
 from wciq.complexes import Complex
-from wciq.errors import InputError, ResourceLimitError
-
-_VALUE_SUBSET_LIMIT = 20
+from wciq.errors import InputError
 
 
 @dataclass(frozen=True)
@@ -142,35 +140,25 @@ def strongly_nondivisible_complex(weights: WeightsLike) -> Complex:
 
 def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
     """The (cardinality, lex) least non-divisible face that is not strongly
-    non-divisible, or None when the two families agree: the lex-least
-    realization, by the least index of each value, of the failing value
-    sets of least size, where the walk stops."""
-    facts = PairFacts(weights, ())
-    failing = []
-    for mask, bits in mask_levels(len(facts.values), _divisibility_flags(facts)):
-        if failing and mask.bit_count() > failing[0].bit_count():
-            break
-        if bits == 1:
-            failing.append(mask)
+    non-divisible, or None when the two families agree."""
+    return _pair_witness(PairFacts(weights, ()))
+
+
+def _pair_witness(facts: PairFacts) -> frozenset[int] | None:
+    """`pair_nontriviality_witness` from the pair's divisibility walk: the
+    lex-least realization, by the least index of each value, of the failing
+    value sets of least size."""
+    failing = facts.once(_divisibility)[2]
     if not failing:
         return None
     return frozenset(min(sorted(facts.wt.classes[v][0] for v in facts.values_of(mask))
                          for mask in failing))
 
 
-def _check_scale(facts: PairFacts, walk: str) -> None:
-    """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT values:
-    it may visit all 2^k of them."""
-    if len(facts.values) > _VALUE_SUBSET_LIMIT:
-        raise ResourceLimitError(
-            f"{walk} over {len(facts.values)} distinct values exceeds "
-            f"the supported scale ({_VALUE_SUBSET_LIMIT})")
-
-
 def _divisibility_flags(facts: PairFacts):
     """`mask_levels` flags: 1 on non-divisible value masks, plus 2 if strongly
     so. A mask asked about is non-divisible below its top value already."""
-    _check_scale(facts, "divisibility walk")
+    facts.check_scale("divisibility walk")
     values = facts.values
     divides = [sum(1 << k for k, b in enumerate(values) if a != b and not (a % b and b % a))
                for a in values]
@@ -178,12 +166,15 @@ def _divisibility_flags(facts: PairFacts):
         1 | 2 * _strongly_non_divisible(facts.values_of(mask)))
 
 
-def _divisibility(facts: PairFacts) -> tuple[list[int], list[int], bool]:
-    """The maximal non-divisible and strongly non-divisible value masks from
-    one walk, and whether they agree, that is, whether the pair is trivial."""
-    facets = maximal_masks(len(facts.values), _divisibility_flags(facts))
-    nd, snd = [m for m, bits in facets if bits & 1], [m for m, bits in facets if bits & 2]
-    return nd, snd, nd == snd
+def _divisibility(facts: PairFacts) -> tuple[list[int], list[int], list[int]]:
+    """From one walk: the maximal non-divisible and strongly non-divisible
+    value masks, and the failing masks (non-divisible, not strongly) of
+    least size. The pair is trivial when there are none."""
+    walked = dict(mask_levels(len(facts.values), _divisibility_flags(facts)))
+    facets = maximal_masks(walked)
+    failing = [mask for mask, bits in walked.items() if bits == 1]
+    return ([m for m, bits in facets if bits & 1], [m for m, bits in facets if bits & 2],
+            [m for m in failing if m.bit_count() == failing[0].bit_count()])
 
 
 def pair_trivial_all_indices(weights: WeightsLike) -> bool:
@@ -196,10 +187,10 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
 
 def _trivial_all_indices(facts: PairFacts) -> bool:
     # the scale of the walk this reading stands for, ones or not
-    _check_scale(facts, "divisibility walk")
+    facts.check_scale("divisibility walk")
     if facts.wt.ones():
         return False
-    return facts.once(_divisibility)[2]
+    return not facts.once(_divisibility)[2]
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
@@ -220,7 +211,7 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _strict_regularity(facts: PairFacts):
-    _check_scale(facts, "strict regularity")
+    facts.check_scale("strict regularity")
     values = facts.values
     classes = facts.wt.classes
     failing: list[tuple[tuple[int, ...], int]] = []
@@ -269,7 +260,7 @@ def _regularity_report(facts: PairFacts, with_degrees: bool) -> RegularityReport
         linear_cone=linear_cone,
         strictly_regular=regular,
         violating_subset=witness,
-        pair_trivial=facts.once(_divisibility)[2],
+        pair_trivial=not facts.once(_divisibility)[2],
         nondivisible_facets=tuple(
             tuple(f) for f in _value_class_complex(facts, False).sorted_facets()),
         strongly_nondivisible_facets=tuple(

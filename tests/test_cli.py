@@ -151,6 +151,20 @@ class TestAnalyzeOnce:
         asked = [(vals, d) for d, vals, *_ in decisions]
         assert asked and len(asked) == len(set(asked))
 
+    @pytest.mark.parametrize("argv,walks", [(["nef", "construct"], 2), (["analyze"], 3)])
+    def test_one_divisibility_walk(self, tmp_path, monkeypatch, capsys, argv, walks):
+        # strict regularity, the divisibility walk with its pair witness,
+        # and under analyze the base complexes
+        path = write_json(tmp_path, "ref.json", REF_PAIR)
+        flags = count_calls(monkeypatch, regularity._divisibility_flags)
+        levels = count_calls(monkeypatch, arith.mask_levels)
+        code, out = run([*argv, "--input", path], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report.get("construction", report)["witness"] == [62, 63, 64]
+        assert len(flags) == 1
+        assert len(levels) == walks
+
 
 class TestValueCountGuard:
     # 21 pairwise coprime values: every value set is non-divisible, so the

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,17 @@ class TestBaseComplex:
     def test_cap_is_reported(self):
         with pytest.raises(ResourceLimitError):
             base_complex((3, 7), 10**7, dp_cap=10**6)
+
+    def test_value_count_guard(self):
+        # degree 1 is represented by no value set, so all 2^21 value sets
+        # would be faces
+        primes = [p for p in range(2, 80) if all(p % q for q in range(2, p))][:21]
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as exc:
+            base_complex([1] + primes, 1)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == (
+            "base complex walk over 21 distinct values exceeds the supported scale (20)")
 
     @given(st.lists(st.integers(1, 30), min_size=1, max_size=6),
            st.integers(1, 120))

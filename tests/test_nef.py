@@ -185,6 +185,19 @@ class TestBoundedSearch:
             (11, 12, 15, 16, 17)))
         assert found == lex_nef_search(weights, degrees, "any")
 
+    @pytest.mark.parametrize("weights,degrees,mode,nodes,found", [
+        (padded(1), MU, "strong", 15, False),
+        (padded(1), MU, "nice", 22, True),
+        (padded(1), MU, "any", 22, True),
+        ((1, 1, 2, 2, 3), (4, 5), "any", 11, True),
+        ((1,) * 10 + (2, 2, 2, 3, 3, 5), (6, 9, 10), "strong", 23, True),
+    ])
+    def test_pinned_node_counts(self, weights, degrees, mode, nodes, found):
+        got = find_nef_partition(weights, degrees, mode, node_budget=nodes)
+        assert (got is not None) == found
+        with pytest.raises(ResourceLimitError):
+            find_nef_partition(weights, degrees, mode, node_budget=nodes - 1)
+
     def test_negative_index_past_the_old_budget(self):
         # index -6; the unbounded search runs out of its 2M nodes here
         weights = (1,) * 2 + (6, 10, 15, 21, 35, 14) * 3
