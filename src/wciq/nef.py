@@ -186,19 +186,28 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
         for j in range(c, -1, -1):
             tail[j] += tail[j + 1]
 
-        def place(j: int, left: int) -> bool:
+        # An odometer over (k_0, ..., k_c), k ascending per part, so the stack
+        # grows with the values alone; ks[j] holds the k left to try at part j.
+        left, ks = mults[vi], []
+        while True:
             spend()
-            if j > c:
-                return assign(vi + 1)
-            for k in range(max(0, left - tail[j + 1]), min(left, caps[j]) + 1):
-                dist[j] = k
-                room[j] -= k * v
-                if place(j + 1, left - k):
-                    return True
-                room[j] += k * v
-            return False
-
-        return place(0, mults[vi])
+            if (j := len(ks)) <= c:
+                ks.append(iter(range(max(0, left - tail[j + 1]),
+                                     min(left, caps[j]) + 1)))
+                dist[j] = 0
+            elif assign(vi + 1):
+                return True
+            while (j := len(ks) - 1) >= 0:
+                room[j] += dist[j] * v
+                left += dist[j]
+                if (k := next(ks[j], None)) is not None:
+                    break
+                ks.pop()
+            else:
+                return False
+            dist[j] = k
+            room[j] -= k * v
+            left -= k
 
     if not assign(0):
         return None

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -197,6 +198,19 @@ class TestBoundedSearch:
         assert (got is not None) == found
         with pytest.raises(ResourceLimitError):
             find_nef_partition(weights, degrees, mode, node_budget=nodes - 1)
+
+    @pytest.mark.parametrize("mode", ["any", "nice"])
+    def test_stack_grows_with_values_not_parts(self, mode):
+        # 60 distinct heavy values and 40 parts: a frame per value and part
+        # would need 60 * (40 + 3) frames, well past the recursion limit
+        weights = (1,) * 600 + tuple(range(2, 62))
+        degrees = (61,) * 40
+        assert 60 * (40 + 3) > 2 * sys.getrecursionlimit()
+        found = find_nef_partition(weights, degrees, mode, node_budget=2581)
+        assert classify_partition(weights, degrees, found).satisfies(mode)
+        assert found == lex_nef_search(weights, degrees, mode)
+        with pytest.raises(ResourceLimitError):
+            find_nef_partition(weights, degrees, mode, node_budget=2580)
 
     def test_negative_index_past_the_old_budget(self):
         # index -6; the unbounded search runs out of its 2M nodes here
