@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
 
@@ -48,17 +47,26 @@ def _check_positive_int(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class WeightTuple:
-    """Ordered tuple of positive integer weights, addressed from 0."""
-
+class _WeightFields(NamedTuple):
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.weights:
+
+class WeightTuple(_WeightFields):
+    """Ordered tuple of positive integer weights, addressed from 0.
+
+    Indexing, iteration and len address the weights, not the record's one
+    field, so `__getnewargs__` names the field for pickling. No __slots__:
+    the cached `classes` lives in the instance dict."""
+
+    def __new__(cls, weights: tuple[int, ...]):
+        if not weights:
             raise InputError("weight tuple must be nonempty")
-        for a in self.weights:
+        for a in weights:
             _check_positive_int(a, "weight")
+        return super().__new__(cls, weights)
+
+    def __getnewargs__(self):
+        return (self.weights,)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "WeightTuple":
@@ -108,15 +116,25 @@ class WeightTuple:
                             for i in idx))
 
 
-@dataclass(frozen=True)
-class DegreeTuple:
-    """Ordered tuple of positive integer degrees, addressed from 1."""
-
+class _DegreeFields(NamedTuple):
     degrees: tuple[int, ...]
 
-    def __post_init__(self):
-        for d in self.degrees:
+
+class DegreeTuple(_DegreeFields):
+    """Ordered tuple of positive integer degrees, addressed from 1.
+
+    Iteration and len address the degrees, not the record's one field, so
+    `__getnewargs__` names the field for pickling."""
+
+    __slots__ = ()
+
+    def __new__(cls, degrees: tuple[int, ...]):
+        for d in degrees:
             _check_positive_int(d, "degree")
+        return super().__new__(cls, degrees)
+
+    def __getnewargs__(self):
+        return (self.degrees,)
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "DegreeTuple":

@@ -36,7 +36,6 @@ from wciq.maps import (
 )
 from wciq.nef import _MODES, _construction, classify_partition, fano_index, find_nef_partition
 from wciq.regularity import _regularity_report, _strict_regularity, _trivial_all_indices
-from wciq.realize import realize_map_instance, realize_weights, verify_realization
 from wciq.serialize import (
     canonical_json,
     complex_from_json,
@@ -263,6 +262,8 @@ def cmd_posetmap(args, facts: PairFacts) -> tuple[dict, int]:
 
 
 def cmd_realize(args) -> tuple[dict, int]:
+    from wciq.realize import realize_map_instance, realize_weights, verify_realization
+
     cx = complex_from_json(_read_json_file(args.complex, "complex"))
     if args.map is None:
         res = realize_weights(cx)

@@ -22,10 +22,9 @@ lexicographically on their sorted vertex tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -46,8 +45,7 @@ def _sorted_key(s: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(s))
 
 
-@dataclass(frozen=True)
-class Complex:
+class Complex(NamedTuple):
     """Abstract simplicial complex on vertex labels 0..n_vertices-1."""
 
     n_vertices: int
@@ -115,8 +113,12 @@ class Complex:
         return sorted(_sorted_key(f) for f in self.facets)
 
 
-@dataclass(frozen=True, eq=True)
-class WeightedComplex:
+class _WeightedComplexFields(NamedTuple):
+    complex: Complex
+    vertex_weights: Mapping[int, int]
+
+
+class WeightedComplex(_WeightedComplexFields):
     """Complex together with positive vertex weights.
 
     The weight of a face is the gcd of its vertex weights, so the weight
@@ -124,20 +126,19 @@ class WeightedComplex:
     covers exactly the vertices occurring in facets.
     """
 
-    complex: Complex
-    vertex_weights: Mapping[int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        verts = set(self.complex.vertices)
-        keys = set(self.vertex_weights)
+    def __new__(cls, complex: Complex, vertex_weights: Mapping[int, int]):
+        verts = set(complex.vertices)
+        keys = set(vertex_weights)
         if keys != verts:
             raise InputError(
                 f"vertex weights must cover exactly the complex vertices; "
                 f"got keys {sorted(keys)} for vertices {sorted(verts)}")
-        for v, w in self.vertex_weights.items():
+        for v, w in vertex_weights.items():
             if isinstance(w, bool) or not isinstance(w, int) or w < 1:
                 raise InputError(f"weight of vertex {v} must be a positive integer")
-        object.__setattr__(self, "vertex_weights", dict(self.vertex_weights))
+        return super().__new__(cls, complex, dict(vertex_weights))
 
     def face_weight(self, face: Iterable[int]) -> int:
         """gcd of the vertex weights over a nonempty vertex set."""
@@ -151,8 +152,7 @@ class WeightedComplex:
         return gcd(*ws) if len(ws) > 1 else ws[0]
 
 
-@dataclass(frozen=True)
-class SRPresentation:
+class SRPresentation(NamedTuple):
     """Stanley-Reisner style presentation of a weighted complex.
 
     variable_degrees lists the vertex weights in ascending vertex order

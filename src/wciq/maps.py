@@ -30,10 +30,9 @@ command sets one, and raises ResourceLimitError past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -61,16 +60,20 @@ from wciq.regularity import _strict_regularity
 FACE_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class WeightedMap:
-    """Vertex assignment between two weighted complexes."""
-
+class _WeightedMapFields(NamedTuple):
     source: WeightedComplex
     target: WeightedComplex
     vertex_assignment: Mapping[int, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_assignment", dict(self.vertex_assignment))
+
+class WeightedMap(_WeightedMapFields):
+    """Vertex assignment between two weighted complexes."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: WeightedComplex, target: WeightedComplex,
+                vertex_assignment: Mapping[int, int]):
+        return super().__new__(cls, source, target, dict(vertex_assignment))
 
     def image(self, face: Iterable[int]) -> frozenset[int]:
         try:
@@ -79,8 +82,7 @@ class WeightedMap:
             raise InputError(f"vertex {exc.args[0]} has no assignment") from exc
 
 
-@dataclass(frozen=True)
-class MapValidation:
+class MapValidation(NamedTuple):
     """Verdicts of the three map conditions, each with a first witness."""
 
     simplicial: bool
@@ -236,8 +238,13 @@ def find_noncontracting_map(weights: WeightsLike,
     return None
 
 
-@dataclass(frozen=True)
-class AdmissibleFamily:
+class _FamilyFields(NamedTuple):
+    im_phi: tuple[int, ...]
+    domains: Mapping[int, tuple[int, ...]]
+    injections: Mapping[int, Mapping[int, int]]
+
+
+class AdmissibleFamily(_FamilyFields):
     """Injections at every occurring face weight b of the source complex.
 
     im_phi lists the occurring face weights ascending, domains maps b to
@@ -245,15 +252,13 @@ class AdmissibleFamily:
     degree-index assignment (degree indices are 1-based).
     """
 
-    im_phi: tuple[int, ...]
-    domains: Mapping[int, tuple[int, ...]]
-    injections: Mapping[int, Mapping[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "domains",
-                           {b: tuple(vs) for b, vs in self.domains.items()})
-        object.__setattr__(self, "injections",
-                           {b: dict(m) for b, m in self.injections.items()})
+    def __new__(cls, im_phi: tuple[int, ...], domains: Mapping[int, tuple[int, ...]],
+                injections: Mapping[int, Mapping[int, int]]):
+        return super().__new__(cls, im_phi,
+                               {b: tuple(vs) for b, vs in domains.items()},
+                               {b: dict(m) for b, m in injections.items()})
 
     def vertex_weight(self, i: int) -> int:
         """The weight of vertex i is the largest b whose domain holds i."""
@@ -494,8 +499,7 @@ def vertex_fibers(fam: AdmissibleFamily) -> dict[int, tuple[int, ...]]:
     return {j: tuple(vs) for j, vs in sorted(fibers.items())}
 
 
-@dataclass(frozen=True)
-class PosetMapReport:
+class PosetMapReport(NamedTuple):
     """Verification of the induced face map.
 
     property1: image cardinality equals face cardinality on every face.

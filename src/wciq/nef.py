@@ -21,7 +21,7 @@ because the input data cannot cause those failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -49,23 +49,24 @@ def fano_index(weights: WeightsLike, degrees: DegreesLike) -> int:
     return as_weights(weights).total - as_degrees(degrees).total
 
 
-@dataclass(frozen=True)
-class NefPartition:
-    """parts[0] is the leftover part I_0; parts[j] pairs with degree j."""
-
+class _PartitionFields(NamedTuple):
     parts: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "parts", tuple(tuple(sorted(p)) for p in self.parts))
+
+class NefPartition(_PartitionFields):
+    """parts[0] is the leftover part I_0; parts[j] pairs with degree j."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts: tuple[tuple[int, ...], ...]):
+        return super().__new__(cls, tuple(tuple(sorted(p)) for p in parts))
 
     @property
     def leftover(self) -> tuple[int, ...]:
         return self.parts[0]
 
 
-@dataclass(frozen=True)
-class NefClassification:
+class NefClassification(NamedTuple):
     valid: bool
     nice: bool
     strong: bool

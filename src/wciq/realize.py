@@ -16,10 +16,9 @@ complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, count
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from wciq.arith import DegreeTuple, WeightsLike, WeightTuple, as_weights
 from wciq.complexes import Complex, singular_complex
@@ -45,8 +44,13 @@ def first_primes(n: int, offset: int = 0) -> list[int]:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class _RealizationFields(NamedTuple):
+    weights: WeightTuple
+    face_values: Mapping[frozenset[int], int]
+    prime_assignment: Mapping[frozenset[int], int]
+
+
+class RealizationResult(_RealizationFields):
     """Weights realizing a complex, with the full face-value table.
 
     face_values maps every nonempty face to its assigned value; facets
@@ -55,13 +59,11 @@ class RealizationResult:
     at labels that occur in no facet.
     """
 
-    weights: WeightTuple
-    face_values: Mapping[frozenset[int], int]
-    prime_assignment: Mapping[frozenset[int], int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "face_values", dict(self.face_values))
-        object.__setattr__(self, "prime_assignment", dict(self.prime_assignment))
+    def __new__(cls, weights: WeightTuple, face_values: Mapping[frozenset[int], int],
+                prime_assignment: Mapping[frozenset[int], int]):
+        return super().__new__(cls, weights, dict(face_values), dict(prime_assignment))
 
 
 def realize_weights(cx: Complex, *, prime_offset: int = 0) -> RealizationResult:
@@ -112,8 +114,7 @@ def skeleton(n_vertices: int, dim: int) -> Complex:
         [frozenset(c) for c in combinations(range(n_vertices), dim + 1)])
 
 
-@dataclass(frozen=True)
-class ContractionInstance:
+class ContractionInstance(NamedTuple):
     """Weights and degrees forcing map images into a designated simplex.
 
     image_simplex holds 1-based degree indices; every weighted simplicial
@@ -159,8 +160,7 @@ def contraction_instance(l: int, N: int, m: int, t: int) -> ContractionInstance:
         f"divisibility side condition")
 
 
-@dataclass(frozen=True)
-class MapInstance:
+class MapInstance(NamedTuple):
     """A realized pair with a planted non-contracting weighted map."""
 
     weights: WeightTuple

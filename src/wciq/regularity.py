@@ -22,9 +22,9 @@ distinct heavy values and raise ResourceLimitError past 20 of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 from math import gcd, inf
+from typing import NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -42,8 +42,7 @@ from wciq.complexes import Complex
 from wciq.errors import InputError
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     """Aggregate verdicts. Degree-dependent fields are None when no degree
     tuple was supplied."""
 

@@ -9,16 +9,19 @@ read the files; loads accept both forms.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring
 from math import inf
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from wciq.arith import DegreeTuple, WeightTuple, as_degrees, as_weights
 from wciq.complexes import Complex, SRPresentation, WeightedComplex
-from wciq.errors import InputError
+from wciq.errors import InputError, ResourceLimitError
 from wciq.maps import AdmissibleFamily
 from wciq.nef import NefPartition
-from wciq.realize import RealizationResult
+
+if TYPE_CHECKING:
+    from wciq.realize import RealizationResult
 
 _SAFE_INT = 1 << 53
 
@@ -30,7 +33,9 @@ def canonical_json(obj: Any) -> str:
     With an indent, json.dumps always runs its pure-Python encoder. This
     recursive one writes the same bytes in about half the time: strings
     go through the C string encoder that ensure_ascii=False selects, and
-    a list of plain ints is joined in one go.
+    a list of plain ints is joined in one go. Only plain lists and tuples
+    are arrays: a record is a tuple subclass, and raises TypeError here
+    where json.dumps would write its fields.
     """
     return _encode(obj, "\n") + "\n"
 
@@ -38,7 +43,7 @@ def canonical_json(obj: Any) -> str:
 def _encode(obj: Any, newline: str) -> str:
     """obj as json.dumps writes it, where `newline` starts the line obj
     ends on (a newline and that line's indent)."""
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):
         if not obj:
             return "[]"
         inner = newline + "  "
@@ -100,9 +105,18 @@ def decode_int(value, what: str) -> int:
         return value
     if isinstance(value, str):
         body = value[1:] if value.startswith("-") else value
-        if body.isdigit():
-            return int(value)
+        if body.isascii() and body.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # ASCII digits: only the digit limit is left
+                raise _past_digit_limit(what) from None
     raise InputError(f"{what} must be an integer or decimal string, got {value!r}")
+
+
+def _past_digit_limit(what: str) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{what} holds an integer of more than {sys.get_int_max_str_digits()} "
+        f"digits, the interpreter's limit for integer strings")
 
 
 def load_json(text: str, what: str = "input") -> Any:
@@ -110,6 +124,10 @@ def load_json(text: str, what: str = "input") -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{what} is not valid JSON: {exc}") from exc
+    except ValueError:  # an integer literal past the digit limit
+        raise _past_digit_limit(what) from None
+    except RecursionError:
+        raise InputError(f"{what} nests deeper than the JSON parser can follow") from None
 
 
 def pair_to_json(weights, degrees) -> dict:

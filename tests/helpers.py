@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 from wciq.complexes import Complex
 from wciq.oracles import brute_force_representable
@@ -33,6 +37,18 @@ BUDGET_FAMILY_PAIR = {
     "weights": TRIANGLE_PAIR["weights"] + [11] * 5,
     "degrees": TRIANGLE_PAIR["degrees"] + [11 * k for k in range(1, 17)],
 }
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """`python -W error *args` in a fresh interpreter that imports wciq
+    from this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def random_weights(rng: random.Random, *, max_len: int = 8,

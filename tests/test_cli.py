@@ -10,7 +10,7 @@ from wciq import arith, complexes, maps, nef, regularity
 from wciq.cli import build_parser, main
 from wciq.serialize import canonical_json
 
-from helpers import BUDGET_FAMILY_PAIR
+from helpers import BUDGET_FAMILY_PAIR, run_fresh
 
 REF_PAIR = {
     "weights": [1] * 62 + [6, 10, 15],
@@ -430,6 +430,30 @@ class TestInputHandling:
     def test_missing_weights_key(self, tmp_path, capsys):
         p = write_json(tmp_path, "p.json", {"degrees": [2]})
         assert main(["analyze", "--input", p]) == 2
+
+    @pytest.mark.parametrize("text,code,message", [
+        ('{"weights": [1, 1, "\u00b2"], "degrees": [2]}', 2,
+         "error: weight must be an integer or decimal string, got '\u00b2'"),
+        ('{"weights": [1, 1, "\u0662"], "degrees": [2]}', 2,
+         "error: weight must be an integer or decimal string, got '\u0662'"),
+        ('{"weights": [1, "1' + "0" * 5000 + '"], "degrees": [2]}', 3,
+         "resource limit: weight holds an integer of more than"),
+        ('{"weights": [1, 1' + "0" * 5000 + '], "degrees": [2]}', 3,
+         "resource limit: input holds an integer of more than"),
+        ('{"weights": ' + "[" * 100000 + "]" * 100000 + ', "degrees": [2]}', 2,
+         "error: input nests deeper than the JSON parser can follow"),
+    ], ids=["superscript-digit", "arabic-indic-digit", "long-string", "long-literal",
+            "deep-nesting"])
+    def test_malformed_numbers_exit_cleanly(self, tmp_path, text, code, message):
+        p = tmp_path / "p.json"
+        p.write_text(text, encoding="utf-8")
+        proc = run_fresh("-m", "wciq.cli", "analyze", "--input", str(p))
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(message)
+        if code == 3:
+            assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
+        assert proc.stdout == ""
 
     def test_output_is_canonical_json(self, small_file, capsys):
         _, out = run(["complex", "--input", small_file], capsys)

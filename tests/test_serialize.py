@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wciq.arith import WeightTuple
 from wciq.complexes import Complex
 from wciq.errors import InputError
 from wciq.maps import build_admissible_family
@@ -80,6 +81,11 @@ class TestCanonicalJson:
             with pytest.raises(TypeError):
                 canonical_json(bad)
 
+    def test_rejects_records(self):
+        for record in (NefPartition(((0,), (1,))), WeightTuple((2, 3))):
+            with pytest.raises(TypeError):
+                canonical_json({"r": [record]})
+
 
 class TestIntEncoding:
     def test_small_stays_int(self):
@@ -97,7 +103,7 @@ class TestIntEncoding:
         assert decode_int("-5", "x") == -5
 
     def test_decode_rejects_junk(self):
-        for bad in (True, 1.5, "12x", "", None, [1]):
+        for bad in (True, 1.5, "12x", "", None, [1], "\u00b2", "-\u0662", "+5", "1_0"):
             with pytest.raises(InputError):
                 decode_int(bad, "x")
 
