@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
 
@@ -159,6 +159,7 @@ class DegreeTuple(_DegreeFields):
 
 WeightsLike = Union[WeightTuple, Sequence[int]]
 DegreesLike = Union[DegreeTuple, Sequence[int]]
+_T = TypeVar("_T")
 
 
 def as_weights(values: WeightsLike) -> WeightTuple:
@@ -229,6 +230,10 @@ _TABLE_SHIFT = 8
 
 #: Residue tables kept per process; the least recently used goes first.
 _TABLE_CACHE_SIZE = 256
+
+#: Weight tuples whose facts are kept per process (`weight_facts`); the
+#: least recently used goes first.
+_WEIGHT_CACHE_SIZE = 64
 
 
 def is_representable(d: int, weights: Iterable[int], *,
@@ -368,43 +373,38 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
     return frozenset(out)
 
 
-class PairFacts:
-    """What is derived about one pair (weights, degrees, dp_cap), each fact
-    at most once. Internal: not part of the package interface.
+class WeightFacts:
+    """What is derived about one weight tuple, each fact at most once.
+    Internal: not part of the package interface.
 
-    One holder per command or public call, so no fact outlives its pair.
-    node_budget bounds each search run on the holder, each counting its
-    own nodes.
-    A value set is a mask (bit k for values[k], the distinct heavy values
-    ascending) with one `row` of verdicts. Through `once` the layers keep
-    the singular complex, base facets, divisibility complexes, strict
-    regularity, family skeleton, checked family and construction.
+    `weight_facts` keeps one holder per weight tuple in the process, so
+    every pair with these weights shares its facts: the divisibility
+    walk with its value masks, well-formedness, the singular complex
+    with its presentation, and the occurring face weights with their
+    domains. Apart from the presentation, which exists only on at most
+    20 vertices, a kept fact grows with the weight tuple and its distinct
+    values, never with a product over the value classes; what does is
+    expanded per call. A kept fact is never handed to a public caller in
+    a mutable form. A value set is a mask: bit k for values[k], the
+    distinct heavy values ascending.
     """
 
-    __slots__ = ("wt", "dg", "dp_cap", "node_budget", "values", "_bit", "_rows", "_facts")
+    __slots__ = ("wt", "values", "_bit", "_facts")
 
-    def __init__(self, weights: WeightsLike, degrees: DegreesLike,
-                 dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
-        self.wt = as_weights(weights)
-        self.dg = as_degrees(degrees)
-        self.dp_cap = dp_cap
-        self.node_budget = node_budget
-        self.values = self.wt.heavy_values()
+    def __init__(self, wt: WeightTuple):
+        self.wt = wt
+        self.values = wt.heavy_values()
         self._bit = {v: 1 << k for k, v in enumerate(self.values)}
-        self._rows: dict[int, tuple[int, int]] = {}
         self._facts: dict = {}
 
-    def once(self, derive):
+    def once(self, derive: Callable[[WeightFacts], _T]) -> _T:
         """derive(self), computed on the first request and kept. A derive
-        that raises keeps nothing."""
+        that raises keeps nothing, so a guard inside it runs on every call
+        until it passes."""
         facts = self._facts
         if derive not in facts:
             facts[derive] = derive(self)
         return facts[derive]
-
-    def kept(self, derive):
-        """What `once(derive)` has kept, or None before it has run."""
-        return self._facts.get(derive)
 
     def check_scale(self, walk: str) -> None:
         """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT
@@ -422,6 +422,52 @@ class PairFacts:
         """The heavy values of a mask, ascending."""
         return tuple(v for k, v in enumerate(self.values) if mask >> k & 1)
 
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def weight_facts(wt: WeightTuple) -> WeightFacts:
+    """The holder of a weight tuple's facts, shared by every caller in the
+    process; the least recently used of _WEIGHT_CACHE_SIZE goes first."""
+    return WeightFacts(wt)
+
+
+class PairFacts:
+    """What is derived about one pair (weights, degrees, dp_cap), each fact
+    at most once. Internal: not part of the package interface.
+
+    One holder per command or public call, so no degree-dependent fact
+    outlives its pair. The facts of the weights alone live on `w`, the
+    shared `weight_facts` of the tuple, with the distinct values and
+    their masks; a weight-only derive is kept there and nowhere else.
+    node_budget bounds each search run on the holder, each counting its
+    own nodes. Each value set has one `row` of verdicts. Through `once`
+    the layers keep the base facets, strict regularity, family skeleton,
+    checked family and construction.
+    """
+
+    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows", "_facts")
+
+    def __init__(self, weights: WeightsLike, degrees: DegreesLike,
+                 dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
+        self.w = weight_facts(as_weights(weights))
+        self.wt = self.w.wt
+        self.dg = as_degrees(degrees)
+        self.dp_cap = dp_cap
+        self.node_budget = node_budget
+        self._rows: dict[int, tuple[int, int]] = {}
+        self._facts: dict = {}
+
+    def once(self, derive: Callable[[PairFacts], _T]) -> _T:
+        """derive(self), computed on the first request and kept. A derive
+        that raises keeps nothing."""
+        facts = self._facts
+        if derive not in facts:
+            facts[derive] = derive(self)
+        return facts[derive]
+
+    def kept(self, derive: Callable[[PairFacts], _T]) -> _T | None:
+        """What `once(derive)` has kept, or None before it has run."""
+        return self._facts.get(derive)
+
     def row(self, mask: int) -> tuple[int, int]:
         """Disjoint (representable, UNKNOWN) degree bits of a value set, bit
         j - 1 for degree j. Membership is monotone: the representable bits of
@@ -436,7 +482,7 @@ class PairFacts:
             prepared = None
             for j, d in enumerate(self.dg.degrees):
                 if not rep >> j & 1:
-                    prepared = prepared or _reduce(self.values_of(mask))
+                    prepared = prepared or _reduce(self.w.values_of(mask))
                     verdict = _decide(d, *prepared, self.dp_cap)
                     if verdict is UNKNOWN:
                         unknown |= 1 << j
@@ -451,14 +497,14 @@ class PairFacts:
         if unknown:
             j = (unknown & -unknown).bit_length()
             raise _past_cap(f"degree d_{j} = {self.dg.degree(j)}",
-                            self.values_of(mask), self.dp_cap)
+                            self.w.values_of(mask), self.dp_cap)
         return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
 
     def representable(self, j: int, mask: int) -> bool:
         """`representable` for the j-th degree over the value set, from its row."""
         rep, unknown = self.row(mask)
         if unknown >> j - 1 & 1:
-            raise _past_cap(self.dg.degree(j), self.values_of(mask), self.dp_cap)
+            raise _past_cap(self.dg.degree(j), self.w.values_of(mask), self.dp_cap)
         return bool(rep >> j - 1 & 1)
 
 

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from wciq.arith import DEFAULT_DP_CAP, PairFacts
-from wciq.complexes import _base_complex, _singular_complex, sr_presentation
+from wciq.complexes import _base_complex, _singular_complex, _singular_sr
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InputError,
@@ -44,6 +44,7 @@ from wciq.serialize import (
     encode_int,
     family_from_json,
     family_to_json,
+    int_str,
     load_json,
     pair_from_json,
     pair_to_json,
@@ -147,11 +148,10 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _complex_section(facts: PairFacts) -> dict:
-    sing = facts.once(_singular_complex)
     dg = facts.dg
     section = {
-        "singular_complex": weighted_complex_to_json(sing),
-        "singular_sr": sr_to_json(sr_presentation(sing)),
+        "singular_complex": weighted_complex_to_json(facts.w.once(_singular_complex)),
+        "singular_sr": sr_to_json(facts.w.once(_singular_sr)),
         "base_complexes": {
             str(j): {
                 "degree": encode_int(dg.degree(j)),
@@ -201,9 +201,9 @@ def cmd_analyze(args, facts: PairFacts) -> tuple[dict, int]:
     report: dict = {}
     if args.seed is not None:
         report["seed"] = args.seed
-    report["fano_index"] = fano_index(facts.wt, facts.dg)
+    report["fano_index"] = encode_int(fano_index(facts.wt, facts.dg))
     report["regularity"] = _regularity_json(_regularity_report(facts, with_degrees=True))
-    report["pair_trivial_literal"] = _trivial_all_indices(facts)
+    report["pair_trivial_literal"] = _trivial_all_indices(facts.w)
     phases.mark("regularity")
 
     report.update(_complex_section(facts))
@@ -283,8 +283,8 @@ def cmd_realize(args) -> tuple[dict, int]:
     inst = realize_map_instance(cx, target, assignment, args.pad, args.ones)
     validation = validate_weighted_map(inst.planted)
     report = {
-        "weights": [str(a) for a in inst.weights],
-        "degrees": [str(d) for d in inst.degrees],
+        "weights": [int_str(a, "realized instance") for a in inst.weights],
+        "degrees": [int_str(d, "realized instance") for d in inst.degrees],
         "planted_assignment": {
             str(v): t for v, t in sorted(inst.planted.vertex_assignment.items())},
         "validation": {
@@ -317,10 +317,10 @@ def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
 
     divergences: list[str] = []
     rep_table = {}
-    all_values = facts.mask(heavy)
+    all_values = facts.w.mask(heavy)
     for j in range(1, len(dg) + 1):
         fast = facts.representable(j, all_values)
-        slow = brute_force_representable(dg.degree(j), facts.values)
+        slow = brute_force_representable(dg.degree(j), facts.w.values)
         rep_table[str(j)] = {"fast": fast, "brute": slow}
         if fast != slow:
             divergences.append(f"representability of degree {j}")

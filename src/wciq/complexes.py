@@ -29,11 +29,13 @@ from typing import Iterable, Mapping, NamedTuple
 from wciq.arith import (
     DEFAULT_DP_CAP,
     PairFacts,
+    WeightFacts,
     WeightsLike,
     as_weights,
     distinct_prime_factors,
     mask_levels,
     maximal_masks,
+    weight_facts,
 )
 from wciq.errors import InputError, ResourceLimitError
 
@@ -174,7 +176,13 @@ def singular_complex(weights: WeightsLike) -> WeightedComplex:
     stratum and are therefore never faces. The face weight is the gcd of
     the member weights, always above 1 here.
     """
-    wt = as_weights(weights)
+    sing = weight_facts(as_weights(weights)).once(_singular_complex)
+    return sing._replace(vertex_weights=dict(sing.vertex_weights))
+
+
+def _singular_complex(w: WeightFacts) -> WeightedComplex:
+    """`singular_complex` of the weights, kept: never to be handed out."""
+    wt = w.wt
     primes: set[int] = set()
     for a in wt.heavy_values():
         primes.update(distinct_prime_factors(a))
@@ -203,10 +211,10 @@ def _base_facets(facts: PairFacts) -> list[tuple[int, int]]:
     """The facets of every base complex at once, as value masks with the
     bits of their degrees. A mask belongs to the degrees neither
     representable nor UNKNOWN over it (the row's two disjoint bit sets)."""
-    facts.check_scale("base complex walk")
+    facts.w.check_scale("base complex walk")
     every = (1 << len(facts.dg)) - 1
     return maximal_masks(dict(mask_levels(
-        len(facts.values), lambda mask: every & ~sum(facts.row(mask)))))
+        len(facts.w.values), lambda mask: every & ~sum(facts.row(mask)))))
 
 
 def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:
@@ -215,19 +223,19 @@ def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:
     wt = facts.wt
     d = facts.dg.degree(j)
     # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
-    least = next((1 << k for k, v in enumerate(facts.values) if d % v), 0)
+    least = next((1 << k for k, v in enumerate(facts.w.values) if d % v), 0)
     if least:
         facts.representable(j, least)
     facets = frozenset(
-        frozenset(i for v in facts.values_of(mask) for i in wt.classes[v])
+        frozenset(i for v in facts.w.values_of(mask) for i in wt.classes[v])
         for mask, bits in facts.once(_base_facets) if bits >> j - 1 & 1)
     cx = Complex(len(wt), facets)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 
-def _singular_complex(facts: PairFacts) -> WeightedComplex:
-    """The singular complex of the pair's weights, for `PairFacts.once`."""
-    return singular_complex(facts.wt)
+def _singular_sr(w: WeightFacts) -> SRPresentation:
+    """`sr_presentation` of the singular complex of the weights."""
+    return sr_presentation(w.once(_singular_complex))
 
 
 def minimal_nonfaces(cx: Complex,

@@ -38,6 +38,7 @@ from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
     PairFacts,
+    WeightFacts,
     WeightsLike,
     WeightTuple,
     as_degrees,
@@ -45,6 +46,7 @@ from wciq.arith import (
     common_factor_masks,
     gcd_of,
     poset_covers,
+    weight_facts,
 )
 from wciq.complexes import Complex, WeightedComplex, _singular_complex, singular_complex
 from wciq.errors import (
@@ -274,8 +276,13 @@ class AdmissibleFamily(_FamilyFields):
 def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
     """All gcds above 1 of nonempty sets of weight values: the face weights
     of the singular complex. Computed as the pairwise gcd closure."""
-    wt = as_weights(weights)
-    vals = set(wt.heavy_values())
+    return weight_facts(as_weights(weights)).once(_face_weights)[0]
+
+
+def _face_weights(w: WeightFacts):
+    """The occurring face weights, ascending, and the domain at each: its
+    divisible indices, ascending, and their value mask."""
+    vals = set(w.values)
     changed = True
     while changed:
         changed = False
@@ -284,17 +291,16 @@ def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
             if g > 1 and g not in vals:
                 vals.add(g)
                 changed = True
-    return tuple(sorted(vals))
+    im_phi = tuple(sorted(vals))
+    domains = {b: w.wt.divisible_by(b) for b in im_phi}
+    return im_phi, domains, {b: w.mask(domains[b]) for b in im_phi}
 
 
 def _skeleton(facts: PairFacts):
     """The occurring face weights, their domains, and the admissible degree
     indices (ascending) at each: what the family search runs on."""
-    wt = facts.wt
-    im_phi = occurring_face_weights(wt)
-    domains = {b: wt.divisible_by(b) for b in im_phi}
-    good = {b: facts.admissible(facts.mask(domains[b])) for b in im_phi}
-    return im_phi, domains, good
+    im_phi, domains, masks = facts.w.once(_face_weights)
+    return im_phi, domains, {b: facts.admissible(masks[b]) for b in im_phi}
 
 
 def family_csp_summary(weights: WeightsLike, degrees: DegreesLike, *,
@@ -427,12 +433,12 @@ def check_family_invariants(weights: WeightsLike, degrees: DegreesLike,
 def _invariant_violations(facts: PairFacts, fam: AdmissibleFamily) -> list[str]:
     wt = facts.wt
     problems: list[str] = []
-    im_phi = occurring_face_weights(wt)
+    im_phi, domains, masks = facts.w.once(_face_weights)
     if tuple(fam.im_phi) != im_phi:
         problems.append(f"occurring face weights mismatch: {fam.im_phi} vs {im_phi}")
         return problems
     for b in im_phi:
-        expect = wt.divisible_by(b)
+        expect = domains[b]
         if tuple(fam.domains.get(b, ())) != expect:
             problems.append(f"domain of {b} mismatch: {fam.domains.get(b)} vs {expect}")
             continue
@@ -443,7 +449,7 @@ def _invariant_violations(facts: PairFacts, fam: AdmissibleFamily) -> list[str]:
         images = list(inj.values())
         if len(set(images)) != len(images):
             problems.append(f"injection at {b} is not injective: {inj}")
-        admissible = facts.admissible(facts.mask(expect))
+        admissible = facts.admissible(masks[b])
         bad = [j for j in images if j not in admissible]
         if bad:
             problems.append(
@@ -548,7 +554,6 @@ def verify_poset_map(weights: WeightsLike, degrees: DegreesLike,
 def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
     """`verify_poset_map` of the pair. The family these facts built has
     passed its invariant check already; any other family is checked."""
-    wt = facts.wt
     if fam is facts.kept(_family):
         violations = ()
     else:
@@ -557,39 +562,10 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
         return PosetMapReport(violations, False, None, False, (), False, None,
                               False, None, "invariants-failed")
 
-    sing = facts.once(_singular_complex)
-    faces = sing.complex.faces(limit=FACE_LIMIT)
-    records: list[tuple[tuple[int, ...], int, bool]] = []
-    scope = "all-faces"
-    if faces is None:
-        scope = "value-class-representatives"
-        values = facts.values
-        keep = {i for v in values for i in wt.classes[v][:2]}
-        restricted = Complex.from_facets(
-            sing.complex.n_vertices,
-            [f & keep for f in sing.complex.facets if f & keep])
-        faces = restricted.faces(limit=FACE_LIMIT)
-        if faces is None:
-            raise ResourceLimitError(
-                f"face enumeration exceeds {FACE_LIMIT} even on value-class "
-                f"representatives")
-        # Exact property-2 coverage: for every value set with gcd above 1,
-        # the maximal index set is a face and its image is the superset of
-        # every class member's image.
-        if 2 ** len(values) > FACE_LIMIT:
-            raise ResourceLimitError(
-                f"value-subset sweep over {len(values)} values exceeds "
-                f"{FACE_LIMIT} classes")
-        for mask in common_factor_masks(values):
-            members = tuple(sorted(i for v in facts.values_of(mask) for i in wt.classes[v]))
-            for j in sorted(induced_face_map(fam, members)):
-                records.append((members, j, facts.representable(j, mask)))
+    scope, checked, faces = _checked_faces(facts.w)
     images = {face: induced_face_map(fam, face) for face in faces}
-    if scope == "all-faces":
-        for face in faces:
-            mask = facts.mask(face)
-            for j in sorted(images[face]):
-                records.append((face, j, facts.representable(j, mask)))
+    records = tuple((face, j, facts.representable(j, mask)) for face, mask in checked
+                    for j in sorted(images.get(face) or induced_face_map(fam, face)))
     property2 = all(ok for _, _, ok in records)
 
     # faces are downward closed, so every one-smaller sub-face has an image
@@ -599,5 +575,36 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
     order_preserving = order_witness is None
 
     return PosetMapReport(
-        violations, True, None, property2, tuple(records),
+        violations, True, None, property2, records,
         True, None, order_preserving, order_witness, scope)
+
+
+def _checked_faces(w: WeightFacts):
+    """What `_poset_map` checks on the singular complex: its scope, the
+    (face, value mask) pairs whose images must be representable, and the
+    faces whose images must nest.
+
+    Up to FACE_LIMIT faces, every face serves both checks. Past it, the
+    faces on at most two least indices per value stand in for order
+    preservation, and each value set with gcd above 1 gives one exact
+    property-2 record: its maximal index set is a face, whose image is
+    the superset of every class member's image."""
+    sing = w.once(_singular_complex).complex
+    faces = sing.faces(limit=FACE_LIMIT)
+    if faces is not None:
+        return "all-faces", tuple((face, w.mask(face)) for face in faces), tuple(faces)
+    classes = w.wt.classes
+    keep = {i for v in w.values for i in classes[v][:2]}
+    restricted = Complex.from_facets(sing.n_vertices, [f & keep for f in sing.facets if f & keep])
+    faces = restricted.faces(limit=FACE_LIMIT)
+    if faces is None:
+        raise ResourceLimitError(
+            f"face enumeration exceeds {FACE_LIMIT} even on value-class "
+            f"representatives")
+    if 2 ** len(w.values) > FACE_LIMIT:
+        raise ResourceLimitError(
+            f"value-subset sweep over {len(w.values)} values exceeds "
+            f"{FACE_LIMIT} classes")
+    checked = tuple((tuple(sorted(i for v in w.values_of(mask) for i in classes[v])), mask)
+                    for mask in common_factor_masks(w.values))
+    return "value-class-representatives", checked, tuple(faces)

@@ -266,7 +266,7 @@ def _construction(facts: PairFacts) -> tuple[
         raise PreconditionFailure(
             "strictly_regular",
             f"violating index subset {sorted(witness)}", witness=witness)
-    pair_witness = _pair_witness(facts)
+    pair_witness = _pair_witness(facts.w)
     if pair_witness is not None:
         raise PreconditionFailure(
             "pair_trivial",

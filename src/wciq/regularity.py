@@ -30,6 +30,7 @@ from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
     PairFacts,
+    WeightFacts,
     WeightsLike,
     as_degrees,
     as_weights,
@@ -37,6 +38,7 @@ from wciq.arith import (
     lcm_or_one,
     mask_levels,
     maximal_masks,
+    weight_facts,
 )
 from wciq.complexes import Complex
 from wciq.errors import InputError
@@ -114,66 +116,73 @@ def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
     return _strongly_non_divisible([wt[i] for i in _validate_subset(wt, subset)])
 
 
-def _value_class_complex(facts: PairFacts, strong: bool) -> Complex:
-    """Complex over the heavy indices of a divisibility family. Both
-    families admit at most one index per value, so each maximal value set
-    expands to every choice of one index per value, and those index sets
-    are maximal by construction."""
-    classes = facts.wt.classes
-    facets = frozenset(
-        frozenset(idx) for mask in facts.once(_divisibility)[strong]
-        for idx in product(*(classes[v] for v in facts.values_of(mask))))
-    return Complex(len(facts.wt), facets)
+def _value_class_facets(w: WeightFacts, strong: bool) -> tuple[tuple[int, ...], ...]:
+    """The facets of the non-divisible or the strongly non-divisible
+    complex over the heavy indices, as sorted tuples in lexicographic
+    order. Both families admit at most one index per value, so each
+    maximal value set expands to every choice of one index per value, and
+    those index sets are maximal by construction. Their number is a
+    product over the value classes, so they are expanded per call from
+    the kept value masks."""
+    classes = w.wt.classes
+    return tuple(sorted(
+        tuple(sorted(idx)) for mask in w.once(_divisibility)[strong]
+        for idx in product(*(classes[v] for v in w.values_of(mask)))))
+
+
+def _value_class_complex(weights: WeightsLike, strong: bool) -> Complex:
+    w = weight_facts(as_weights(weights))
+    return Complex(len(w.wt), frozenset(map(frozenset, _value_class_facets(w, strong))))
 
 
 def nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the non-divisible subsets over indices of weight above 1."""
-    return _value_class_complex(PairFacts(weights, ()), False)
+    return _value_class_complex(weights, False)
 
 
 def strongly_nondivisible_complex(weights: WeightsLike) -> Complex:
     """Facets of the strongly non-divisible subsets over indices of weight
     above 1."""
-    return _value_class_complex(PairFacts(weights, ()), True)
+    return _value_class_complex(weights, True)
 
 
 def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
     """The (cardinality, lex) least non-divisible face that is not strongly
     non-divisible, or None when the two families agree."""
-    return _pair_witness(PairFacts(weights, ()))
+    return _pair_witness(weight_facts(as_weights(weights)))
 
 
-def _pair_witness(facts: PairFacts) -> frozenset[int] | None:
-    """`pair_nontriviality_witness` from the pair's divisibility walk: the
+def _pair_witness(w: WeightFacts) -> frozenset[int] | None:
+    """`pair_nontriviality_witness` from the divisibility walk: the
     lex-least realization, by the least index of each value, of the failing
     value sets of least size."""
-    failing = facts.once(_divisibility)[2]
+    failing = w.once(_divisibility)[2]
     if not failing:
         return None
-    return frozenset(min(sorted(facts.wt.classes[v][0] for v in facts.values_of(mask))
+    return frozenset(min(sorted(w.wt.classes[v][0] for v in w.values_of(mask))
                          for mask in failing))
 
 
-def _divisibility_flags(facts: PairFacts):
+def _divisibility_flags(w: WeightFacts):
     """`mask_levels` flags: 1 on non-divisible value masks, plus 2 if strongly
     so. A mask asked about is non-divisible below its top value already."""
-    facts.check_scale("divisibility walk")
-    values = facts.values
+    w.check_scale("divisibility walk")
+    values = w.values
     divides = [sum(1 << k for k, b in enumerate(values) if a != b and not (a % b and b % a))
                for a in values]
     return lambda mask: 0 if divides[mask.bit_length() - 1] & mask else (
-        1 | 2 * _strongly_non_divisible(facts.values_of(mask)))
+        1 | 2 * _strongly_non_divisible(w.values_of(mask)))
 
 
-def _divisibility(facts: PairFacts) -> tuple[list[int], list[int], list[int]]:
+def _divisibility(w: WeightFacts) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """From one walk: the maximal non-divisible and strongly non-divisible
     value masks, and the failing masks (non-divisible, not strongly) of
     least size. The pair is trivial when there are none."""
-    walked = dict(mask_levels(len(facts.values), _divisibility_flags(facts)))
+    walked = dict(mask_levels(len(w.values), _divisibility_flags(w)))
     facets = maximal_masks(walked)
     failing = [mask for mask, bits in walked.items() if bits == 1]
-    return ([m for m, bits in facets if bits & 1], [m for m, bits in facets if bits & 2],
-            [m for m in failing if m.bit_count() == failing[0].bit_count()])
+    return (tuple(m for m, bits in facets if bits & 1), tuple(m for m, bits in facets if bits & 2),
+            tuple(m for m in failing if m.bit_count() == failing[0].bit_count()))
 
 
 def pair_trivial_all_indices(weights: WeightsLike) -> bool:
@@ -181,15 +190,15 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
     singleton is a non-divisible facet that is never strongly
     non-divisible, so any weight-1 index makes this reading non-trivial;
     without ones the vertex set is the heavy set."""
-    return _trivial_all_indices(PairFacts(weights, ()))
+    return _trivial_all_indices(weight_facts(as_weights(weights)))
 
 
-def _trivial_all_indices(facts: PairFacts) -> bool:
+def _trivial_all_indices(w: WeightFacts) -> bool:
     # the scale of the walk this reading stands for, ones or not
-    facts.check_scale("divisibility walk")
-    if facts.wt.ones():
+    w.check_scale("divisibility walk")
+    if w.wt.ones():
         return False
-    return not facts.once(_divisibility)[2]
+    return not w.once(_divisibility)[2]
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
@@ -210,13 +219,13 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _strict_regularity(facts: PairFacts):
-    facts.check_scale("strict regularity")
-    values = facts.values
+    w = facts.w
+    w.check_scale("strict regularity")
     classes = facts.wt.classes
     failing: list[tuple[tuple[int, ...], int]] = []
     size = inf
-    for mask in common_factor_masks(values):
-        vs = facts.values_of(mask)
+    for mask in common_factor_masks(w.values):
+        vs = w.values_of(mask)
         if len(vs) > size:
             break
         count = sum(len(classes[v]) for v in vs)
@@ -254,14 +263,17 @@ def _regularity_report(facts: PairFacts, with_degrees: bool) -> RegularityReport
         # first: its value-count guard must precede the divisibility walk
         regular, witness = facts.once(_strict_regularity)
         linear_cone = is_linear_cone(facts.wt, facts.dg)
+    w = facts.w
     return RegularityReport(
-        well_formed=is_wellformed_wps(facts.wt),
+        well_formed=w.once(_well_formed),
         linear_cone=linear_cone,
         strictly_regular=regular,
         violating_subset=witness,
-        pair_trivial=not facts.once(_divisibility)[2],
-        nondivisible_facets=tuple(
-            tuple(f) for f in _value_class_complex(facts, False).sorted_facets()),
-        strongly_nondivisible_facets=tuple(
-            tuple(f) for f in _value_class_complex(facts, True).sorted_facets()),
+        pair_trivial=not w.once(_divisibility)[2],
+        nondivisible_facets=_value_class_facets(w, False),
+        strongly_nondivisible_facets=_value_class_facets(w, True),
     )
+
+
+def _well_formed(w: WeightFacts) -> bool:
+    return is_wellformed_wps(w.wt)

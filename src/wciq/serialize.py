@@ -95,7 +95,16 @@ def _key(k) -> str:
 
 
 def encode_int(n: int) -> int | str:
-    return n if abs(n) < _SAFE_INT else str(n)
+    return n if abs(n) < _SAFE_INT else int_str(n, "report")
+
+
+def int_str(n: int, what: str) -> str:
+    """str(n), or a ResourceLimitError naming the interpreter's limit for
+    integer strings when n has more digits than that."""
+    try:
+        return str(n)
+    except ValueError:
+        raise _past_digit_limit(what) from None
 
 
 def decode_int(value, what: str) -> int:
@@ -243,7 +252,7 @@ def partition_from_json(data: Any) -> NefPartition:
 
 def realization_to_json(res: RealizationResult) -> dict:
     return {
-        "weights": [str(a) for a in res.weights],
+        "weights": [int_str(a, "realization") for a in res.weights],
         "prime_assignment": {
             ",".join(str(v) for v in sorted(f)): p
             for f, p in sorted(res.prime_assignment.items(),

@@ -102,6 +102,24 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["search"]["found"] is True
 
+    def test_large_fano_index_is_a_string(self, tmp_path, capsys):
+        big = 2 ** 60
+        pair = write_json(tmp_path, "big.json", {"weights": [1, str(big)], "degrees": [2]})
+        _, out = run(["analyze", "--input", pair], capsys)
+        assert json.loads(out)["fano_index"] == str(big - 1)
+
+    def test_fano_index_past_the_digit_limit_exits_cleanly(self, tmp_path):
+        # each weight has as many digits as the interpreter writes, their sum one more
+        limit = sys.get_int_max_str_digits()
+        big = str(9 * 10 ** (limit - 1))
+        pair = write_json(tmp_path, "big.json", {"weights": [big, big], "degrees": [1]})
+        proc = run_fresh("-m", "wciq.cli", "analyze", "--input", pair)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"resource limit: report holds an integer of more than {limit} digits, "
+            f"the interpreter's limit for integer strings\n")
+        assert proc.stdout == ""
+
 
 def count_calls(monkeypatch, fn) -> list:
     """Rebind every name a wciq module binds to fn to a wrapper that records
@@ -125,6 +143,11 @@ class TestAnalyzeOnce:
     """One `analyze` derives each fact of its pair once."""
 
     PAIR = {"weights": [1] * 11 + [2, 2, 3, 3, 5], "degrees": [6, 9, 10]}
+
+    @pytest.fixture(autouse=True)
+    def cold_weight_facts(self):
+        # the counts below are those of a pair whose weights are new to the process
+        arith.weight_facts.cache_clear()
 
     def test_each_fact_once(self, tmp_path, monkeypatch, capsys):
         path = write_json(tmp_path, "pair.json", self.PAIR)
@@ -165,6 +188,23 @@ class TestAnalyzeOnce:
         assert len(flags) == 1
         assert len(levels) == walks
 
+    def test_other_degrees_reuse_the_weight_facts(self, tmp_path, monkeypatch, capsys):
+        # patched before the first run, so both runs key the kept facts alike
+        walks = count_calls(monkeypatch, regularity._divisibility_flags)
+        builds = count_calls(monkeypatch, complexes._singular_complex)
+        base_walks = count_calls(monkeypatch, complexes._base_facets)
+        path = write_json(tmp_path, "pair.json", self.PAIR)
+        assert run(["analyze", "--input", path], capsys)[0] == 0
+        assert (len(walks), len(builds), len(base_walks)) == (1, 1, 1)
+        for calls in (walks, builds, base_walks):
+            calls.clear()
+        other = write_json(tmp_path, "other.json", {**self.PAIR, "degrees": [4, 9, 10]})
+        code, out = run(["analyze", "--input", other], capsys)
+        assert code == 0
+        assert json.loads(out)["input"]["degrees"] == [4, 9, 10]
+        assert walks == builds == []
+        assert len(base_walks) == 1
+
 
 class TestValueCountGuard:
     # 21 pairwise coprime values: every value set is non-divisible, so the
@@ -182,6 +222,12 @@ class TestValueCountGuard:
         assert capsys.readouterr().err == (
             "resource limit: strict regularity over 21 distinct values exceeds "
             "the supported scale (20)\n")
+
+    def test_refused_again_on_the_same_weights(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pair.json", self.PAIR)
+        first = main(["analyze", "--input", path]), capsys.readouterr()
+        assert first[0] == 3
+        assert (main(["analyze", "--input", path]), capsys.readouterr()) == first
 
 
 class TestComplex:
@@ -365,6 +411,18 @@ class TestRealize:
         assert report["validation"]["weighted"] is True
         assert report["validation"]["contracts_face"] is None
 
+    def test_weight_past_the_digit_limit_exits_cleanly(self, tmp_path):
+        # vertex 0 of the star carries the product of 1,500 primes
+        cx = write_json(tmp_path, "star.json",
+                        {"n_vertices": 1501, "facets": [[0, i] for i in range(1, 1501)]})
+        proc = run_fresh("-m", "wciq.cli", "realize", "--complex", cx)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            f"resource limit: realization holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for "
+            f"integer strings\n")
+        assert proc.stdout == ""
+
     def test_map_file_shape_checked(self, tmp_path, capsys):
         cx = write_json(tmp_path, "cx.json",
                         {"n_vertices": 2, "facets": [[0, 1]]})
@@ -488,6 +546,26 @@ class TestRepeatedCalls:
         first = self.outcome(argv + [map_file], capsys)
         assert first[0] == code
         assert self.outcome(argv + [map_file], capsys) == first
+
+    def test_public_results_share_no_mutable_state(self, map_file, capsys):
+        argv = ["analyze", "--input", map_file]
+        first = self.outcome(argv, capsys)
+        weights = MAP_PAIR["weights"]
+        sing = complexes.singular_complex(weights)
+        sing.vertex_weights.clear()
+        assert complexes.singular_complex(weights).vertex_weights == {1: 6, 2: 10, 3: 15}
+        sr = complexes.sr_presentation(complexes.singular_complex(weights))
+        nondivisible = regularity.nondivisible_complex(weights)
+        witness = regularity.pair_nontriviality_witness(weights)
+        assert witness == {1, 2, 3}
+        for mutate in (lambda: sr.generators[0].add(0),
+                       lambda: sr.variable_degrees.__setitem__(0, 1),
+                       lambda: next(iter(nondivisible.facets)).add(0),
+                       lambda: nondivisible.facets.clear(),
+                       lambda: witness.discard(1)):
+            with pytest.raises((AttributeError, TypeError)):
+                mutate()
+        assert self.outcome(argv, capsys) == first
 
 
 class TestParser:

@@ -1,9 +1,11 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wciq import arith
 from wciq.errors import InputError, ResourceLimitError
 from wciq.oracles import naive_strictly_regular
 from wciq.regularity import (
@@ -181,3 +183,19 @@ class TestReport:
         assert rep.strictly_regular is None
         assert rep.violating_subset is None
         assert rep.pair_trivial is True
+
+    def test_kept_facts_do_not_grow_with_the_value_classes(self):
+        # 2, 3, 5 and 7, ten indices each: 10^4 facets in each complex, which
+        # the process must not keep once the report is gone
+        weights = [2, 3, 5, 7] * 10
+        arith.weight_facts.cache_clear()
+        tracemalloc.start()
+        try:
+            rep = pair_is_trivial(weights)
+            assert len(rep.nondivisible_facets) == len(rep.strongly_nondivisible_facets) == 10 ** 4
+            held, _ = tracemalloc.get_traced_memory()
+            del rep
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < held // 4

@@ -1,11 +1,12 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wciq.arith import WeightTuple
 from wciq.complexes import Complex
-from wciq.errors import InputError
+from wciq.errors import InputError, ResourceLimitError
 from wciq.maps import build_admissible_family
 from wciq.nef import NefPartition
 from wciq.realize import realize_weights, skeleton
@@ -96,6 +97,14 @@ class TestIntEncoding:
         big = 2 ** 53
         assert encode_int(big) == str(big)
         assert encode_int(-big) == str(-big)
+
+    def test_past_the_digit_limit(self):
+        huge = 10 ** sys.get_int_max_str_digits()
+        with pytest.raises(ResourceLimitError,
+                           match=f"^report holds an integer of more than "
+                                 f"{sys.get_int_max_str_digits()} digits"):
+            encode_int(huge)
+        assert encode_int(huge // 10) == "1" + "0" * (sys.get_int_max_str_digits() - 1)
 
     def test_decode_both_forms(self):
         assert decode_int(7, "x") == 7
