@@ -257,18 +257,6 @@ def is_representable(d: int, weights: Iterable[int], *,
     return _decide(d, *_prepare(weights), dp_cap)
 
 
-def representable(d: int, values: Iterable[int], *,
-                  dp_cap: int = DEFAULT_DP_CAP) -> bool:
-    """`is_representable` for a positive degree over values taken from a
-    validated WeightTuple, which are not validated again. Where that would
-    return UNKNOWN, this raises ResourceLimitError instead."""
-    vals = tuple(sorted(set(values)))
-    verdict = _decide(d, *_reduce(vals), dp_cap)
-    if verdict is UNKNOWN:
-        raise _past_cap(d, vals, dp_cap)
-    return verdict
-
-
 def _past_cap(what, vals: tuple[int, ...], dp_cap: int) -> ResourceLimitError:
     return ResourceLimitError(
         f"representability of {what} over {list(vals)} exceeds the dp cap {dp_cap}")
@@ -501,7 +489,8 @@ class PairFacts:
         return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
 
     def representable(self, j: int, mask: int) -> bool:
-        """`representable` for the j-th degree over the value set, from its row."""
+        """Is the j-th degree representable over the value set? Read off its
+        row; where the verdict is UNKNOWN, raises ResourceLimitError."""
         rep, unknown = self.row(mask)
         if unknown >> j - 1 & 1:
             raise _past_cap(self.dg.degree(j), self.w.values_of(mask), self.dp_cap)
@@ -523,20 +512,3 @@ def poset_covers(poset: Iterable[int], b: int) -> frozenset[int]:
         if not any(r != q and r % q == 0 for r in below)
     )
 
-
-def distinct_prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct primes dividing n, ascending. Trial division; fast for the
-    smooth integers produced by realization (products of small primes)."""
-    _check_positive_int(n, "integer to factor")
-    out = []
-    rem = n
-    p = 2
-    while p * p <= rem:
-        if rem % p == 0:
-            out.append(p)
-            while rem % p == 0:
-                rem //= p
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        out.append(rem)
-    return tuple(out)

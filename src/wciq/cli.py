@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 import time
 from pathlib import Path
@@ -82,44 +83,14 @@ class _Phases:
         self._t0 = now
 
 
-def _regularity_json(rep) -> dict:
-    return {
-        "well_formed": rep.well_formed,
-        "linear_cone": rep.linear_cone,
-        "strictly_regular": rep.strictly_regular,
-        "violating_subset":
-            None if rep.violating_subset is None else sorted(rep.violating_subset),
-        "pair_trivial": rep.pair_trivial,
-        "nondivisible_facets": [list(f) for f in rep.nondivisible_facets],
-        "strongly_nondivisible_facets":
-            [list(f) for f in rep.strongly_nondivisible_facets],
-    }
-
-
-def _classification_json(cls) -> dict:
-    return {"valid": cls.valid, "nice": cls.nice, "strong": cls.strong}
-
-
 def _poset_map_json(rep) -> dict:
     return {
-        "family_violations": list(rep.family_violations),
-        "property1": rep.property1,
-        "property1_witness":
-            None if rep.property1_witness is None else list(rep.property1_witness),
-        "property2": rep.property2,
+        **rep._asdict(),
+        "all_ok": rep.all_ok,
         "property2_records": [
-            {"face": list(face), "degree_index": j, "representable": ok}
+            {"face": face, "degree_index": j, "representable": ok}
             for face, j, ok in rep.property2_records
         ],
-        "property3": rep.property3,
-        "property3_witness":
-            None if rep.property3_witness is None else list(rep.property3_witness),
-        "order_preserving": rep.order_preserving,
-        "order_witness":
-            None if rep.order_witness is None
-            else [list(rep.order_witness[0]), list(rep.order_witness[1])],
-        "scope": rep.scope,
-        "all_ok": rep.all_ok,
     }
 
 
@@ -142,8 +113,10 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(canonical_json(report))
     else:
+        # The round trip writes records and tuples as lists and keeps the
+        # key order of dicts inside lists.
         lines: list[str] = []
-        _flatten("", report, lines)
+        _flatten("", json.loads(json.dumps(report)), lines)
         sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -183,7 +156,7 @@ def _construction_section(facts: PairFacts) -> dict:
         "ok": True,
         "partition": partition_to_json(partition),
         "deltas": list(deltas),
-        "classification": _classification_json(classification),
+        "classification": classification._asdict(),
     }
 
 
@@ -200,9 +173,9 @@ def cmd_analyze(args, facts: PairFacts) -> tuple[dict, int]:
     phases = _Phases()
     report: dict = {}
     if args.seed is not None:
-        report["seed"] = args.seed
+        report["seed"] = encode_int(args.seed)
     report["fano_index"] = encode_int(fano_index(facts.wt, facts.dg))
-    report["regularity"] = _regularity_json(_regularity_report(facts, with_degrees=True))
+    report["regularity"] = _regularity_report(facts, with_degrees=True)._asdict()
     report["pair_trivial_literal"] = _trivial_all_indices(facts.w)
     phases.mark("regularity")
 
@@ -244,7 +217,7 @@ def cmd_nef(args, facts: PairFacts) -> tuple[dict, int]:
     cls = classify_partition(facts.wt, facts.dg, partition)
     return {
         "partition": partition_to_json(partition),
-        "classification": _classification_json(cls),
+        "classification": cls._asdict(),
     }, 0
 
 
@@ -334,7 +307,7 @@ def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
     for mode in _MODES:
         fast_found = find_nef_partition(
             wt, dg, mode, node_budget=facts.node_budget) is not None
-        slow_found = naive_partition_exists(wt, dg, mode)
+        slow_found = naive_partition_exists(wt, dg, mode, node_budget=facts.node_budget)
         partition_table[mode] = {"fast": fast_found, "brute": slow_found}
         if fast_found != slow_found:
             divergences.append(f"partition existence in mode {mode}")
@@ -353,6 +326,13 @@ def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
     return report, 0 if not divergences else 1
 
 
+def _non_negative_int(text: str) -> int:
+    """A cap or budget: decimal digits, so 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `wciq` argument parser, built once per process."""
@@ -364,11 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     def pair_command(name, func, help, node_budget=True):
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--input", help="pair file: {\"weights\": [...], \"degrees\": [...]}")
-        sp.add_argument("--dp-cap", type=int, default=DEFAULT_DP_CAP,
+        sp.add_argument("--dp-cap", type=_non_negative_int, default=DEFAULT_DP_CAP,
                         help="largest degree the membership tables will handle")
         if node_budget:
-            sp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET,
-                            help="node budget of each search, family and partition")
+            sp.add_argument("--node-budget", type=_non_negative_int,
+                            default=DEFAULT_NODE_BUDGET,
+                            help="node budget of each search the command runs")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.set_defaults(func=func)
         return sp

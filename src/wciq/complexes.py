@@ -32,7 +32,6 @@ from wciq.arith import (
     WeightFacts,
     WeightsLike,
     as_weights,
-    distinct_prime_factors,
     mask_levels,
     maximal_masks,
     weight_facts,
@@ -181,14 +180,37 @@ def singular_complex(weights: WeightsLike) -> WeightedComplex:
 
 
 def _singular_complex(w: WeightFacts) -> WeightedComplex:
-    """`singular_complex` of the weights, kept: never to be handed out."""
+    """`singular_complex` of the weights, kept: never to be handed out.
+
+    Every value is a product of powers of the pairwise coprime elements of
+    a coprime base of the values. So a prime p of a base element b divides
+    exactly the weights that b divides, and {i : p | a_i} is
+    `divisible_by(b)`: the strata need no factoring.
+    """
     wt = w.wt
-    primes: set[int] = set()
-    for a in wt.heavy_values():
-        primes.update(distinct_prime_factors(a))
-    strata = {frozenset(wt.divisible_by(p)) for p in primes}
+    strata = {frozenset(wt.divisible_by(b)) for b in _coprime_base(w.values)}
     cx = Complex.from_facets(len(wt), strata)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
+
+
+def _coprime_base(numbers: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers above 1, every number given a product of
+    their powers. By gcd splitting: a base element b sharing a factor
+    g > 1 with the next number x gives way to g, b // g and x // g."""
+    base: list[int] = []
+    todo = list(numbers)
+    while todo:
+        x = todo.pop()
+        if x == 1:
+            continue
+        for k, b in enumerate(base):
+            if (g := gcd(x, b)) > 1:
+                del base[k]
+                todo += [g, b // g, x // g]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def base_complex(weights: WeightsLike, d: int, *,

@@ -5,11 +5,13 @@ PreconditionFailure to 1, ResourceLimitError to 3. InternalConsistencyError
 signals that a derived identity failed at runtime and is never caught.
 """
 
-#: Default node budget of each backtracking search: the nef partition search
-#: and the admissible family search, which counts one node per image set it
-#: tries. Each search counts its own nodes against the budget it is given
-#: (`--node-budget` on the command line); exceeding it raises
-#: ResourceLimitError.
+from typing import Callable
+
+#: Default node budget of each search: the nef partition search, the
+#: admissible family search, which counts one node per image set it tries,
+#: and their references in `wciq.oracles`. Each search counts its own nodes
+#: against the budget it is given (`--node-budget` on the command line);
+#: exceeding it raises ResourceLimitError.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
@@ -32,3 +34,17 @@ class PreconditionFailure(Exception):
 
 class InternalConsistencyError(RuntimeError):
     """An identity that the theory guarantees failed on concrete data."""
+
+
+def node_budget(limit: int, search: str) -> Callable[[], None]:
+    """A `spend()` for one run of a search, to call once per node. Past
+    `limit` calls it raises ResourceLimitError naming the search."""
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise ResourceLimitError(f"{search} exceeded the node budget {limit}")
+
+    return spend

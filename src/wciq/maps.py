@@ -54,6 +54,7 @@ from wciq.errors import (
     InternalConsistencyError,
     PreconditionFailure,
     ResourceLimitError,
+    node_budget,
 )
 from wciq.regularity import _strict_regularity
 
@@ -275,23 +276,19 @@ class AdmissibleFamily(_FamilyFields):
 
 def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
     """All gcds above 1 of nonempty sets of weight values: the face weights
-    of the singular complex. Computed as the pairwise gcd closure."""
+    of the singular complex. Each value v adds itself and its gcds above 1
+    with the face weights of the values before it, since the gcd of a set
+    with v is the gcd of the set's gcd and v."""
     return weight_facts(as_weights(weights)).once(_face_weights)[0]
 
 
 def _face_weights(w: WeightFacts):
     """The occurring face weights, ascending, and the domain at each: its
     divisible indices, ascending, and their value mask."""
-    vals = set(w.values)
-    changed = True
-    while changed:
-        changed = False
-        for x, y in combinations(sorted(vals), 2):
-            g = gcd(x, y)
-            if g > 1 and g not in vals:
-                vals.add(g)
-                changed = True
-    im_phi = tuple(sorted(vals))
+    im: set[int] = set()
+    for v in w.values:
+        im |= {g for x in im if (g := gcd(x, v)) > 1} | {v}
+    im_phi = tuple(sorted(im))
     domains = {b: w.wt.divisible_by(b) for b in im_phi}
     return im_phi, domains, {b: w.mask(domains[b]) for b in im_phi}
 
@@ -379,15 +376,10 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
     im_phi, domains, good = facts.once(_skeleton)
     order = im_phi[::-1]
     images: dict[int, frozenset[int]] = {}
-    budget = facts.node_budget
-    nodes = 0
+    spend = node_budget(facts.node_budget, "admissible family search")
 
     def search(at: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise ResourceLimitError(
-                f"admissible family search exceeded the node budget {budget}")
+        spend()
         if at == len(order):
             return True
         b = order[at]

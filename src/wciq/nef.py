@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from wciq import errors
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
@@ -36,7 +37,6 @@ from wciq.errors import (
     InputError,
     InternalConsistencyError,
     PreconditionFailure,
-    ResourceLimitError,
 )
 from wciq.maps import AdmissibleFamily, _family, vertex_fibers
 from wciq.regularity import _pair_witness, _strict_regularity, is_linear_cone
@@ -155,14 +155,7 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
     mults = [len(wt.classes[v]) for v in values]
     # counts[vi][j] = how many copies of values[vi] go to part j
     counts = [[0] * (c + 1) for _ in values]
-    nodes = 0
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceLimitError(
-                f"partition search exceeded the node budget {node_budget}")
+    spend = errors.node_budget(node_budget, "partition search")
 
     def fits(vi: int) -> bool:
         """Can each value from vi on still fit into its parts' room?"""

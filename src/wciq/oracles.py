@@ -1,7 +1,8 @@
 """Slow reference implementations used to cross-check the fast paths.
 
 Everything here trades time for obviousness: plain coefficient
-enumeration instead of the bitset closure, full subset sweeps instead of
+enumeration instead of the bitset closure, trial division instead of a
+coprime base, full subset sweeps instead of
 value-class reductions, per-index part assignment or an unbounded walk
 over every split instead of the bounded multiplicity search, and
 vertex-level backtracking or plain enumeration instead of the image-set
@@ -21,11 +22,13 @@ from itertools import combinations
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
+from wciq import errors
 from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
     PairFacts,
     WeightsLike,
+    _check_positive_int,
     as_degrees,
     as_weights,
     gcd_of,
@@ -49,8 +52,6 @@ from wciq.maps import (
 from wciq.nef import NefPartition
 from wciq.regularity import is_strictly_regular
 
-DEFAULT_ORACLE_BUDGET = 2_000_000
-
 
 def brute_force_representable(d: int, weights) -> bool:
     """Is d a non-negative integer combination of the weights?
@@ -72,6 +73,24 @@ def brute_force_representable(d: int, weights) -> bool:
         return False
 
     return rec(d, 0) if d >= 0 else False
+
+
+def distinct_prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct primes dividing n, ascending, by unbounded trial division:
+    the reference for the strata of `complexes.singular_complex`."""
+    _check_positive_int(n, "integer to factor")
+    out = []
+    rem = n
+    p = 2
+    while p * p <= rem:
+        if rem % p == 0:
+            out.append(p)
+            while rem % p == 0:
+                rem //= p
+        p += 1 if p == 2 else 2
+    if rem > 1:
+        out.append(rem)
+    return tuple(out)
 
 
 def naive_strictly_regular(weights: WeightsLike,
@@ -101,20 +120,20 @@ def naive_strictly_regular(weights: WeightsLike,
 
 def naive_partition_exists(weights: WeightsLike, degrees: DegreesLike,
                            mode: str = "strong", *,
-                           budget: int = DEFAULT_ORACLE_BUDGET) -> bool:
+                           node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Partition existence by assigning every heavy index to a part.
 
     Enumerates all (c+1)^h placements of the h heavy indices over the
     parts, then fills each degree's remaining deficit with weight-one
     indices. Deliberately ignorant of the multiplicity structure the
-    fast search exploits.
+    fast search exploits. Each placement spends one node of the budget.
     """
     wt = as_weights(weights)
     dg = as_degrees(degrees)
     c = len(dg)
     heavy = wt.heavy()
     n_ones = len(wt.ones())
-    leaves = 0
+    spend = errors.node_budget(node_budget, "oracle partition enumeration")
 
     def leaf_ok(parts: list[int]) -> bool:
         deficits = []
@@ -138,12 +157,8 @@ def naive_partition_exists(weights: WeightsLike, degrees: DegreesLike,
         return True
 
     def rec(at: int, parts: list[int]) -> bool:
-        nonlocal leaves
         if at == len(heavy):
-            leaves += 1
-            if leaves > budget:
-                raise ResourceLimitError(
-                    f"oracle partition enumeration exceeded {budget} leaves")
+            spend()
             return leaf_ok(parts)
         return any(rec(at + 1, parts + [p]) for p in range(c + 1))
 
@@ -347,14 +362,7 @@ def lex_nef_search(weights: WeightsLike, degrees: DegreesLike,
 
     # counts[v] = how many v-weighted indices go to each part 0..c
     counts: dict[int, tuple[int, ...]] = {}
-    nodes = 0
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceLimitError(
-                f"partition search exceeded the node budget {node_budget}")
+    spend = errors.node_budget(node_budget, "partition search")
 
     def distributions(v: int):
         """All ways to split mult[v] copies of v over parts 0..c,
@@ -489,7 +497,7 @@ def mrv_family_search(weights: WeightsLike, degrees: DegreesLike, *,
         return out
 
     cover_edges = [(q, b) for b in im_phi for q in covers_down[b]]
-    nodes = 0
+    spend = errors.node_budget(node_budget, "admissible family search")
 
     def globally_feasible() -> bool:
         for q, b in cover_edges:
@@ -502,11 +510,7 @@ def mrv_family_search(weights: WeightsLike, degrees: DegreesLike, *,
         return True
 
     def solve() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise ResourceLimitError(
-                f"admissible family search exceeded the node budget {node_budget}")
+        spend()
         unassigned = [v for v in variables if v not in assignment]
         if not unassigned:
             return True

@@ -8,17 +8,16 @@ from wciq import arith
 from wciq.arith import (
     UNKNOWN,
     DegreeTuple,
+    PairFacts,
     WeightTuple,
-    distinct_prime_factors,
     gcd_of,
     is_representable,
     lcm_or_one,
     poset_covers,
-    representable,
     representable_degrees,
 )
 from wciq.errors import InputError, ResourceLimitError
-from wciq.oracles import brute_force_representable
+from wciq.oracles import brute_force_representable, distinct_prime_factors
 
 
 class TestTuples:
@@ -81,6 +80,10 @@ class TestUnknown:
         assert is_representable(10**7, [10], dp_cap=10**6) is True
 
     def test_strict_call_raises_past_the_cap(self):
+        def representable(d, weights, **caps):
+            facts = PairFacts(weights, (d,), **caps)
+            return facts.representable(1, facts.w.mask(facts.wt.heavy()))
+
         assert representable(10**7, (10, 3), dp_cap=10**6) is True
         assert representable(29, (15, 6, 10, 6)) is False
         with pytest.raises(ResourceLimitError,

@@ -3,6 +3,7 @@ import functools
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ REF_PAIR = {
 }
 SMALL_PAIR = {"weights": [1, 1, 1, 1, 1, 2], "degrees": [4]}
 MAP_PAIR = {"weights": [1, 6, 10, 15], "degrees": [16, 21, 25, 30]}
+#: A weight with a prime factor far past trial division.
+LARGE_PRIME_PAIR = {"weights": [1, 2, 10 ** 24 + 7], "degrees": [4]}
+TEXT_REPORTS = Path(__file__).parent / "data" / "text_reports"
 
 
 def run(argv, capsys):
@@ -81,6 +85,10 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["seed"] == 7
 
+    def test_large_seed_is_a_string(self, small_file, capsys):
+        _, out = run(["analyze", "--input", small_file, "--seed", str(2 ** 60)], capsys)
+        assert json.loads(out)["seed"] == str(2 ** 60)
+
     def test_deterministic_modulo_timings(self, ref_file, capsys):
         _, first = run(["analyze", "--input", ref_file], capsys)
         _, second = run(["analyze", "--input", ref_file], capsys)
@@ -137,6 +145,33 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+class TestTextFormat:
+    """--format text pinned line for line, the timings lines aside."""
+
+    @pytest.mark.parametrize("name, pair", [
+        ("analyze_map", MAP_PAIR),
+        ("analyze_irregular", {"weights": [1, 1, 2, 2], "degrees": [3]}),
+    ])
+    def test_analyze(self, name, pair, tmp_path, capsys):
+        path = write_json(tmp_path, "pair.json", pair)
+        code, out = run(["analyze", "--input", path, "--format", "text"], capsys)
+        assert code == 1
+        lines = [line for line in out.splitlines(keepends=True)
+                 if not line.startswith("timings.")]
+        assert "".join(lines) == (TEXT_REPORTS / f"{name}.txt").read_text(encoding="utf-8")
+
+    def test_realize(self, tmp_path, capsys):
+        cx = write_json(tmp_path, "cx.json",
+                        {"n_vertices": 3, "facets": [[0, 1], [0, 2], [1, 2]]})
+        mp = write_json(tmp_path, "mp.json",
+                        {"target": {"n_vertices": 3, "facets": [[0, 1, 2]]},
+                         "assignment": {"0": 0, "1": 1, "2": 2}})
+        code, out = run(["realize", "--complex", cx, "--map", mp, "--pad", "1",
+                         "--ones", "2", "--format", "text"], capsys)
+        assert code == 0
+        assert out == (TEXT_REPORTS / "realize_map.txt").read_text(encoding="utf-8")
 
 
 class TestAnalyzeOnce:
@@ -244,6 +279,14 @@ class TestComplex:
         assert bases["2"] == {"degree": 21, "facets": [[1, 2], [2, 3]]}
         assert bases["3"] == {"degree": 25, "facets": [[1, 2], [1, 3]]}
         assert bases["4"] == {"degree": 30, "facets": []}
+
+    def test_large_prime_factor(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pair.json", LARGE_PRIME_PAIR)
+        start = time.perf_counter()
+        code, out = run(["complex", "--input", path], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert json.loads(out)["singular_complex"]["facets"] == [[1], [2]]
 
     def test_dp_cap_limits(self, map_file, capsys):
         code = main(["complex", "--input", map_file, "--dp-cap", "1"])
@@ -464,6 +507,15 @@ class TestOracle:
         code, _ = run(["oracle", "--input", pair], capsys)
         assert code == 3
 
+    def test_node_budget_bounds_the_enumeration(self, tmp_path, capsys):
+        pair = write_json(tmp_path, "p.json",
+                          {"weights": [1, 1, 2, 3], "degrees": [4, 6]})
+        assert main(["oracle", "--input", pair, "--node-budget", "1"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("resource limit: ")
+        assert err.endswith(" exceeded the node budget 1\n")
+
     def test_dp_cap_limits(self, map_file, capsys):
         # 16 is neither divisible by nor within the cap of any heavy value
         code = main(["oracle", "--input", map_file, "--dp-cap", "1"])
@@ -488,6 +540,16 @@ class TestInputHandling:
     def test_missing_weights_key(self, tmp_path, capsys):
         p = write_json(tmp_path, "p.json", {"degrees": [2]})
         assert main(["analyze", "--input", p]) == 2
+
+    @pytest.mark.parametrize("flag", ["--dp-cap", "--node-budget"])
+    def test_negative_cap_is_invalid_input(self, flag, small_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", small_file, flag, "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"argument {flag}: expected an integer 0 or more, got '-1'")
+        args = build_parser().parse_args(["analyze", flag, "0"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 0
 
     @pytest.mark.parametrize("text,code,message", [
         ('{"weights": [1, 1, "\u00b2"], "degrees": [2]}', 2,

@@ -1,9 +1,11 @@
+import math
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wciq.arith import WeightTuple
 from wciq.complexes import (
     Complex,
     WeightedComplex,
@@ -13,9 +15,13 @@ from wciq.complexes import (
     sr_presentation,
 )
 from wciq.errors import InputError, ResourceLimitError
-from wciq.oracles import brute_force_representable, maximal_members
+from wciq.oracles import brute_force_representable, distinct_prime_factors, maximal_members
 
 from helpers import all_faces_by_definition, faces_of, random_complex, subset_gcd
+
+#: Small primes, primes next to 2^16, and primes that trial division
+#: could not reach in reasonable time.
+PRIME_POOL = (2, 3, 5, 7, 65521, 65537, 65539, 1_000_003, 1_000_033, 10 ** 24 + 7)
 
 
 class TestComplex:
@@ -101,6 +107,26 @@ class TestSingularComplex:
     def test_weights_are_restricted_to_vertices(self):
         wc = singular_complex((1, 4, 6))
         assert wc.vertex_weights == {1: 4, 2: 6}
+
+    @given(st.lists(st.lists(st.sampled_from(PRIME_POOL), max_size=3),
+                    min_size=1, max_size=7))
+    @settings(deadline=None, max_examples=150)
+    def test_prime_strata(self, factors):
+        """Facets against the strata {i : p | a_i} of the primes the weights
+        are products of, including products of two primes past 2^16."""
+        weights = [math.prod(f) for f in factors]
+        wt = WeightTuple.of(weights)
+        strata = [wt.divisible_by(p) for p in PRIME_POOL]
+        want = Complex.from_facets(len(weights), [s for s in strata if s])
+        assert singular_complex(weights).complex == want
+
+    @given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=7))
+    @settings(deadline=None, max_examples=150)
+    def test_prime_strata_by_trial_division(self, weights):
+        wt = WeightTuple.of(weights)
+        primes = {p for a in weights for p in distinct_prime_factors(a)}
+        want = Complex.from_facets(len(weights), [wt.divisible_by(p) for p in primes])
+        assert singular_complex(weights).complex == want
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=7))
     @settings(deadline=None, max_examples=150)

@@ -99,6 +99,13 @@ class TestFindNefPartition:
         with pytest.raises(ResourceLimitError):
             find_nef_partition(padded(1), MU, "any", node_budget=3)
 
+    def test_oracle_spends_one_node_per_placement(self):
+        # 2 heavy indices over 2 parts: 4 placements, none a partition
+        assert naive_partition_exists((1, 2, 3), (100,), "any", node_budget=4) is False
+        with pytest.raises(ResourceLimitError,
+                           match="^oracle partition enumeration exceeded the node budget 3$"):
+            naive_partition_exists((1, 2, 3), (100,), "any", node_budget=3)
+
     def test_deterministic(self):
         a = find_nef_partition((1, 1, 2, 2, 3), (4, 5), "any")
         b = find_nef_partition((1, 1, 2, 2, 3), (4, 5), "any")

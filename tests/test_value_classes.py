@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
+    UNKNOWN,
     PairFacts,
     WeightTuple,
     common_factor_masks,
-    representable,
+    is_representable,
 )
 from wciq.complexes import (
     Complex,
@@ -119,6 +120,15 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ResourceLimitError as exc:
         return f"resource limit: {exc}"
+
+
+def representable(d, values, *, dp_cap):
+    """`is_representable`, raising where it says UNKNOWN, as the walks do."""
+    verdict = is_representable(d, values, dp_cap=dp_cap)
+    if verdict is UNKNOWN:
+        raise ResourceLimitError(
+            f"representability of {d} over {sorted(values)} exceeds the dp cap {dp_cap}")
+    return verdict
 
 
 #: Low caps make degrees past them UNKNOWN over values not dividing them.
