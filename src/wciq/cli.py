@@ -248,11 +248,10 @@ def cmd_realize(args) -> tuple[dict, int]:
             or "assignment" not in map_data:
         raise InputError('map file must hold "target" and "assignment"')
     target = complex_from_json(map_data["target"])
-    try:
-        assignment = {int(k): decode_int(v, "image vertex")
-                      for k, v in map_data["assignment"].items()}
-    except (ValueError, AttributeError) as exc:
-        raise InputError(f"bad assignment table: {exc}") from exc
+    if not isinstance(map_data["assignment"], dict):
+        raise InputError('"assignment" must be an object')
+    assignment = {decode_int(k, "vertex"): decode_int(v, "image vertex")
+                  for k, v in map_data["assignment"].items()}
     inst = realize_map_instance(cx, target, assignment, args.pad, args.ones)
     validation = validate_weighted_map(inst.planted)
     report = {

@@ -50,6 +50,7 @@ from wciq.arith import (
 )
 from wciq.complexes import Complex, WeightedComplex, _singular_complex, singular_complex
 from wciq.errors import (
+    DEFAULT_NODE_BUDGET,
     InputError,
     InternalConsistencyError,
     PreconditionFailure,
@@ -103,78 +104,78 @@ class MapValidation(NamedTuple):
         return self.contracts_face is None
 
 
-#: Guard for the class-reduced face sweep in validate_weighted_map.
+#: Guard for the image-set sweep in validate_weighted_map.
 _CLASS_LIMIT = 1 << 16
 
 
 def validate_weighted_map(fmap: WeightedMap) -> MapValidation:
     """Check the simplicial, weighted, and non-contraction conditions.
 
-    Verdicts for a face depend only on its set of (weight, image) pairs,
-    so faces are deduplicated by that class; each class is realized by an
-    actual face inside some facet, and the lex-least realization is kept
-    as the potential witness. The reported witness is the realization of
-    the first failing class in (cardinality, lex) order. Contraction
-    happens exactly when some facet holds two vertices with a common
-    image, so it is detected pairwise.
+    Two facts decide them on vertices and facets. A face weight is the
+    gcd of its vertex weights, so if each vertex weight divides the
+    weight of its image, each face weight divides its image's; and a
+    failing face has a failing vertex, whose image is a target vertex
+    when the face's image is a target face. Faces are closed under
+    subsets, so a map is simplicial and non-contracting exactly when it
+    is injective on every facet with a target face as image.
+
+    The weighted witness is (v,) for the least vertex v whose image t is
+    a target vertex and whose weight does not divide the weight of t.
+    Whether an image is a target face depends only on the image set, so
+    faces are deduplicated by it; the set's lex-least realization in some
+    facet, one least vertex per image, precedes every other face with
+    that image, and the simplicial witness is the (cardinality, lex)-least
+    failing one. The contraction witness is the least over the facets of
+    (u, v), v the first vertex of the facet sharing its image with an
+    earlier one and u the least such earlier vertex.
     """
     src = fmap.source
     tgt = fmap.target
+    assign = fmap.vertex_assignment
     for v in src.complex.vertices:
-        if v not in fmap.vertex_assignment:
+        if v not in assign:
             raise InputError(f"source vertex {v} has no assignment")
 
-    def vkey(v: int) -> tuple[int, int]:
-        return (src.vertex_weights[v], fmap.vertex_assignment[v])
-
-    # Lex-least realizing face per (weight, image)-class.
-    realizations: dict[frozenset[tuple[int, int]], tuple[int, ...]] = {}
+    # Lex-least realizing face per image set.
+    realizations: dict[frozenset[int], tuple[int, ...]] = {}
     for f in src.complex.facets:
-        in_facet: dict[tuple[int, int], int] = {}
+        by_image: dict[int, int] = {}
         for v in sorted(f):
-            in_facet.setdefault(vkey(v), v)
-        keys = sorted(in_facet)
-        for k in range(1, len(keys) + 1):
-            for combo in combinations(keys, k):
-                face = tuple(sorted(in_facet[key] for key in combo))
-                cls = frozenset(combo)
-                prev = realizations.get(cls)
+            by_image.setdefault(assign[v], v)
+        images = sorted(by_image)
+        for k in range(1, len(images) + 1):
+            for combo in combinations(images, k):
+                face = tuple(sorted(by_image[t] for t in combo))
+                img = frozenset(combo)
+                prev = realizations.get(img)
                 if prev is None or face < prev:
-                    realizations[cls] = face
+                    realizations[img] = face
                 if len(realizations) > _CLASS_LIMIT:
                     raise ResourceLimitError(
                         f"weighted map check exceeds {_CLASS_LIMIT} face classes")
 
-    simplicial = True
-    simplicial_witness = None
-    weighted = True
-    weighted_witness = None
     tgt_vertices = set(tgt.complex.vertices)
-    for cls in sorted(realizations, key=lambda s: (len(s), realizations[s])):
-        face = realizations[cls]
-        img = fmap.image(face)
-        if not img <= tgt_vertices or not tgt.complex.is_face(img):
-            if simplicial:
-                simplicial = False
-                simplicial_witness = face
-            continue
-        if weighted and tgt.face_weight(img) % src.face_weight(face) != 0:
-            weighted = False
-            weighted_witness = face
+    simplicial_witness = min(
+        (face for img, face in realizations.items()
+         if not img <= tgt_vertices or not tgt.complex.is_face(img)),
+        key=lambda face: (len(face), face), default=None)
+    weighted_witness = next(
+        ((v,) for v in src.complex.vertices if assign[v] in tgt_vertices
+         and tgt.vertex_weights[assign[v]] % src.vertex_weights[v]), None)
 
     contracts = None
     for f in src.complex.facets:
-        by_image: dict[int, int] = {}
+        by_image = {}
         for v in sorted(f):
-            img = fmap.vertex_assignment[v]
+            img = assign[v]
             if img in by_image:
                 pair = (by_image[img], v)
                 if contracts is None or pair < contracts:
                     contracts = pair
                 break
             by_image[img] = v
-    return MapValidation(simplicial, simplicial_witness,
-                         weighted, weighted_witness, contracts)
+    return MapValidation(simplicial_witness is None, simplicial_witness,
+                         weighted_witness is None, weighted_witness, contracts)
 
 
 def find_noncontracting_map(weights: WeightsLike,
@@ -183,8 +184,12 @@ def find_noncontracting_map(weights: WeightsLike,
     singular complex of the weights to the singular complex of the degrees.
 
     Exhaustive backtracking over vertex assignments in ascending vertex
-    order with ascending target values, pruning on every face completed by
-    the newest assignment; the first solution in that order is returned.
+    order with ascending target values; the first solution in that order
+    is returned. By the facts in `validate_weighted_map`, a vertex goes
+    only to target vertices whose weight its own weight divides, and
+    after each assignment only the facets through the new vertex are
+    checked, on their vertices assigned so far. Every assignment tried
+    counts one node against `errors.DEFAULT_NODE_BUDGET`.
     A returned map certifies that a general quasi-smooth complete
     intersection with these data is smooth and well-formed.
     """
@@ -192,47 +197,38 @@ def find_noncontracting_map(weights: WeightsLike,
     dg = as_degrees(degrees)
     src = singular_complex(wt)
     tgt = singular_complex(WeightTuple.of(tuple(dg)) if len(dg) else (1,))
-    src_verts = list(src.complex.vertices)
-    tgt_verts = list(tgt.complex.vertices)
-    if not src_verts:
-        return WeightedMap(src, tgt, {})
-    if not tgt_verts:
-        return None
-
-    # Vertex weight must divide the image vertex weight.
+    src_verts = src.complex.vertices
     domains = [
-        [t for t in tgt_verts if tgt.vertex_weights[t] % src.vertex_weights[v] == 0]
+        [t for t in tgt.complex.vertices
+         if tgt.vertex_weights[t] % src.vertex_weights[v] == 0]
         for v in src_verts
     ]
-    if any(not d for d in domains):
+    if not all(domains):
         return None
 
-    position = {v: k for k, v in enumerate(src_verts)}
-    all_faces = src.complex.faces()
-    assert all_faces is not None
-    faces_by_last: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(len(src_verts))}
-    for face in all_faces:
-        faces_by_last[max(position[v] for v in face)].append(face)
-
+    # The facets through each vertex, cut to their vertices up to it.
+    prefixes: dict[int, set[tuple[int, ...]]] = {v: set() for v in src_verts}
+    for f in src.complex.facets:
+        fv = sorted(f)
+        for k, v in enumerate(fv):
+            prefixes[v].add(tuple(fv[:k + 1]))
+    tgt_facets = tgt.complex.facets
     assignment: dict[int, int] = {}
+    spend = node_budget(DEFAULT_NODE_BUDGET, "non-contracting map search")
 
-    def face_ok(face: tuple[int, ...]) -> bool:
-        img = frozenset(assignment[v] for v in face)
-        if len(img) < len(face):
-            return False
-        if not tgt.complex.is_face(img):
-            return False
-        return tgt.face_weight(img) % src.face_weight(face) == 0
+    def facet_ok(prefix: tuple[int, ...]) -> bool:
+        img = frozenset(assignment[v] for v in prefix)
+        return len(img) == len(prefix) and any(img <= g for g in tgt_facets)
 
     def extend(k: int) -> bool:
         if k == len(src_verts):
             return True
         v = src_verts[k]
         for t in domains[k]:
+            spend()
             assignment[v] = t
-            if all(face_ok(face) for face in faces_by_last[k]):
-                if extend(k + 1):
-                    return True
+            if all(facet_ok(prefix) for prefix in prefixes[v]) and extend(k + 1):
+                return True
             del assignment[v]
         return False
 

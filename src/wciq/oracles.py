@@ -4,21 +4,22 @@ Everything here trades time for obviousness: plain coefficient
 enumeration instead of the bitset closure, trial division instead of a
 coprime base, full subset sweeps instead of
 value-class reductions, per-index part assignment or an unbounded walk
-over every split instead of the bounded multiplicity search, and
+over every split instead of the bounded multiplicity search,
 vertex-level backtracking or plain enumeration instead of the image-set
-family search. The tie-breaks mirror the fast implementations so
-witnesses can be compared verbatim; the family references agree with the
-fast search on existence only.
+family search, and every vertex assignment checked face by face instead
+of the facet-pruned map search. The tie-breaks mirror the fast
+implementations so witnesses can be compared verbatim; the family
+references agree with the fast search on existence only.
 
 The index-level sweeps are exponential in the number of indices they
 range over; they are meant for tuples with at most about 12 heavy
-indices, the scale of the `oracle` subcommand, and the family
-enumeration for at most 6.
+indices, the scale of the `oracle` subcommand, and the family and map
+enumerations for at most 6.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,6 +46,7 @@ from wciq.errors import (
 )
 from wciq.maps import (
     AdmissibleFamily,
+    WeightedMap,
     _skeleton,
     check_family_invariants,
     induced_face_map,
@@ -613,3 +615,38 @@ def brute_force_family(weights: WeightsLike, degrees: DegreesLike, *,
         raise InternalConsistencyError(
             f"enumerated family violates its invariants: {problems}")
     return fam
+
+
+#: Most source vertices `brute_force_map` accepts.
+BRUTE_MAP_VERTICES = 6
+
+
+def brute_force_map(weights: WeightsLike, degrees: DegreesLike) -> WeightedMap | None:
+    """The first non-contracting weighted simplicial map by enumeration:
+    the referee of `maps.find_noncontracting_map`.
+
+    Every assignment of the source vertices, ascending, onto all target
+    vertices is tried in lex order, with no divisibility filter, and every
+    source face is checked from the definitions: its images are distinct,
+    they form a target face, and the gcd of its weights divides the gcd
+    of theirs. Only sources with at most `BRUTE_MAP_VERTICES` vertices are
+    accepted.
+    """
+    dg = as_degrees(degrees)
+    src = singular_complex(weights)
+    tgt = singular_complex(tuple(dg) if len(dg) else (1,))
+    verts = src.complex.vertices
+    if len(verts) > BRUTE_MAP_VERTICES:
+        raise ResourceLimitError(
+            f"brute-force map enumeration takes at most {BRUTE_MAP_VERTICES} "
+            f"source vertices, got {len(verts)}")
+    faces = src.complex.faces()
+    for images in product(tgt.complex.vertices, repeat=len(verts)):
+        at = dict(zip(verts, images))
+        if all(len(img := {at[v] for v in face}) == len(face)
+               and tgt.complex.is_face(img)
+               and gcd_of(tgt.vertex_weights[t] for t in img)
+               % gcd_of(src.vertex_weights[v] for v in face) == 0
+               for face in faces):
+            return WeightedMap(src, tgt, at)
+    return None

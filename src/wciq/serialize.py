@@ -228,11 +228,8 @@ def family_from_json(data: Any, weights) -> AdmissibleFamily:
         raw = injections_raw.get(str(b))
         if not isinstance(raw, Mapping):
             raise InputError(f"missing injection table for face weight {b}")
-        try:
-            injections[b] = {int(i): decode_int(j, "degree index")
-                             for i, j in raw.items()}
-        except ValueError as exc:
-            raise InputError(f"bad vertex key in injection table for {b}") from exc
+        injections[b] = {decode_int(i, "vertex"): decode_int(j, "degree index")
+                         for i, j in raw.items()}
     return AdmissibleFamily(im_phi, domains, injections)
 
 

@@ -412,6 +412,17 @@ class TestPosetmap:
             "resource limit: admissible family search exceeded the node "
             "budget 1000\n")
 
+    def test_verify_rejects_a_non_ascii_vertex_key(self, map_file, tmp_path, capsys):
+        _, out = run(["posetmap", "build", "--input", map_file], capsys)
+        fam_data = json.loads(out)["family"]
+        # U+0661 ARABIC-INDIC DIGIT ONE, which int() reads as 1
+        fam_data["injections"]["2"] = {"\u0661": 1, "2": 4}
+        fam = write_json(tmp_path, "fam.json", fam_data)
+        code = main(["posetmap", "verify", "--input", map_file, "--family", fam])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: vertex must be an integer or decimal string, got '\u0661'\n")
+
     def test_verify_dp_cap_limits(self, map_file, tmp_path, capsys):
         _, out = run(["posetmap", "build", "--input", map_file], capsys)
         fam = write_json(tmp_path, "fam.json", json.loads(out)["family"])
@@ -472,6 +483,23 @@ class TestRealize:
         mp = write_json(tmp_path, "mp.json", {"assignment": {}})
         code, _ = run(["realize", "--complex", cx, "--map", mp], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("key,assignment", [
+        ("\u0660", {"\u0660": 0, "1": 1, "2": 0}),
+        (" 1 ", {"0": 0, " 1 ": 1, "2": 0}),
+        ("1_0", {"0": 0, "1": 1, "2": 0, "1_0": 0}),
+    ], ids=["arabic-indic-zero", "padded", "underscore"])
+    def test_vertex_keys_are_decimal_strings(self, key, assignment, tmp_path, capsys):
+        # int() reads these keys as 0, 1 and 10
+        cx = write_json(tmp_path, "cx.json",
+                        {"n_vertices": 3, "facets": [[0, 1], [1, 2]]})
+        mp = write_json(tmp_path, "mp.json",
+                        {"target": {"n_vertices": 2, "facets": [[0, 1]]},
+                         "assignment": assignment})
+        code = main(["realize", "--complex", cx, "--map", mp])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: vertex must be an integer or decimal string, got {key!r}\n"
 
     def test_contracting_map_rejected(self, tmp_path, capsys):
         cx = write_json(tmp_path, "cx.json",

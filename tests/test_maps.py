@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wciq import maps
 from wciq.arith import PairFacts
-from wciq.complexes import singular_complex
+from wciq.complexes import Complex, WeightedComplex, singular_complex
 from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
 from wciq.maps import (
     AdmissibleFamily,
@@ -22,7 +23,7 @@ from wciq.maps import (
     vertex_fibers,
 )
 
-from wciq.oracles import brute_force_family, mrv_family_search
+from wciq.oracles import brute_force_family, brute_force_map, mrv_family_search
 from wciq.regularity import is_strictly_regular
 
 from helpers import BUDGET_FAMILY_PAIR, STUCK_FAMILY_PAIR, TRIANGLE_PAIR
@@ -255,6 +256,65 @@ class TestVerifyPosetMap:
         assert len(rep.property2_records) == 13
 
 
+#: Vertex weights for random weighted complexes: divisor chains, coprime
+#: values and products of them.
+MAP_WEIGHTS = (1, 2, 3, 4, 6, 7, 10, 12, 15, 30, 60)
+
+
+@st.composite
+def weighted_complexes(draw, max_vertices):
+    n = draw(st.integers(1, max_vertices))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=3),
+                           min_size=1, max_size=4))
+    cx = Complex.from_facets(n, facets)
+    return WeightedComplex(cx, {v: draw(st.sampled_from(MAP_WEIGHTS))
+                                for v in cx.vertices})
+
+
+@st.composite
+def weighted_maps(draw):
+    """A map between random weighted complexes on up to 6 and 5 labels.
+    Half the maps may send vertices outside the target: to a negative
+    label, one past its range, or one in range but in no facet."""
+    src = draw(weighted_complexes(6))
+    tgt = draw(weighted_complexes(5))
+    image = st.sampled_from(tgt.complex.vertices)
+    if draw(st.booleans()):
+        image = st.one_of(image, st.integers(-1, tgt.complex.n_vertices + 1))
+    return WeightedMap(src, tgt, {v: draw(image) for v in src.complex.vertices})
+
+
+def swept_validation(fmap):
+    """The first face, in (cardinality, lex) order, whose image is not a
+    target face; the first whose image is a target face whose weight the
+    face weight does not divide; and whether some facet is contracted."""
+    src, tgt, at = fmap
+    tgt_vertices = set(tgt.complex.vertices)
+    simplicial_witness = weighted_witness = None
+    for face in src.complex.faces():
+        img = frozenset(at[v] for v in face)
+        if not (img <= tgt_vertices and tgt.complex.is_face(img)):
+            if simplicial_witness is None:
+                simplicial_witness = face
+        elif tgt.face_weight(img) % src.face_weight(face) and weighted_witness is None:
+            weighted_witness = face
+    contracted = any(len({at[v] for v in f}) < len(f) for f in src.complex.facets)
+    return simplicial_witness, weighted_witness, contracted
+
+
+def map_ladder_pair(m):
+    """Weights 1^3 + (6, 10, 15)^m and degrees 30^m + (16, 21, 25): no
+    non-contracting map exists, and the search tries about 9 times more
+    assignments per added copy."""
+    return [1] * 3 + [6, 10, 15] * m, [30] * m + [16, 21, 25]
+
+
+#: Heavy values and degrees for the map referee: a divisor chain, coprime
+#: values and their products, so that some pairs have maps and some not.
+REFEREE_VALUES = (2, 3, 4, 6, 10, 15, 30)
+REFEREE_DEGREES = (2, 3, 4, 5, 6, 7, 9, 10, 12, 15, 20, 30, 60)
+
+
 class TestValidateWeightedMap:
     def test_missing_assignment(self):
         src = singular_complex((2, 2))
@@ -297,6 +357,27 @@ class TestValidateWeightedMap:
         v = validate_weighted_map(fmap)
         assert v.valid and v.noncontracting
 
+    @given(weighted_maps())
+    @example(WeightedMap(    # a triangle onto the boundary of a triangle
+        WeightedComplex(Complex.from_facets(3, [{0, 1, 2}]), {0: 2, 1: 2, 2: 2}),
+        WeightedComplex(Complex.from_facets(3, [{0, 1}, {0, 2}, {1, 2}]),
+                        {0: 4, 1: 6, 2: 2}),
+        {0: 0, 1: 1, 2: 2}))
+    @settings(deadline=None, max_examples=400)
+    def test_matches_a_sweep_over_every_face(self, fmap):
+        src, tgt, at = fmap
+        simplicial_witness, weighted_witness, contracted = swept_validation(fmap)
+        v = validate_weighted_map(fmap)
+        assert (v.simplicial, v.simplicial_witness) == (
+            simplicial_witness is None, simplicial_witness)
+        assert (v.weighted, v.weighted_witness) == (
+            weighted_witness is None, weighted_witness)
+        assert v.noncontracting == (not contracted)
+        if v.contracts_face is not None:
+            first, second = v.contracts_face
+            assert first < second and at[first] == at[second]
+            assert src.complex.is_face(v.contracts_face)
+
 
 class TestFindNoncontractingMap:
     def test_two_points_onto_edge(self):
@@ -326,3 +407,31 @@ class TestFindNoncontractingMap:
             if found is not None:
                 v = validate_weighted_map(found)
                 assert v.valid and v.noncontracting
+
+    def test_node_budget(self, monkeypatch):
+        # m = 6 answers None after trying 11,742 assignments
+        weights, degrees = map_ladder_pair(6)
+        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 11_741)
+        with pytest.raises(ResourceLimitError, match=(
+                "non-contracting map search exceeded the node budget 11741")):
+            find_noncontracting_map(weights, degrees)
+        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 11_742)
+        assert find_noncontracting_map(weights, degrees) is None
+
+    @given(st.lists(st.sampled_from(REFEREE_VALUES), max_size=6),
+           st.integers(0, 1),
+           st.lists(st.sampled_from(REFEREE_DEGREES), max_size=4))
+    @example([6, 10, 15, 6, 10, 15], 1, [30, 30, 16, 21])
+    @example([2, 2], 0, [4, 8])
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_brute_force(self, heavy, ones, degrees):
+        weights = [1] * ones + heavy or [1]
+        found = find_noncontracting_map(weights, degrees)
+        expected = brute_force_map(weights, degrees)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert found.vertex_assignment == expected.vertex_assignment
+
+    def test_brute_force_refuses_seven_vertices(self):
+        with pytest.raises(ResourceLimitError, match="at most 6 source vertices"):
+            brute_force_map([2] * 7, [2])
