@@ -188,7 +188,8 @@ def find_noncontracting_map(weights: WeightsLike,
     is returned. By the facts in `validate_weighted_map`, a vertex goes
     only to target vertices whose weight its own weight divides, and
     after each assignment only the facets through the new vertex are
-    checked, on their vertices assigned so far. Every assignment tried
+    checked, on their vertices assigned so far: their images must be
+    distinct and lie in one target facet. Every assignment tried
     counts one node against `errors.DEFAULT_NODE_BUDGET`.
     A returned map certifies that a general quasi-smooth complete
     intersection with these data is smooth and well-formed.
