@@ -48,7 +48,13 @@ from wciq.arith import (
     poset_covers,
     weight_facts,
 )
-from wciq.complexes import Complex, WeightedComplex, _singular_complex, singular_complex
+from wciq.complexes import (
+    Complex,
+    WeightedComplex,
+    _singular_complex,
+    minimal_nonfaces,
+    singular_complex,
+)
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InputError,
@@ -79,12 +85,6 @@ class WeightedMap(_WeightedMapFields):
                 vertex_assignment: Mapping[int, int]):
         return super().__new__(cls, source, target, dict(vertex_assignment))
 
-    def image(self, face: Iterable[int]) -> frozenset[int]:
-        try:
-            return frozenset(self.vertex_assignment[v] for v in face)
-        except KeyError as exc:
-            raise InputError(f"vertex {exc.args[0]} has no assignment") from exc
-
 
 class MapValidation(NamedTuple):
     """Verdicts of the three map conditions, each with a first witness."""
@@ -104,10 +104,6 @@ class MapValidation(NamedTuple):
         return self.contracts_face is None
 
 
-#: Guard for the image-set sweep in validate_weighted_map.
-_CLASS_LIMIT = 1 << 16
-
-
 def validate_weighted_map(fmap: WeightedMap) -> MapValidation:
     """Check the simplicial, weighted, and non-contraction conditions.
 
@@ -121,13 +117,18 @@ def validate_weighted_map(fmap: WeightedMap) -> MapValidation:
 
     The weighted witness is (v,) for the least vertex v whose image t is
     a target vertex and whose weight does not divide the weight of t.
-    Whether an image is a target face depends only on the image set, so
-    faces are deduplicated by it; the set's lex-least realization in some
-    facet, one least vertex per image, precedes every other face with
-    that image, and the simplicial witness is the (cardinality, lex)-least
-    failing one. The contraction witness is the least over the facets of
-    (u, v), v the first vertex of the facet sharing its image with an
-    earlier one and u the least such earlier vertex.
+    The simplicial witness F, the (cardinality, lex)-least face whose
+    image is not a target face, is read off the target's minimal
+    non-faces. Its proper subsets are smaller faces and pass, so F is
+    injective and its image is a minimal non-face inside the image of a
+    facet holding F: an image vertex outside the target, or a minimal
+    non-face of the target within the facet's in-target images. Every
+    choice of one facet vertex per member vertex fails, and the least
+    preimages give the least choice, so F is the least of these
+    realizations over the failing facets. The contraction witness is the
+    least over the facets of (u, v), v the first vertex of the facet
+    sharing its image with an earlier one and u the least such earlier
+    vertex.
     """
     src = fmap.source
     tgt = fmap.target
@@ -136,46 +137,37 @@ def validate_weighted_map(fmap: WeightedMap) -> MapValidation:
         if v not in assign:
             raise InputError(f"source vertex {v} has no assignment")
 
-    # Lex-least realizing face per image set.
-    realizations: dict[frozenset[int], tuple[int, ...]] = {}
-    for f in src.complex.facets:
-        by_image: dict[int, int] = {}
-        for v in sorted(f):
-            by_image.setdefault(assign[v], v)
-        images = sorted(by_image)
-        for k in range(1, len(images) + 1):
-            for combo in combinations(images, k):
-                face = tuple(sorted(by_image[t] for t in combo))
-                img = frozenset(combo)
-                prev = realizations.get(img)
-                if prev is None or face < prev:
-                    realizations[img] = face
-                if len(realizations) > _CLASS_LIMIT:
-                    raise ResourceLimitError(
-                        f"weighted map check exceeds {_CLASS_LIMIT} face classes")
-
     tgt_vertices = set(tgt.complex.vertices)
-    simplicial_witness = min(
-        (face for img, face in realizations.items()
-         if not img <= tgt_vertices or not tgt.complex.is_face(img)),
-        key=lambda face: (len(face), face), default=None)
+    failing: list[tuple[int, ...]] = []
+    contracts = None
+    for f in src.complex.facets:
+        least, pair = _least_preimages(f, assign)
+        if pair is not None and (contracts is None or pair < contracts):
+            contracts = pair
+        failing += [(least[t],) for t in least if t not in tgt_vertices]
+        inside = [t for t in least if t in tgt_vertices]
+        if inside and not tgt.complex.is_face(inside):
+            failing += [tuple(sorted(least[t] for t in gen))
+                        for gen in minimal_nonfaces(tgt.complex, within=inside)]
+    simplicial_witness = min(failing, key=lambda face: (len(face), face), default=None)
     weighted_witness = next(
         ((v,) for v in src.complex.vertices if assign[v] in tgt_vertices
          and tgt.vertex_weights[assign[v]] % src.vertex_weights[v]), None)
-
-    contracts = None
-    for f in src.complex.facets:
-        by_image = {}
-        for v in sorted(f):
-            img = assign[v]
-            if img in by_image:
-                pair = (by_image[img], v)
-                if contracts is None or pair < contracts:
-                    contracts = pair
-                break
-            by_image[img] = v
     return MapValidation(simplicial_witness is None, simplicial_witness,
                          weighted_witness is None, weighted_witness, contracts)
+
+
+def _least_preimages(facet: Iterable[int], assign: Mapping[int, int]):
+    """The least vertex of the facet over each of its images, and the
+    first collision (u, v): v the least vertex whose image an earlier
+    vertex has, u the least such earlier vertex; None when injective."""
+    least: dict[int, int] = {}
+    pair = None
+    for v in sorted(facet):
+        u = least.setdefault(assign[v], v)
+        if u != v and pair is None:
+            pair = (u, v)
+    return least, pair
 
 
 def find_noncontracting_map(weights: WeightsLike,
@@ -189,7 +181,10 @@ def find_noncontracting_map(weights: WeightsLike,
     only to target vertices whose weight its own weight divides, and
     after each assignment only the facets through the new vertex are
     checked, on their vertices assigned so far: their images must be
-    distinct and lie in one target facet. Every assignment tried
+    distinct and lie in one target facet. Copies of a weight share every
+    facet and every domain, so swapping their images keeps a map valid,
+    and the first map gives them rising images: each vertex starts above
+    the image of the previous copy of its weight. Every assignment tried
     counts one node against `errors.DEFAULT_NODE_BUDGET`.
     A returned map certifies that a general quasi-smooth complete
     intersection with these data is smooth and well-formed.
@@ -214,6 +209,7 @@ def find_noncontracting_map(weights: WeightsLike,
         for k, v in enumerate(fv):
             prefixes[v].add(tuple(fv[:k + 1]))
     tgt_facets = tgt.complex.facets
+    previous_copy = {v: u for c in wt.classes.values() for u, v in zip(c, c[1:])}
     assignment: dict[int, int] = {}
     spend = node_budget(DEFAULT_NODE_BUDGET, "non-contracting map search")
 
@@ -225,7 +221,10 @@ def find_noncontracting_map(weights: WeightsLike,
         if k == len(src_verts):
             return True
         v = src_verts[k]
+        floor = assignment[previous_copy[v]] if v in previous_copy else -1
         for t in domains[k]:
+            if t <= floor:
+                continue
             spend()
             assignment[v] = t
             if all(facet_ok(prefix) for prefix in prefixes[v]) and extend(k + 1):

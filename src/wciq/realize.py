@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple
 from wciq.arith import DegreeTuple, WeightsLike, WeightTuple, as_weights
 from wciq.complexes import Complex, singular_complex
 from wciq.errors import InputError, ResourceLimitError
-from wciq.maps import WeightedMap
+from wciq.maps import WeightedMap, _least_preimages
 
 _RETRY_WINDOWS = 16
 
@@ -175,9 +175,9 @@ def realize_map_instance(source: Complex, target: Complex,
 
     The source complex is realized by primes; each target vertex turns
     into a degree equal to the lcm of the realized weights in its fiber,
-    times the smallest multiplier >= 2 on singleton fibers so the degree
-    collides with no weight. pad appends that many copies of the total
-    lcm to the degrees, ones prepends weight-one entries.
+    times the smallest multiplier >= 1 that makes the degree collide with
+    no weight. pad appends that many copies of the total lcm to the
+    degrees, ones prepends weight-one entries.
     """
     if pad < 0 or ones < 0:
         raise InputError("pad and ones must be non-negative")
@@ -197,12 +197,9 @@ def realize_map_instance(source: Complex, target: Complex,
         raise InputError(
             f"map misses target vertices {sorted(set(tgt_verts) - img)}")
     for f in sorted(source.facets, key=sorted):
-        seen: dict[int, int] = {}
-        for v in sorted(f):
-            if assignment[v] in seen:
-                raise InputError(
-                    f"map contracts the face {(seen[assignment[v]], v)}")
-            seen[assignment[v]] = v
+        pair = _least_preimages(f, assignment)[1]
+        if pair is not None:
+            raise InputError(f"map contracts the face {pair}")
 
     res = realize_weights(source)
     core = tuple(res.weights)
@@ -212,12 +209,10 @@ def realize_map_instance(source: Complex, target: Complex,
     fiber_degrees = []
     for u in tgt_verts:
         d = lcm(*(core[v] for v in fibers[u]))
-        if len(fibers[u]) == 1:
-            k = 2
-            while k * d in weight_set:
-                k += 1
-            d *= k
-        fiber_degrees.append(d)
+        k = 1
+        while k * d in weight_set:
+            k += 1
+        fiber_degrees.append(k * d)
     total = lcm(*core)
     degrees = tuple(fiber_degrees + [total] * pad)
     weights = tuple([1] * ones + list(core))

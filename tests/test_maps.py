@@ -363,6 +363,10 @@ class TestValidateWeightedMap:
         WeightedComplex(Complex.from_facets(3, [{0, 1}, {0, 2}, {1, 2}]),
                         {0: 4, 1: 6, 2: 2}),
         {0: 0, 1: 1, 2: 2}))
+    @example(WeightedMap(    # a target without facets
+        WeightedComplex(Complex.from_facets(3, [{0, 1}, {1, 2}]), {0: 2, 1: 6, 2: 3}),
+        WeightedComplex(Complex.from_facets(2, []), {}),
+        {0: 0, 1: 1, 2: 1}))
     @settings(deadline=None, max_examples=400)
     def test_matches_a_sweep_over_every_face(self, fmap):
         src, tgt, at = fmap
@@ -377,6 +381,21 @@ class TestValidateWeightedMap:
             first, second = v.contracts_face
             assert first < second and at[first] == at[second]
             assert src.complex.is_face(v.contracts_face)
+
+
+    def test_seventeen_vertex_simplex(self):
+        # a facet on 17 vertices has 2^17 - 1 faces, none of them listed
+        simplex = WeightedComplex(Complex.from_facets(17, [range(17)]),
+                                  {v: 2 for v in range(17)})
+        boundary = WeightedComplex(
+            Complex.from_facets(17, [set(range(17)) - {v} for v in range(17)]),
+            {v: 2 for v in range(17)})
+        identity = {v: v for v in range(17)}
+        v = validate_weighted_map(WeightedMap(simplex, simplex, identity))
+        assert v.valid and v.noncontracting
+        v = validate_weighted_map(WeightedMap(simplex, boundary, identity))
+        assert v.simplicial_witness == tuple(range(17))
+        assert v.weighted and v.noncontracting
 
 
 class TestFindNoncontractingMap:
@@ -409,13 +428,13 @@ class TestFindNoncontractingMap:
                 assert v.valid and v.noncontracting
 
     def test_node_budget(self, monkeypatch):
-        # m = 6 answers None after trying 11,742 assignments
+        # m = 6 answers None after trying 1,542 assignments
         weights, degrees = map_ladder_pair(6)
-        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 11_741)
+        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 1_541)
         with pytest.raises(ResourceLimitError, match=(
-                "non-contracting map search exceeded the node budget 11741")):
+                "non-contracting map search exceeded the node budget 1541")):
             find_noncontracting_map(weights, degrees)
-        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 11_742)
+        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 1_542)
         assert find_noncontracting_map(weights, degrees) is None
 
     @given(st.lists(st.sampled_from(REFEREE_VALUES), max_size=6),

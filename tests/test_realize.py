@@ -17,6 +17,7 @@ from wciq.realize import (
     skeleton,
     verify_realization,
 )
+from wciq.regularity import is_linear_cone
 
 
 class TestFirstPrimes:
@@ -200,6 +201,15 @@ class TestRealizeMapInstance:
         assert tuple(inst.weights) == (1, 2)
         assert tuple(inst.degrees) == (4,)
 
+    def test_no_fiber_degree_is_a_weight(self):
+        # the fiber {1, 2} has lcm 6, the weight of vertex 0
+        src = Complex.from_facets(3, [{0, 1}, {0, 2}])
+        tgt = Complex.from_facets(2, [{0, 1}])
+        inst = realize_map_instance(src, tgt, {0: 0, 1: 1, 2: 1}, pad=0, ones=0)
+        assert tuple(inst.weights) == (6, 2, 3)
+        assert tuple(inst.degrees) == (12, 12)
+        assert not is_linear_cone(inst.weights, inst.degrees)
+
     def test_missing_assignment(self):
         with pytest.raises(InputError):
             realize_map_instance(
@@ -227,6 +237,14 @@ class TestRealizeMapInstance:
                 skeleton(3, 1), Complex.from_facets(2, [{0, 1}]),
                 {0: 0, 1: 1, 2: 0}, pad=0, ones=0)
         assert "(0, 2)" in str(err.value)
+
+    def test_contraction_in_the_first_facet(self):
+        # (1, 2) is the least contracted pair, but (0, 5, 6) comes first
+        with pytest.raises(InputError, match=r"contracts the face \(5, 6\)"):
+            realize_map_instance(
+                Complex.from_facets(7, [{0, 5, 6}, {1, 2}]),
+                Complex.from_facets(3, [{0, 1, 2}]),
+                {0: 0, 5: 1, 6: 1, 1: 2, 2: 2}, pad=0, ones=0)
 
     def test_negative_padding(self):
         with pytest.raises(InputError):
