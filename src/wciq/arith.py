@@ -367,14 +367,16 @@ class WeightFacts:
 
     `weight_facts` keeps one holder per weight tuple in the process, so
     every pair with these weights shares its facts: the divisibility
-    walk with its value masks, well-formedness, the singular complex
-    with its presentation, and the occurring face weights with their
-    domains. Apart from the presentation, which exists only on at most
-    20 vertices, a kept fact grows with the weight tuple and its distinct
-    values, never with a product over the value classes; what does is
-    expanded per call. A kept fact is never handed to a public caller in
-    a mutable form. A value set is a mask: bit k for values[k], the
-    distinct heavy values ascending.
+    walk with its value masks, well-formedness, the singular complex,
+    the occurring face weights with their domains, and the report
+    sections of the weights alone, encoded once by the command line (the
+    singular complex, its presentation and both divisibility facet
+    lists). Apart from those sections, whose size is that of the report
+    sections they stand for, a kept fact grows with the weight tuple and
+    its distinct values, never with a product over the value classes;
+    what does is expanded per call. A kept fact is never handed to a
+    public caller in a mutable form. A value set is a mask: bit k for
+    values[k], the distinct heavy values ascending.
     """
 
     __slots__ = ("wt", "values", "_bit", "_facts")

@@ -20,8 +20,8 @@ import sys
 import time
 from pathlib import Path
 
-from wciq.arith import DEFAULT_DP_CAP, PairFacts
-from wciq.complexes import _base_complex, _singular_complex, _singular_sr
+from wciq.arith import DEFAULT_DP_CAP, PairFacts, WeightFacts
+from wciq.complexes import _base_complex, _singular_complex, sr_presentation
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InputError,
@@ -36,8 +36,14 @@ from wciq.maps import (
     vertex_fibers,
 )
 from wciq.nef import _MODES, _construction, classify_partition, fano_index, find_nef_partition
-from wciq.regularity import _regularity_report, _strict_regularity, _trivial_all_indices
+from wciq.regularity import (
+    _regularity_verdicts,
+    _strict_regularity,
+    _trivial_all_indices,
+    _value_class_facets,
+)
 from wciq.serialize import (
+    Encoded,
     canonical_json,
     complex_from_json,
     complex_to_json,
@@ -113,18 +119,36 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(canonical_json(report))
     else:
-        # The round trip writes records and tuples as lists and keeps the
-        # key order of dicts inside lists.
+        # The round trip writes records and tuples as lists, decodes the
+        # encoded sections, and keeps the key order of dicts inside lists.
         lines: list[str] = []
-        _flatten("", json.loads(json.dumps(report)), lines)
+        _flatten("", json.loads(json.dumps(report, default=Encoded.decoded)), lines)
         sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _singular_sections(w: WeightFacts) -> dict[str, Encoded]:
+    """The singular complex and its presentation, encoded once per weight
+    tuple."""
+    sing = w.once(_singular_complex)
+    return {
+        "singular_complex": Encoded(weighted_complex_to_json(sing)),
+        "singular_sr": Encoded(sr_to_json(sr_presentation(sing))),
+    }
+
+
+def _divisibility_sections(w: WeightFacts) -> dict[str, Encoded]:
+    """The facets of both divisibility complexes, encoded once per weight
+    tuple."""
+    return {
+        "nondivisible_facets": Encoded(_value_class_facets(w, False)),
+        "strongly_nondivisible_facets": Encoded(_value_class_facets(w, True)),
+    }
 
 
 def _complex_section(facts: PairFacts) -> dict:
     dg = facts.dg
-    section = {
-        "singular_complex": weighted_complex_to_json(facts.w.once(_singular_complex)),
-        "singular_sr": sr_to_json(facts.w.once(_singular_sr)),
+    return {
+        **facts.w.once(_singular_sections),
         "base_complexes": {
             str(j): {
                 "degree": encode_int(dg.degree(j)),
@@ -134,7 +158,6 @@ def _complex_section(facts: PairFacts) -> dict:
             for j in range(1, len(dg) + 1)
         },
     }
-    return section
 
 
 def _family_section(facts: PairFacts) -> dict:
@@ -175,7 +198,8 @@ def cmd_analyze(args, facts: PairFacts) -> tuple[dict, int]:
     if args.seed is not None:
         report["seed"] = encode_int(args.seed)
     report["fano_index"] = encode_int(fano_index(facts.wt, facts.dg))
-    report["regularity"] = _regularity_report(facts, with_degrees=True)._asdict()
+    report["regularity"] = {**_regularity_verdicts(facts, with_degrees=True),
+                            **facts.w.once(_divisibility_sections)}
     report["pair_trivial_literal"] = _trivial_all_indices(facts.w)
     phases.mark("regularity")
 

@@ -36,10 +36,7 @@ from wciq.arith import (
     maximal_masks,
     weight_facts,
 )
-from wciq.errors import InputError, ResourceLimitError
-
-#: Vertex-count guard for exponential enumerations (minimal non-faces).
-_ENUMERATION_VERTEX_LIMIT = 20
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, node_budget
 
 
 def _sorted_key(s: Iterable[int]) -> tuple[int, ...]:
@@ -255,11 +252,6 @@ def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 
-def _singular_sr(w: WeightFacts) -> SRPresentation:
-    """`sr_presentation` of the singular complex of the weights."""
-    return sr_presentation(w.once(_singular_complex))
-
-
 def minimal_nonfaces(cx: Complex,
                      within: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Inclusion-minimal non-faces, lexicographic on sorted vertex tuples.
@@ -272,8 +264,18 @@ def minimal_nonfaces(cx: Complex,
     (face iff containing no minimal non-face) intact.
 
     Twins (vertices in the same facets) form a face together, so a minimal
-    non-face takes at most one vertex per twin class: the sweep runs over
-    classes and expands each result by every choice of one vertex per class.
+    non-face takes at most one vertex per twin class, and a set of classes
+    is a non-face exactly when it meets, for each facet, a class outside
+    it. So the minimal non-faces at class level are the minimal
+    transversals of the facet complements, built by Berge multiplication
+    (Berge, *Hypergraphs*, 1989): per complement, the transversals meeting
+    it stay, and each one missing it grows by each of its classes and is
+    kept when still minimal. Each class set expands by every choice of one
+    vertex per class. The work follows the output, not the vertex count:
+    every set tried, of classes or of vertices, counts one node against
+    `errors.DEFAULT_NODE_BUDGET`, a weight-only fact sharing no budget
+    with a pair's searches, and a node costs time linear in the number
+    of facets, not in the size of the family built so far.
     """
     if not cx.facets:
         return [frozenset()]
@@ -288,20 +290,45 @@ def minimal_nonfaces(cx: Complex,
             twins.setdefault(frozenset(f for f in cx.facets if v in f), []).append(v)
         else:
             out.append(frozenset((v,)))
-    n_verts = len(ambient) - len(out)
-    if n_verts > _ENUMERATION_VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"minimal non-face enumeration over {n_verts} vertices "
-            f"exceeds the supported scale ({_ENUMERATION_VERTEX_LIMIT})")
-    # A set of classes is a face exactly when some facet contains them all.
-    for k in range(2, len(twins) + 1):
-        for combo in combinations(twins, k):
-            if frozenset.intersection(*combo):
+    spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
+    # bit k of a mask stands for the k-th twin class
+    inside = dict.fromkeys(cx.facets, 0)
+    for k, facets in enumerate(twins):
+        for f in facets:
+            inside[f] |= 1 << k
+    every = (1 << len(twins)) - 1
+    transversals = [0]
+    edges: list[int] = []
+    for edge in sorted({every & ~m for m in inside.values()}, key=lambda e: (e.bit_count(), e)):
+        edges.append(edge)
+        bits = [1 << k for k in range(edge.bit_length()) if edge >> k & 1]
+        grown = []
+        for t in transversals:
+            if t & edge:
                 continue
-            if all(frozenset.intersection(*combo[:i], *combo[i + 1:]) for i in range(k)):
-                out.extend(frozenset(sorted(vs))
-                           for vs in product(*(twins[c] for c in combo)))
+            for b in bits:
+                spend()
+                if _private_classes(t | b, edges) == t | b:
+                    grown.append(t | b)
+        transversals = [t for t in transversals if t & edge] + grown
+    classes = list(twins.values())
+    for t in transversals:
+        for vs in product(*(members for k, members in enumerate(classes) if t >> k & 1)):
+            spend()
+            out.append(frozenset(sorted(vs)))
     return sorted(out, key=_sorted_key)
+
+
+def _private_classes(mask: int, edges: list[int]) -> int:
+    """The classes of the mask that some edge meets in them alone. A
+    transversal of the edges is minimal exactly when all its classes are
+    private: dropping a class then misses the edge meeting it alone."""
+    private = 0
+    for e in edges:
+        met = mask & e
+        if not met & (met - 1):
+            private |= met
+    return private
 
 
 def sr_presentation(wc: WeightedComplex) -> SRPresentation:

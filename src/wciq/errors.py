@@ -12,7 +12,8 @@ from typing import Callable
 #: and their references in `wciq.oracles`. Each search counts its own nodes
 #: against the budget it is given (`--node-budget` on the command line);
 #: exceeding it raises ResourceLimitError. The non-contracting map search
-#: counts one node per assignment it tries, always against this default.
+#: counts one node per assignment it tries, and the minimal non-face
+#: search one per set it tries, always against this default.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 

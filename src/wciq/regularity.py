@@ -122,8 +122,9 @@ def _value_class_facets(w: WeightFacts, strong: bool) -> tuple[tuple[int, ...], 
     order. Both families admit at most one index per value, so each
     maximal value set expands to every choice of one index per value, and
     those index sets are maximal by construction. Their number is a
-    product over the value classes, so they are expanded per call from
-    the kept value masks."""
+    product over the value classes, so no weight fact keeps them: they
+    are expanded per call from the kept value masks, and a report keeps
+    only their encoding, once per weight tuple."""
     classes = w.wt.classes
     return tuple(sorted(
         tuple(sorted(idx)) for mask in w.once(_divisibility)[strong]
@@ -252,10 +253,16 @@ def pair_is_trivial(weights: WeightsLike, degrees: DegreesLike | None = None, *,
     """Full regularity report for a weight tuple, degree-aware when a
     degree tuple is supplied."""
     facts = PairFacts(weights, () if degrees is None else degrees, dp_cap)
-    return _regularity_report(facts, with_degrees=degrees is not None)
+    w = facts.w
+    return RegularityReport(
+        **_regularity_verdicts(facts, with_degrees=degrees is not None),
+        nondivisible_facets=_value_class_facets(w, False),
+        strongly_nondivisible_facets=_value_class_facets(w, True),
+    )
 
 
-def _regularity_report(facts: PairFacts, with_degrees: bool) -> RegularityReport:
+def _regularity_verdicts(facts: PairFacts, with_degrees: bool) -> dict:
+    """The fields of the regularity report but its two facet lists."""
     linear_cone: bool | None = None
     regular: bool | None = None
     witness: tuple[int, ...] | None = None
@@ -264,15 +271,13 @@ def _regularity_report(facts: PairFacts, with_degrees: bool) -> RegularityReport
         regular, witness = facts.once(_strict_regularity)
         linear_cone = is_linear_cone(facts.wt, facts.dg)
     w = facts.w
-    return RegularityReport(
-        well_formed=w.once(_well_formed),
-        linear_cone=linear_cone,
-        strictly_regular=regular,
-        violating_subset=witness,
-        pair_trivial=not w.once(_divisibility)[2],
-        nondivisible_facets=_value_class_facets(w, False),
-        strongly_nondivisible_facets=_value_class_facets(w, True),
-    )
+    return {
+        "well_formed": w.once(_well_formed),
+        "linear_cone": linear_cone,
+        "strictly_regular": regular,
+        "violating_subset": witness,
+        "pair_trivial": not w.once(_divisibility)[2],
+    }
 
 
 def _well_formed(w: WeightFacts) -> bool:

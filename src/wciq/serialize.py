@@ -35,9 +35,26 @@ def canonical_json(obj: Any) -> str:
     go through the C string encoder that ensure_ascii=False selects, and
     a list of plain ints is joined in one go. Only plain lists and tuples
     are arrays: a record is a tuple subclass, and raises TypeError here
-    where json.dumps would write its fields.
+    where json.dumps would write its fields. An `Encoded` value is spliced
+    in as it was written.
     """
     return _encode(obj, "\n") + "\n"
+
+
+class Encoded:
+    """A value written once by the canonical encoder, for a report to hold
+    in its place. Written at the top level, it takes any other indent by
+    replacing each newline with the newline and indent of its place: the
+    string encoder escapes every newline inside a string. json.dumps
+    rejects it; pass `default=Encoded.decoded` to write the value."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, obj: Any):
+        self.text = _encode(obj, "\n")
+
+    def decoded(self) -> Any:
+        return json.loads(self.text)
 
 
 def _encode(obj: Any, newline: str) -> str:
@@ -71,6 +88,8 @@ def _encode(obj: Any, newline: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _float(obj)
+    if type(obj) is Encoded:
+        return obj.text.replace("\n", newline)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

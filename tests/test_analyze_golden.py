@@ -15,7 +15,10 @@ _LINES = GOLDEN.read_text(encoding="utf-8").splitlines()
 def test_corpus_shape():
     records = [json.loads(line) for line in _LINES]
     assert len(records) == 400
-    assert {r["rc"] for r in records} == {0, 1, 3}
+    assert {r["rc"] for r in records} == {0, 1}
+    # the two padded pairs with 21 heavy indices are decided, not refused;
+    # exit 3 is pinned by the large-degree and low-cap corpora
+    assert [r["rc"] for r in records if sum(w > 1 for w in r["weights"]) == 21] == [0, 0]
 
 
 @pytest.mark.parametrize("chunk", range(8))

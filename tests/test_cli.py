@@ -174,6 +174,26 @@ class TestTextFormat:
         assert out == (TEXT_REPORTS / "realize_map.txt").read_text(encoding="utf-8")
 
 
+class TestEncodedSections:
+    """The weight-only sections are encoded once per weight tuple and
+    spliced into every later report on those weights."""
+
+    @staticmethod
+    def text_report(argv, capsys):
+        code, out = run([*argv, "--format", "text"], capsys)
+        return code, [line for line in out.splitlines() if not line.startswith("timings.")]
+
+    @pytest.mark.parametrize("command", ["analyze", "complex"])
+    def test_text_reads_the_kept_sections(self, command, map_file, capsys):
+        argv = [command, "--input", map_file]
+        arith.weight_facts.cache_clear()
+        cold = self.text_report(argv, capsys)
+        arith.weight_facts.cache_clear()
+        assert run(argv, capsys)[0] == cold[0]
+        assert self.text_report(argv, capsys) == cold
+        assert "singular_sr.generators: [[1, 2, 3]]" in cold[1]
+
+
 class TestAnalyzeOnce:
     """One `analyze` derives each fact of its pair once."""
 
@@ -228,16 +248,20 @@ class TestAnalyzeOnce:
         walks = count_calls(monkeypatch, regularity._divisibility_flags)
         builds = count_calls(monkeypatch, complexes._singular_complex)
         base_walks = count_calls(monkeypatch, complexes._base_facets)
+        expansions = count_calls(monkeypatch, regularity._value_class_facets)
+        presentations = count_calls(monkeypatch, complexes.sr_presentation)
         path = write_json(tmp_path, "pair.json", self.PAIR)
         assert run(["analyze", "--input", path], capsys)[0] == 0
         assert (len(walks), len(builds), len(base_walks)) == (1, 1, 1)
-        for calls in (walks, builds, base_walks):
+        assert (len(expansions), len(presentations)) == (2, 1)
+        for calls in (walks, builds, base_walks, expansions, presentations):
             calls.clear()
         other = write_json(tmp_path, "other.json", {**self.PAIR, "degrees": [4, 9, 10]})
         code, out = run(["analyze", "--input", other], capsys)
         assert code == 0
         assert json.loads(out)["input"]["degrees"] == [4, 9, 10]
-        assert walks == builds == []
+        # the weight-only sections are spliced in as first encoded
+        assert walks == builds == expansions == presentations == []
         assert len(base_walks) == 1
 
 

@@ -1,10 +1,12 @@
 import math
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wciq import complexes
 from wciq.arith import WeightTuple
 from wciq.complexes import (
     Complex,
@@ -217,16 +219,46 @@ class TestMinimalNonfaces:
         cx = Complex.from_facets(4, [[0, 1, 2], [2, 3]])
         gens = minimal_nonfaces(cx)
         fs = faces_of(cx)
-        from itertools import combinations
         for r in range(1, 5):
             for combo in combinations(range(4), r):
                 s = frozenset(combo)
                 assert (s in fs) == (not any(g <= s for g in gens))
 
-    def test_enumeration_guard(self):
-        cx = Complex.from_facets(25, [list(range(25))])
-        with pytest.raises(ResourceLimitError):
-            minimal_nonfaces(cx)
+    def test_large_complexes_exactly(self):
+        # past 20 vertices: the work follows the answer, not the vertex count
+        assert minimal_nonfaces(Complex.from_facets(25, [list(range(25))])) == []
+        boundary = Complex.from_facets(21, [set(range(21)) - {v} for v in range(21)])
+        assert minimal_nonfaces(boundary) == [frozenset(range(21))]
+        # the padded rung: 100 ones, then classes of 6, 5, 5 and 5 copies
+        weights = [1] * 100 + [2] * 6 + [3] * 5 + [5] * 5 + [7] * 5
+        classes = (range(100, 106), range(106, 111), range(111, 116), range(116, 121))
+        pairs = sorted((u, v) for a, b in combinations(classes, 2) for u in a for v in b)
+        assert len(pairs) == 165
+        assert sr_presentation(singular_complex(weights)).generators == \
+            tuple(map(frozenset, pairs))
+
+    def test_large_answer_in_time(self):
+        # 6,169 non-faces: each candidate is checked against the 20 facet
+        # complements, not against the family built so far (5 s that way)
+        facets = [set(range(24)) - {(7 * i + j * j) % 24 for j in range(1, 6)}
+                  for i in range(20)]
+        start = time.perf_counter()
+        gens = minimal_nonfaces(Complex.from_facets(24, facets))
+        assert time.perf_counter() - start < 2.0
+        assert len(gens) == 6169
+        for g in gens[::97]:
+            assert not any(g <= f for f in facets)
+            assert all(any(g - {v} <= f for f in facets) for v in g)
+
+    def test_search_budget(self, monkeypatch):
+        # the boundary of the 9-simplex: 9 grown sets, then 1 expansion
+        boundary = Complex.from_facets(9, [set(range(9)) - {v} for v in range(9)])
+        monkeypatch.setattr(complexes, "DEFAULT_NODE_BUDGET", 9)
+        with pytest.raises(ResourceLimitError, match=(
+                "minimal non-face search exceeded the node budget 9")):
+            minimal_nonfaces(boundary)
+        monkeypatch.setattr(complexes, "DEFAULT_NODE_BUDGET", 10)
+        assert minimal_nonfaces(boundary) == [frozenset(range(9))]
 
 
 class TestSRPresentation:

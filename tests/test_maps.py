@@ -397,6 +397,18 @@ class TestValidateWeightedMap:
         assert v.simplicial_witness == tuple(range(17))
         assert v.weighted and v.noncontracting
 
+    def test_twenty_one_vertex_simplex_onto_its_boundary(self):
+        # the witness is the one minimal non-face of the boundary, 21 vertices
+        simplex = WeightedComplex(Complex.from_facets(21, [range(21)]),
+                                  {v: 2 for v in range(21)})
+        boundary = WeightedComplex(
+            Complex.from_facets(21, [set(range(21)) - {v} for v in range(21)]),
+            {v: 2 for v in range(21)})
+        v = validate_weighted_map(WeightedMap(simplex, boundary, {v: v for v in range(21)}))
+        assert v.simplicial is False
+        assert v.simplicial_witness == tuple(range(21))
+        assert v.weighted and v.noncontracting
+
 
 class TestFindNoncontractingMap:
     def test_two_points_onto_edge(self):

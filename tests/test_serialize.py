@@ -11,6 +11,7 @@ from wciq.maps import build_admissible_family
 from wciq.nef import NefPartition
 from wciq.realize import realize_weights, skeleton
 from wciq.serialize import (
+    Encoded,
     canonical_json,
     complex_from_json,
     complex_to_json,
@@ -81,6 +82,21 @@ class TestCanonicalJson:
         for bad in ({1: 2, "a": 3}, {(1,): 2}, {1, 2}, object()):
             with pytest.raises(TypeError):
                 canonical_json(bad)
+
+    @given(JSON_VALUES)
+    @settings(deadline=None, max_examples=200)
+    def test_encoded_values_splice_at_any_depth(self, value):
+        # strings holding newlines stay escaped, so re-indenting is exact
+        plain = {"k": [value, {"in\n": value}], "top": value}
+        spliced = {"k": [Encoded(value), {"in\n": Encoded(value)}], "top": Encoded(value)}
+        assert canonical_json(spliced) == dumps_reference(plain)
+        assert canonical_json(Encoded(value)) == dumps_reference(value)
+
+    def test_encoded_values_decode_for_json_dumps(self):
+        value = {"facets": [[1, 2], [3]], "s": "a\nb", "n": None}
+        with pytest.raises(TypeError):
+            json.dumps([Encoded(value)])
+        assert json.loads(json.dumps([Encoded(value)], default=Encoded.decoded)) == [value]
 
     def test_rejects_records(self):
         for record in (NefPartition(((0,), (1,))), WeightTuple((2, 3))):
