@@ -291,6 +291,28 @@ def _decide(d: int, vals: tuple[int, ...], g: int, reduced: tuple[int, ...],
     return _bitset_representable(d, reduced)
 
 
+def _decide_row(degrees: tuple[int, ...], rep: int, vals: tuple[int, ...], g: int,
+                reduced: tuple[int, ...], dp_cap: int) -> tuple[int, int]:
+    """(representable, UNKNOWN) bits of the degrees over nonempty vals, those
+    not in rep decided as by `_decide`, but table-side ones in place from one
+    residue table; the bitset side and degrees past the cap go by `_decide`."""
+    a, unknown, table = reduced[0], 0, None
+    for j, d in enumerate(degrees):
+        if rep >> j & 1 or d <= dp_cap and d % g:
+            continue
+        q = d // g
+        if d <= dp_cap and a <= q >> _TABLE_SHIFT:
+            table = table or _residue_table(reduced)
+            rep |= (q >= table[q % a]) << j
+            continue
+        verdict = _decide(d, vals, g, reduced, dp_cap)
+        if verdict is UNKNOWN:
+            unknown |= 1 << j
+        elif verdict:
+            rep |= 1 << j
+    return rep, unknown
+
+
 def _bitset_representable(d: int, vals: tuple[int, ...]) -> bool:
     """Membership over distinct ascending vals by a bitset over 0..d."""
     # Bitset closure: bit x of `reach` is set when x is a representable sum.
@@ -462,23 +484,18 @@ class PairFacts:
         """Disjoint (representable, UNKNOWN) degree bits of a value set, bit
         j - 1 for degree j. Membership is monotone: the representable bits of
         immediate sub-masks with rows carry over, and only open degrees are
-        decided, so each (value set, degree) is decided at most once."""
+        decided, by one `_decide_row` over the value set reduced once that
+        reads table-side degrees in place, so each (value set, degree) is
+        decided at most once."""
         row = self._rows.get(mask)
         if row is None:
-            rep = unknown = 0
+            rep = 0
             for k in range(mask.bit_length()):
                 if mask >> k & 1:
                     rep |= self._rows.get(mask ^ 1 << k, (0,))[0]
-            prepared = None
-            for j, d in enumerate(self.dg.degrees):
-                if not rep >> j & 1:
-                    prepared = prepared or _reduce(self.w.values_of(mask))
-                    verdict = _decide(d, *prepared, self.dp_cap)
-                    if verdict is UNKNOWN:
-                        unknown |= 1 << j
-                    elif verdict:
-                        rep |= 1 << j
-            row = self._rows[mask] = (rep, unknown)
+            dg = self.dg.degrees
+            row = self._rows[mask] = (rep, 0) if rep == (1 << len(dg)) - 1 else _decide_row(
+                dg, rep, *_reduce(self.w.values_of(mask)), self.dp_cap)
         return row
 
     def admissible(self, mask: int) -> tuple[int, ...]:

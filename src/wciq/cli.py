@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from wciq.arith import DEFAULT_DP_CAP, PairFacts, WeightFacts
-from wciq.complexes import _base_complex, _singular_complex, sr_presentation
+from wciq.complexes import _base_facet_lists, _singular_complex, sr_presentation
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InputError,
@@ -152,8 +152,7 @@ def _complex_section(facts: PairFacts) -> dict:
         "base_complexes": {
             str(j): {
                 "degree": encode_int(dg.degree(j)),
-                "facets": [list(f) for f in
-                           _base_complex(facts, j).complex.sorted_facets()],
+                "facets": _base_facet_lists(facts, j),
             }
             for j in range(1, len(dg) + 1)
         },

@@ -236,19 +236,24 @@ def _base_facets(facts: PairFacts) -> list[tuple[int, int]]:
         len(facts.w.values), lambda mask: every & ~sum(facts.row(mask)))))
 
 
-def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:
-    """`base_complex` of the pair's j-th degree. Whole value classes expand
-    distinct maximal value masks, so the facets are maximal as they come."""
-    wt = facts.wt
+def _base_facet_lists(facts: PairFacts, j: int) -> list[list[int]]:
+    """The facets of the pair's j-th base complex as ascending index lists,
+    in lexicographic order, expanded straight from the value masks. Whole
+    value classes expand distinct maximal value masks, so the facets are
+    maximal as they come."""
     d = facts.dg.degree(j)
     # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
     least = next((1 << k for k, v in enumerate(facts.w.values) if d % v), 0)
     if least:
         facts.representable(j, least)
-    facets = frozenset(
-        frozenset(i for v in facts.w.values_of(mask) for i in wt.classes[v])
-        for mask, bits in facts.once(_base_facets) if bits >> j - 1 & 1)
-    cx = Complex(len(wt), facets)
+    return sorted(sorted(i for v in facts.w.values_of(mask) for i in facts.wt.classes[v])
+                  for mask, bits in facts.once(_base_facets) if bits >> j - 1 & 1)
+
+
+def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:
+    """`base_complex` of the pair's j-th degree."""
+    wt = facts.wt
+    cx = Complex(len(wt), frozenset(map(frozenset, _base_facet_lists(facts, j))))
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 

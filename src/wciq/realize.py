@@ -176,8 +176,10 @@ def realize_map_instance(source: Complex, target: Complex,
     The source complex is realized by primes; each target vertex turns
     into a degree equal to the lcm of the realized weights in its fiber,
     times the smallest multiplier >= 1 that makes the degree collide with
-    no weight. pad appends that many copies of the total lcm to the
-    degrees, ones prepends weight-one entries.
+    no weight. pad appends that many copies of the lcm of all realized
+    weights, cleared of the weights by the same multiplier (the lcm is a
+    weight when one vertex lies in every source facet); ones prepends
+    weight-one entries.
     """
     if pad < 0 or ones < 0:
         raise InputError("pad and ones must be non-negative")
@@ -206,15 +208,12 @@ def realize_map_instance(source: Complex, target: Complex,
     weight_set = set(core) | {1}
     fibers = {
         u: [v for v in src_verts if assignment[v] == u] for u in tgt_verts}
-    fiber_degrees = []
-    for u in tgt_verts:
-        d = lcm(*(core[v] for v in fibers[u]))
-        k = 1
-        while k * d in weight_set:
-            k += 1
-        fiber_degrees.append(k * d)
-    total = lcm(*core)
-    degrees = tuple(fiber_degrees + [total] * pad)
+
+    def clear(d: int) -> int:
+        return next(k * d for k in count(1) if k * d not in weight_set)
+
+    degrees = tuple([clear(lcm(*(core[v] for v in fibers[u]))) for u in tgt_verts]
+                    + [clear(lcm(*core))] * pad)
     weights = tuple([1] * ones + list(core))
 
     planted_assignment = {

@@ -218,6 +218,50 @@ class TestKernels:
         assert f"dp_cap >> {arith._TABLE_SHIFT}" in is_representable.__doc__
 
 
+class TestRows:
+    """`PairFacts.row` against `is_representable`, degree by degree."""
+
+    @given(st.integers(1, 6), st.sets(st.integers(2, 40), min_size=1, max_size=4),
+           st.lists(st.integers(1, 30_000), min_size=1, max_size=5),
+           st.integers(0, 3), st.integers(1, 5), st.integers(100, 30_000))
+    @settings(deadline=None, max_examples=200)
+    def test_rows_match_single_decisions(self, g, base, degrees, pick, k, cap):
+        # gcd g > 1 for g > 1; random degrees fall on both sides of the
+        # table crossover; past the cap, one degree a value divides and
+        # one that none does
+        values = sorted({g * v for v in base})
+        lcm = math.lcm(*values)
+        v = values[pick % len(values)]
+        degrees = [*degrees, v * (cap // v + k), lcm * (cap // lcm + 1) + 1]
+        masks = range(1, 1 << len(values))
+        # ascending, rows carry their sub-masks' bits; descending, none exist
+        for order in (masks, reversed(masks)):
+            facts = PairFacts(values, degrees, cap)
+            for mask in order:
+                rep, unknown = facts.row(mask)
+                vals = facts.w.values_of(mask)
+                for j, d in enumerate(degrees):
+                    verdict = is_representable(d, vals, dp_cap=cap)
+                    assert (rep >> j & 1, unknown >> j & 1) == (
+                        verdict is True, verdict is UNKNOWN)
+
+    @given(st.integers(1, 6), st.sets(st.integers(2, 40), min_size=1, max_size=4),
+           st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_bitset_side_builds_no_table(self, g, base, data):
+        values = sorted({g * v for v in base})
+        a = min(values) // math.gcd(*values)
+        # d // gcd < 256 a: every degree is on the bitset side of the crossover
+        top = 256 * a * math.gcd(*values) - 1
+        degrees = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=6))
+        facts = PairFacts(values, degrees)
+        arith._residue_table.cache_clear()
+        rep, _ = facts.row((1 << len(values)) - 1)
+        assert arith._residue_table.cache_info().currsize == 0
+        assert rep == sum(1 << j for j, d in enumerate(degrees)
+                          if is_representable(d, values) is True)
+
+
 class TestRepresentableDegrees:
     def test_fig_edge_sets(self):
         dg = DegreeTuple.of([16, 21, 25, 30])

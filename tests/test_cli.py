@@ -17,6 +17,9 @@ REF_PAIR = {
     "weights": [1] * 62 + [6, 10, 15],
     "degrees": [16, 21, 25, 30],
 }
+#: Degrees on the residue-table side of every value set.
+LARGE_DEGREE_PAIR = {"weights": [1, 1, 1, 6, 10, 15],
+                     "degrees": [10007, 46421, 215443, 999983]}
 SMALL_PAIR = {"weights": [1, 1, 1, 1, 1, 2], "degrees": [4]}
 MAP_PAIR = {"weights": [1, 6, 10, 15], "degrees": [16, 21, 25, 30]}
 #: A weight with a prime factor far past trial division.
@@ -147,6 +150,31 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
+def decisions_asked(monkeypatch) -> list:
+    """Rebind the membership deciders to record each (value set, degree)
+    decided: every open degree of a row, and each single `_decide` made
+    outside a row, and return that record."""
+    asked, depth = [], [0]
+    decide_row, decide = arith._decide_row, arith._decide
+
+    def row(degrees, known, vals, *rest):
+        asked.extend((vals, d) for j, d in enumerate(degrees) if not known >> j & 1)
+        depth[0] += 1
+        try:
+            return decide_row(degrees, known, vals, *rest)
+        finally:
+            depth[0] -= 1
+
+    def single(d, vals, *rest):
+        if not depth[0]:
+            asked.append((vals, d))
+        return decide(d, vals, *rest)
+
+    monkeypatch.setattr(arith, "_decide_row", row)
+    monkeypatch.setattr(arith, "_decide", single)
+    return asked
+
+
 class TestTextFormat:
     """--format text pinned line for line, the timings lines aside."""
 
@@ -214,7 +242,7 @@ class TestAnalyzeOnce:
         classifications = count_calls(monkeypatch, nef.classify_partition)
         witnesses = count_calls(monkeypatch, regularity.pair_nontriviality_witness)
         reductions = count_calls(monkeypatch, arith._reduce)
-        decisions = count_calls(monkeypatch, arith._decide)
+        asked = decisions_asked(monkeypatch)
         code, out = run(["analyze", "--input", path], capsys)
         assert code == 0
         assert json.loads(out)["construction"]["ok"] is True
@@ -226,7 +254,15 @@ class TestAnalyzeOnce:
         assert witnesses == []
         # at most one reduction per value set, one decision per (value set, degree)
         assert reductions and len(reductions) == len(set(reductions))
-        asked = [(vals, d) for d, vals, *_ in decisions]
+        assert asked and len(asked) == len(set(asked))
+
+    def test_each_decision_once_on_the_table_path(self, tmp_path, monkeypatch, capsys):
+        # degrees far past 256 times the least value: rows read residue tables
+        path = write_json(tmp_path, "pair.json", LARGE_DEGREE_PAIR)
+        tables = count_calls(monkeypatch, arith._residue_table)
+        asked = decisions_asked(monkeypatch)
+        assert run(["analyze", "--input", path], capsys)[0] == 1
+        assert tables
         assert asked and len(asked) == len(set(asked))
 
     @pytest.mark.parametrize("argv,walks", [(["nef", "construct"], 2), (["analyze"], 3)])

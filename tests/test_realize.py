@@ -210,6 +210,15 @@ class TestRealizeMapInstance:
         assert tuple(inst.degrees) == (12, 12)
         assert not is_linear_cone(inst.weights, inst.degrees)
 
+    def test_no_pad_degree_is_a_weight(self):
+        # vertex 0 lies in every facet, so the lcm of all weights is its weight 6
+        src = Complex.from_facets(3, [{0, 1}, {0, 2}])
+        tgt = Complex.from_facets(2, [{0, 1}])
+        inst = realize_map_instance(src, tgt, {0: 0, 1: 1, 2: 1}, pad=1, ones=0)
+        assert tuple(inst.weights) == (6, 2, 3)
+        assert tuple(inst.degrees) == (12, 12, 12)
+        assert not is_linear_cone(inst.weights, inst.degrees)
+
     def test_missing_assignment(self):
         with pytest.raises(InputError):
             realize_map_instance(
