@@ -254,7 +254,8 @@ def is_representable(d: int, weights: Iterable[int], *,
     """
     if isinstance(d, bool) or not isinstance(d, int) or d < 0:
         raise InputError(f"target must be a non-negative integer, got {d!r}")
-    return _decide(d, *_prepare(weights), dp_cap)
+    rep, unknown = _decide_row((d,), 0, *_prepare(weights), dp_cap)
+    return UNKNOWN if unknown else bool(rep)
 
 
 def _past_cap(what, vals: tuple[int, ...], dp_cap: int) -> ResourceLimitError:
@@ -273,43 +274,32 @@ def _reduce(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...
     return vals, g, tuple(a // g for a in vals)
 
 
-def _decide(d: int, vals: tuple[int, ...], g: int, reduced: tuple[int, ...],
-            dp_cap: int):
-    if d == 0:
-        return True
-    if any(d % a == 0 for a in vals):
-        return True
-    if not vals:
-        return False
-    if d > dp_cap:
-        return UNKNOWN
-    if d % g:
-        return False
-    d //= g
-    if reduced[0] <= d >> _TABLE_SHIFT:
-        return _table_representable(d, reduced)
-    return _bitset_representable(d, reduced)
-
-
 def _decide_row(degrees: tuple[int, ...], rep: int, vals: tuple[int, ...], g: int,
                 reduced: tuple[int, ...], dp_cap: int) -> tuple[int, int]:
-    """(representable, UNKNOWN) bits of the degrees over nonempty vals, those
-    not in rep decided as by `_decide`, but table-side ones in place from one
-    residue table; the bitset side and degrees past the cap go by `_decide`."""
-    a, unknown, table = reduced[0], 0, None
+    """(representable, UNKNOWN) bits of the degrees over distinct ascending
+    vals with gcd g, bit j for degrees[j]; the bits in rep are taken as
+    decided. The one membership rule: 0 and a degree that a value divides
+    are representable; past dp_cap any other degree is UNKNOWN (over no
+    values, not representable); within it, one g does not divide is not;
+    else, with a the least reduced value and q = d // g, q is read from
+    the residue table of the reduced values, fetched at most once per row,
+    when a <= q >> _TABLE_SHIFT, and decided by a bitset over 0..q below."""
+    unknown, table = 0, None
     for j, d in enumerate(degrees):
-        if rep >> j & 1 or d <= dp_cap and d % g:
+        if rep >> j & 1:
             continue
-        q = d // g
-        if d <= dp_cap and a <= q >> _TABLE_SHIFT:
-            table = table or _residue_table(reduced)
-            rep |= (q >= table[q % a]) << j
-            continue
-        verdict = _decide(d, vals, g, reduced, dp_cap)
-        if verdict is UNKNOWN:
-            unknown |= 1 << j
-        elif verdict:
-            rep |= 1 << j
+        if not vals or d > dp_cap:
+            if not d or any(d % v == 0 for v in vals):
+                rep |= 1 << j
+            elif vals:
+                unknown |= 1 << j
+        elif not d % g:
+            q, a = d // g, reduced[0]
+            if a <= q >> _TABLE_SHIFT:
+                table = table or _residue_table(reduced)
+                rep |= (q >= table[q % a]) << j
+            elif any(d % v == 0 for v in vals) or _bitset_representable(q, reduced):
+                rep |= 1 << j
     return rep, unknown
 
 
@@ -372,15 +362,20 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
     verdict is a hard stop: the caller asked for an exact set, so the
     offending degree is reported as a resource error.
     """
-    prepared = _prepare(weights)
-    out = set()
-    for j, d in enumerate(as_degrees(degrees), start=1):
-        verdict = _decide(d, *prepared, dp_cap)
-        if verdict is UNKNOWN:
-            raise _past_cap(f"degree d_{j} = {d}", prepared[0], dp_cap)
-        if verdict:
-            out.add(j)
-    return frozenset(out)
+    vals, g, reduced = _prepare(weights)
+    dg = as_degrees(degrees)
+    return frozenset(_admissible(dg, *_decide_row(dg.degrees, 0, vals, g, reduced, dp_cap),
+                                 vals, dp_cap))
+
+
+def _admissible(dg: DegreeTuple, rep: int, unknown: int, vals: tuple[int, ...],
+                dp_cap: int) -> tuple[int, ...]:
+    """The 1-based indices of the rep bits, ascending; a set unknown bit
+    raises ResourceLimitError for its lowest degree."""
+    if unknown:
+        j = (unknown & -unknown).bit_length()
+        raise _past_cap(f"degree d_{j} = {dg.degree(j)}", vals, dp_cap)
+    return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
 
 
 class WeightFacts:
@@ -486,7 +481,7 @@ class PairFacts:
         immediate sub-masks with rows carry over, and only open degrees are
         decided, by one `_decide_row` over the value set reduced once that
         reads table-side degrees in place, so each (value set, degree) is
-        decided at most once."""
+        decided at most once. The empty mask represents no degree."""
         row = self._rows.get(mask)
         if row is None:
             rep = 0
@@ -500,12 +495,7 @@ class PairFacts:
 
     def admissible(self, mask: int) -> tuple[int, ...]:
         """`representable_degrees` over the value set, ascending, from its row."""
-        rep, unknown = self.row(mask)
-        if unknown:
-            j = (unknown & -unknown).bit_length()
-            raise _past_cap(f"degree d_{j} = {self.dg.degree(j)}",
-                            self.w.values_of(mask), self.dp_cap)
-        return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
+        return _admissible(self.dg, *self.row(mask), self.w.values_of(mask), self.dp_cap)
 
     def representable(self, j: int, mask: int) -> bool:
         """Is the j-th degree representable over the value set? Read off its

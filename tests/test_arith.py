@@ -240,10 +240,28 @@ class TestRows:
             for mask in order:
                 rep, unknown = facts.row(mask)
                 vals = facts.w.values_of(mask)
+                g = math.gcd(*vals)
+                gens = tuple(v // g for v in vals)
                 for j, d in enumerate(degrees):
                     verdict = is_representable(d, vals, dp_cap=cap)
                     assert (rep >> j & 1, unknown >> j & 1) == (
                         verdict is True, verdict is UNKNOWN)
+                    # and against the bitset kernel alone
+                    if d > cap:
+                        expect = any(d % v == 0 for v in vals) or UNKNOWN
+                    else:
+                        expect = not d % g and arith._bitset_representable(d // g, gens)
+                    assert verdict is expect
+
+    def test_empty_value_set(self):
+        # every weight 1: no heavy value, so no degree is representable
+        facts = PairFacts([1, 1], [3])
+        assert facts.row(0) == (0, 0)
+        assert facts.admissible(0) == ()
+        assert facts.representable(1, 0) is False
+        assert representable_degrees([], [3, 10**7]) == frozenset()
+        assert is_representable(0, []) is True
+        assert is_representable(10**7, []) is False
 
     @given(st.integers(1, 6), st.sets(st.integers(2, 40), min_size=1, max_size=4),
            st.data())

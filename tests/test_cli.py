@@ -151,27 +151,16 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def decisions_asked(monkeypatch) -> list:
-    """Rebind the membership deciders to record each (value set, degree)
-    decided: every open degree of a row, and each single `_decide` made
-    outside a row, and return that record."""
-    asked, depth = [], [0]
-    decide_row, decide = arith._decide_row, arith._decide
+    """Rebind the membership decider, through which every membership
+    decision goes, to record each (value set, degree) it decides: every
+    degree not already known, and return that record."""
+    asked, decide_row = [], arith._decide_row
 
     def row(degrees, known, vals, *rest):
         asked.extend((vals, d) for j, d in enumerate(degrees) if not known >> j & 1)
-        depth[0] += 1
-        try:
-            return decide_row(degrees, known, vals, *rest)
-        finally:
-            depth[0] -= 1
-
-    def single(d, vals, *rest):
-        if not depth[0]:
-            asked.append((vals, d))
-        return decide(d, vals, *rest)
+        return decide_row(degrees, known, vals, *rest)
 
     monkeypatch.setattr(arith, "_decide_row", row)
-    monkeypatch.setattr(arith, "_decide", single)
     return asked
 
 
@@ -582,6 +571,13 @@ class TestOracle:
         assert report["divergences"] == []
         assert report["representability"]["1"] == {"fast": True, "brute": True}
         assert set(report["partitions"]) == {"any", "nice", "strong"}
+
+    def test_no_heavy_values(self, tmp_path, capsys):
+        # every weight 1: each degree is asked over the empty value set
+        pair = write_json(tmp_path, "p.json", {"weights": [1, 1], "degrees": [3]})
+        code, out = run(["oracle", "--input", pair], capsys)
+        assert code == 0
+        assert json.loads(out)["divergences"] == []
 
     def test_too_many_heavy(self, tmp_path, capsys):
         pair = write_json(tmp_path, "p.json",
