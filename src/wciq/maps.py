@@ -178,14 +178,14 @@ def find_noncontracting_map(weights: WeightsLike,
     Exhaustive backtracking over vertex assignments in ascending vertex
     order with ascending target values; the first solution in that order
     is returned. By the facts in `validate_weighted_map`, a vertex goes
-    only to target vertices whose weight its own weight divides, and
-    after each assignment only the facets through the new vertex are
-    checked, on their vertices assigned so far: their images must be
-    distinct and lie in one target facet. Copies of a weight share every
-    facet and every domain, so swapping their images keeps a map valid,
-    and the first map gives them rising images: each vertex starts above
-    the image of the previous copy of its weight. Every assignment tried
-    counts one node against `errors.DEFAULT_NODE_BUDGET`.
+    only to target vertices whose weight its own weight divides; then the
+    gcd b > 1 of a face divides the weights of its images, which so form
+    a target face, and what is left is injectivity on facets: a vertex
+    skips the images of its earlier facet-mates. Copies of a weight share
+    every facet and every domain, so swapping their images keeps a map
+    valid, and the first map gives them rising images: each vertex starts
+    above the image of the previous copy of its weight. Every assignment
+    tried counts one node against `errors.DEFAULT_NODE_BUDGET`.
     A returned map certifies that a general quasi-smooth complete
     intersection with these data is smooth and well-formed.
     """
@@ -202,34 +202,28 @@ def find_noncontracting_map(weights: WeightsLike,
     if not all(domains):
         return None
 
-    # The facets through each vertex, cut to their vertices up to it.
-    prefixes: dict[int, set[tuple[int, ...]]] = {v: set() for v in src_verts}
-    for f in src.complex.facets:
-        fv = sorted(f)
-        for k, v in enumerate(fv):
-            prefixes[v].add(tuple(fv[:k + 1]))
-    tgt_facets = tgt.complex.facets
+    mates = {v: {u for f in src.complex.facets if v in f for u in f if u < v}
+             for v in src_verts}
     previous_copy = {v: u for c in wt.classes.values() for u, v in zip(c, c[1:])}
+    # A failed branch leaves stale images only at later vertices, and
+    # those are read only after they are assigned again.
     assignment: dict[int, int] = {}
     spend = node_budget(DEFAULT_NODE_BUDGET, "non-contracting map search")
-
-    def facet_ok(prefix: tuple[int, ...]) -> bool:
-        img = frozenset(assignment[v] for v in prefix)
-        return len(img) == len(prefix) and any(img <= g for g in tgt_facets)
 
     def extend(k: int) -> bool:
         if k == len(src_verts):
             return True
         v = src_verts[k]
         floor = assignment[previous_copy[v]] if v in previous_copy else -1
+        taken = {assignment[u] for u in mates[v]}
         for t in domains[k]:
             if t <= floor:
                 continue
             spend()
-            assignment[v] = t
-            if all(facet_ok(prefix) for prefix in prefixes[v]) and extend(k + 1):
-                return True
-            del assignment[v]
+            if t not in taken:
+                assignment[v] = t
+                if extend(k + 1):
+                    return True
         return False
 
     if extend(0):
@@ -304,13 +298,15 @@ def family_csp_summary(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _csp_summary(facts: PairFacts) -> dict:
+    from wciq.serialize import encode_int
+
     wt = facts.wt
     im_phi, domains, good = facts.once(_skeleton)
     return {
-        "im_phi": list(im_phi),
+        "im_phi": [encode_int(b) for b in im_phi],
         "domains": {str(b): list(domains[b]) for b in im_phi},
         "admissible_degrees": {str(b): list(good[b]) for b in im_phi},
-        "cover_edges": [[q, b] for b in im_phi
+        "cover_edges": [[encode_int(q), encode_int(b)] for b in im_phi
                         for q in sorted(poset_covers(im_phi, b))],
         "divisor_vertex_pairs": [
             [i, k] for i, k in combinations(wt.heavy(), 2)

@@ -6,8 +6,9 @@ coprime base, full subset sweeps instead of
 value-class reductions, per-index part assignment or an unbounded walk
 over every split instead of the bounded multiplicity search,
 vertex-level backtracking or plain enumeration instead of the image-set
-family search, and every vertex assignment checked face by face instead
-of the facet-pruned map search. The tie-breaks mirror the fast
+family search, every vertex assignment checked face by face instead
+of the facet-pruned map search, and an lcm descent of the face lattice
+instead of the closed-form realization. The tie-breaks mirror the fast
 implementations so witnesses can be compared verbatim; the family
 references agree with the fast search on existence only.
 
@@ -20,7 +21,7 @@ enumerations for at most 6.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from wciq import errors
@@ -52,6 +53,7 @@ from wciq.maps import (
     induced_face_map,
 )
 from wciq.nef import NefPartition
+from wciq.realize import first_primes
 from wciq.regularity import is_strictly_regular
 
 
@@ -650,3 +652,22 @@ def brute_force_map(weights: WeightsLike, degrees: DegreesLike) -> WeightedMap |
                for face in faces):
             return WeightedMap(src, tgt, at)
     return None
+
+
+def lcm_descent_realization(cx: Complex, *, prime_offset: int = 0):
+    """Weights, face values and facet primes of `realize.realize_weights`
+    by descending the face lattice: facets take the smallest distinct
+    primes in lexicographic facet order, and each face below a facet the
+    lcm of the values on the faces covering it. Exponential in the facet
+    size."""
+    facets = cx.sorted_facets()
+    primes = first_primes(len(facets), prime_offset)
+    prime_assignment = {frozenset(f): p for f, p in zip(facets, primes)}
+    values: dict[frozenset[int], int] = dict(prime_assignment)
+    for k in range(max(map(len, facets), default=0), 1, -1):
+        for face in [f for f in values if len(f) == k]:
+            for x in face:
+                sub = face - {x}
+                values[sub] = lcm(values.get(sub, 1), values[face])
+    weights = tuple(values.get(frozenset({i}), 1) for i in range(cx.n_vertices))
+    return weights, values, prime_assignment

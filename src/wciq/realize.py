@@ -1,11 +1,10 @@
 """Realizing finite simplicial complexes as singular complexes.
 
 Every finite abstract simplicial complex arises as the singular complex
-of some weight tuple: give each facet its own prime, propagate values
-down the face lattice by lcm of the covering faces, and read the vertex
-weights off the singletons. The gcd of the weights over a face then
-picks up exactly the primes of the facets containing it, and over a
-non-face no prime survives.
+of some weight tuple: give each facet its own prime and each vertex the
+product of the primes of the facets holding it. The gcd of the weights
+over a face then is the product of the primes of the facets containing
+it, and over a non-face no prime survives.
 
 On top of the realization sit two instance generators reproducing the
 pathological families used to separate existence statements: one whose
@@ -46,52 +45,51 @@ def first_primes(n: int, offset: int = 0) -> list[int]:
 
 class _RealizationFields(NamedTuple):
     weights: WeightTuple
-    face_values: Mapping[frozenset[int], int]
     prime_assignment: Mapping[frozenset[int], int]
 
 
 class RealizationResult(_RealizationFields):
-    """Weights realizing a complex, with the full face-value table.
+    """Weights realizing a complex, with the prime of each facet.
 
-    face_values maps every nonempty face to its assigned value; facets
-    carry their primes, every other face the lcm of the values on the
-    faces covering it. weights lists the singleton values, padded with 1
-    at labels that occur in no facet.
+    weights lists the product of the primes of the facets holding each
+    label, 1 at labels that occur in no facet. face_values, built on
+    access, maps every nonempty face to the product of the primes of the
+    facets containing it: the gcd of its weights.
     """
 
     __slots__ = ()
 
-    def __new__(cls, weights: WeightTuple, face_values: Mapping[frozenset[int], int],
-                prime_assignment: Mapping[frozenset[int], int]):
-        return super().__new__(cls, weights, dict(face_values), dict(prime_assignment))
+    def __new__(cls, weights: WeightTuple, prime_assignment: Mapping[frozenset[int], int]):
+        return super().__new__(cls, weights, dict(prime_assignment))
+
+    @property
+    def face_values(self) -> dict[frozenset[int], int]:
+        values: dict[frozenset[int], int] = {}
+        for facet, p in self.prime_assignment.items():
+            for k in range(1, len(facet) + 1):
+                for face in map(frozenset, combinations(sorted(facet), k)):
+                    values[face] = values.get(face, 1) * p
+        return values
 
 
 def realize_weights(cx: Complex, *, prime_offset: int = 0) -> RealizationResult:
     """Weight tuple whose singular complex is the given complex.
 
     Facets get the smallest distinct primes in lexicographic facet order
-    (shifted by prime_offset); values propagate to lower faces by lcm
-    over covering faces, processed by decreasing cardinality.
+    (shifted by prime_offset); a vertex gets the product of the primes
+    of its facets, which is the lcm over the faces above it since the
+    primes are distinct.
     """
     if not cx.facets:
         raise InputError("cannot realize a complex without facets")
     facets = cx.sorted_facets()
     primes = first_primes(len(facets), prime_offset)
-    prime_assignment = {frozenset(f): p for f, p in zip(facets, primes)}
-
-    # Descend the face lattice: after step k every face of cardinality
-    # k-1 below some facet holds the lcm of its covering faces.
-    values: dict[frozenset[int], int] = dict(prime_assignment)
-    for k in range(max(len(f) for f in values), 1, -1):
-        for face in [f for f in values if len(f) == k]:
-            v = values[face]
-            for x in face:
-                sub = face - {x}
-                values[sub] = lcm(values.get(sub, 1), v)
-
-    weights = tuple(
-        values.get(frozenset({i}), 1) for i in range(cx.n_vertices))
-    return RealizationResult(WeightTuple.of(weights), values, prime_assignment)
+    weights = [1] * cx.n_vertices
+    for f, p in zip(facets, primes):
+        for v in f:
+            weights[v] *= p
+    return RealizationResult(WeightTuple.of(weights),
+                             {frozenset(f): p for f, p in zip(facets, primes)})
 
 
 def verify_realization(cx: Complex, weights: WeightsLike) -> bool:

@@ -406,6 +406,22 @@ class TestPosetmap:
         assert report["family"]["injections"]["15"] == {"3": 4}
         assert report["fibers"] == {"4": [1, 2, 3]}
 
+    def test_csp_face_weights_past_2_53_are_strings(self, tmp_path, capsys):
+        big = 1125899906842679
+        path = write_json(tmp_path, "big.json",
+                          {"weights": [1, 30 * big, 42 * big, 70 * big],
+                           "degrees": [210 * big, 72 * big, 100 * big, 112 * big]})
+        code, out = run(["posetmap", "build", "--input", path,
+                         "--dp-cap", str(10 ** 18)], capsys)
+        assert code == 1
+        report = json.loads(out)
+        csp = report["csp"]
+        assert str(30 * big) in csp["im_phi"]
+        assert str(30 * big) == report["input"]["weights"][1]
+        for b in csp["im_phi"] + [b for edge in csp["cover_edges"] for b in edge]:
+            assert isinstance(b, str) if int(b) >= 2 ** 53 else isinstance(b, int)
+        assert sorted(csp["im_phi"], key=int) == csp["im_phi"]
+
     def test_verify_built_family(self, map_file, tmp_path, capsys):
         _, out = run(["posetmap", "build", "--input", map_file], capsys)
         fam = write_json(tmp_path, "fam.json", json.loads(out)["family"])
@@ -525,6 +541,20 @@ class TestRealize:
             f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for "
             f"integer strings\n")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("n,facets", [
+        (22, [[v for v in range(22) if v != i] for i in range(22)]),
+        (30, [list(range(30))]),
+    ], ids=["boundary-of-21-simplex", "30-simplex"])
+    def test_large_facets_in_time(self, n, facets, tmp_path, capsys):
+        cx = write_json(tmp_path, "cx.json", {"n_vertices": n, "facets": facets})
+        start = time.perf_counter()
+        code, out = run(["realize", "--complex", cx], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        report = json.loads(out)
+        assert report["round_trip"] is True
+        assert len(report["prime_assignment"]) == len(facets)
 
     def test_map_file_shape_checked(self, tmp_path, capsys):
         cx = write_json(tmp_path, "cx.json",

@@ -463,6 +463,18 @@ class TestFindNoncontractingMap:
         if found is not None:
             assert found.vertex_assignment == expected.vertex_assignment
 
+    @given(st.lists(st.sampled_from(REFEREE_VALUES), min_size=7, max_size=10),
+           st.lists(st.sampled_from((0, 1, 2, 3, 7)), min_size=10, max_size=10),
+           st.lists(st.sampled_from(REFEREE_DEGREES), max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_maps_past_the_referee_are_valid(self, heavy, multipliers, extra):
+        # a multiple of each kept weight plants a map; 0 drops the degree
+        degrees = [w * k for w, k in zip(heavy, multipliers) if k] + extra
+        found = find_noncontracting_map([1] + heavy, degrees)
+        if found is not None:
+            v = validate_weighted_map(found)
+            assert v.valid and v.noncontracting
+
     def test_brute_force_refuses_seven_vertices(self):
         with pytest.raises(ResourceLimitError, match="at most 6 source vertices"):
             brute_force_map([2] * 7, [2])

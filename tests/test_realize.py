@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import gcd, lcm
 
@@ -9,6 +10,7 @@ from helpers import random_complex
 from wciq.complexes import Complex, singular_complex
 from wciq.errors import InputError, ResourceLimitError
 from wciq.maps import find_noncontracting_map, validate_weighted_map
+from wciq.oracles import lcm_descent_realization
 from wciq.realize import (
     contraction_instance,
     first_primes,
@@ -94,6 +96,27 @@ class TestRealizeWeights:
         res = realize_weights(cx)
         for face, value in res.face_values.items():
             assert gcd(*(res.weights[i] for i in face)) == value
+
+
+    @given(st.integers(1, 9), st.data(), st.integers(0, 3))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_lcm_descent(self, n, data, offset):
+        facets = data.draw(st.lists(
+            st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=12))
+        cx = Complex.from_facets(n, facets)
+        res = realize_weights(cx, prime_offset=offset)
+        weights, face_values, primes = lcm_descent_realization(cx, prime_offset=offset)
+        assert tuple(res.weights) == weights
+        assert res.prime_assignment == primes
+        assert res.face_values == face_values
+
+    def test_large_facet_in_time(self):
+        cx = Complex.from_facets(18, [range(18)])
+        start = time.perf_counter()
+        res = realize_weights(cx)
+        assert time.perf_counter() - start < 1
+        assert tuple(res.weights) == (2,) * 18
+        assert verify_realization(cx, res.weights)
 
 
 class TestVerifyRealization:

@@ -55,10 +55,9 @@ RECORDS = [
     (lambda: NefPartition(((2,), (1, 0))), "NefPartition(parts=((2,), (0, 1)))", True),
     (lambda: NefClassification(True, True, False),
      "NefClassification(valid=True, nice=True, strong=False)", True),
-    (lambda: RealizationResult(WeightTuple((2,)), {frozenset({0}): 2},
-                               {frozenset({0}): 2}),
+    (lambda: RealizationResult(WeightTuple((2,)), {frozenset({0}): 2}),
      "RealizationResult(weights=WeightTuple(weights=(2,)), "
-     "face_values={frozenset({0}): 2}, prime_assignment={frozenset({0}): 2})", False),
+     "prime_assignment={frozenset({0}): 2})", False),
     (lambda: ContractionInstance(WeightTuple((1, 2)), DegreeTuple((4,)), (1,)),
      "ContractionInstance(weights=WeightTuple(weights=(1, 2)), "
      "degrees=DegreeTuple(degrees=(4,)), image_simplex=(1,))", True),
@@ -154,9 +153,9 @@ class TestNormalisation:
         assert fam.injections == {2: {0: 1, 1: 2}}
 
     def test_realization_copies_its_dicts(self):
-        values, primes = {frozenset({0}): 2}, {frozenset({0}): 2}
-        res = RealizationResult(WeightTuple((2,)), values, primes)
-        values[frozenset({1})] = 3
+        primes = {frozenset({0}): 2}
+        res = RealizationResult(WeightTuple((2,)), primes)
         primes[frozenset({0})] = 5
+        primes[frozenset({1})] = 3
         assert res.face_values == {frozenset({0}): 2}
         assert res.prime_assignment == {frozenset({0}): 2}
