@@ -97,7 +97,6 @@ class TestRealizeWeights:
         for face, value in res.face_values.items():
             assert gcd(*(res.weights[i] for i in face)) == value
 
-
     @given(st.integers(1, 9), st.data(), st.integers(0, 3))
     @settings(deadline=None, max_examples=200)
     def test_matches_the_lcm_descent(self, n, data, offset):
