@@ -212,7 +212,7 @@ def sr_to_json(sr: SRPresentation) -> dict:
     return {
         "vertices": list(sr.vertices),
         "degrees": [encode_int(d) for d in sr.variable_degrees],
-        "generators": [list(g) for g in sr.generators],
+        "generators": [sorted(g) for g in sr.generators],
     }
 
 
