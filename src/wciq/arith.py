@@ -47,43 +47,55 @@ def _check_positive_int(value, what: str) -> int:
     return value
 
 
+class _Positives:
+    """Base of the records with one field of positive integers, which len,
+    iteration and `total` address, so `__getnewargs__` names the field for
+    pickling. `unit` names an entry in messages. Slot-free: each record
+    decides whether it has an instance dict."""
+
+    __slots__ = ()
+    unit: str
+
+    def __new__(cls, items: tuple[int, ...]):
+        for a in items:
+            _check_positive_int(a, cls.unit)
+        return super().__new__(cls, items)
+
+    def __getnewargs__(self):
+        return (tuple.__getitem__(self, 0),)
+
+    @classmethod
+    def of(cls, values: Iterable[int]):
+        return cls(tuple(values))
+
+    def __len__(self) -> int:
+        return len(tuple.__getitem__(self, 0))
+
+    def __iter__(self):
+        return iter(tuple.__getitem__(self, 0))
+
+    @property
+    def total(self) -> int:
+        return sum(tuple.__getitem__(self, 0))
+
+
 class _WeightFields(NamedTuple):
     weights: tuple[int, ...]
 
 
-class WeightTuple(_WeightFields):
-    """Ordered tuple of positive integer weights, addressed from 0.
+class WeightTuple(_Positives, _WeightFields):
+    """Ordered tuple of positive integer weights, addressed from 0. No
+    __slots__: the cached `classes` lives in the instance dict."""
 
-    Indexing, iteration and len address the weights, not the record's one
-    field, so `__getnewargs__` names the field for pickling. No __slots__:
-    the cached `classes` lives in the instance dict."""
+    unit = "weight"
 
     def __new__(cls, weights: tuple[int, ...]):
         if not weights:
             raise InputError("weight tuple must be nonempty")
-        for a in weights:
-            _check_positive_int(a, "weight")
         return super().__new__(cls, weights)
-
-    def __getnewargs__(self):
-        return (self.weights,)
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "WeightTuple":
-        return cls(tuple(values))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
 
     def __getitem__(self, i: int) -> int:
         return self.weights[i]
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
 
     @functools.cached_property
     def classes(self) -> dict[int, tuple[int, ...]]:
@@ -120,41 +132,17 @@ class _DegreeFields(NamedTuple):
     degrees: tuple[int, ...]
 
 
-class DegreeTuple(_DegreeFields):
-    """Ordered tuple of positive integer degrees, addressed from 1.
-
-    Iteration and len address the degrees, not the record's one field, so
-    `__getnewargs__` names the field for pickling."""
+class DegreeTuple(_Positives, _DegreeFields):
+    """Ordered tuple of positive integer degrees, addressed from 1."""
 
     __slots__ = ()
-
-    def __new__(cls, degrees: tuple[int, ...]):
-        for d in degrees:
-            _check_positive_int(d, "degree")
-        return super().__new__(cls, degrees)
-
-    def __getnewargs__(self):
-        return (self.degrees,)
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "DegreeTuple":
-        return cls(tuple(values))
-
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
+    unit = "degree"
 
     def degree(self, j: int) -> int:
         """The j-th degree, 1-based."""
         if not 1 <= j <= len(self.degrees):
             raise InputError(f"degree index {j} outside 1..{len(self.degrees)}")
         return self.degrees[j - 1]
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
 
 
 WeightsLike = Union[WeightTuple, Sequence[int]]
@@ -378,7 +366,29 @@ def _admissible(dg: DegreeTuple, rep: int, unknown: int, vals: tuple[int, ...],
     return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
 
 
-class WeightFacts:
+class _Memo:
+    """Facts derived at most once each, kept per holder by their derive."""
+
+    __slots__ = ("_facts",)
+
+    def __init__(self):
+        self._facts: dict = {}
+
+    def once(self, derive: Callable[..., _T]) -> _T:
+        """derive(self), computed on the first request and kept. A derive
+        that raises keeps nothing, so a guard inside it runs on every call
+        until it passes."""
+        facts = self._facts
+        if derive not in facts:
+            facts[derive] = derive(self)
+        return facts[derive]
+
+    def kept(self, derive: Callable[..., _T]) -> _T | None:
+        """What `once(derive)` has kept, or None before it has run."""
+        return self._facts.get(derive)
+
+
+class WeightFacts(_Memo):
     """What is derived about one weight tuple, each fact at most once.
     Internal: not part of the package interface.
 
@@ -396,22 +406,13 @@ class WeightFacts:
     values[k], the distinct heavy values ascending.
     """
 
-    __slots__ = ("wt", "values", "_bit", "_facts")
+    __slots__ = ("wt", "values", "_bit")
 
     def __init__(self, wt: WeightTuple):
+        super().__init__()
         self.wt = wt
         self.values = wt.heavy_values()
         self._bit = {v: 1 << k for k, v in enumerate(self.values)}
-        self._facts: dict = {}
-
-    def once(self, derive: Callable[[WeightFacts], _T]) -> _T:
-        """derive(self), computed on the first request and kept. A derive
-        that raises keeps nothing, so a guard inside it runs on every call
-        until it passes."""
-        facts = self._facts
-        if derive not in facts:
-            facts[derive] = derive(self)
-        return facts[derive]
 
     def check_scale(self, walk: str) -> None:
         """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT
@@ -437,7 +438,7 @@ def weight_facts(wt: WeightTuple) -> WeightFacts:
     return WeightFacts(wt)
 
 
-class PairFacts:
+class PairFacts(_Memo):
     """What is derived about one pair (weights, degrees, dp_cap), each fact
     at most once. Internal: not part of the package interface.
 
@@ -451,29 +452,17 @@ class PairFacts:
     checked family and construction.
     """
 
-    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows", "_facts")
+    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows")
 
     def __init__(self, weights: WeightsLike, degrees: DegreesLike,
                  dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
+        super().__init__()
         self.w = weight_facts(as_weights(weights))
         self.wt = self.w.wt
         self.dg = as_degrees(degrees)
         self.dp_cap = dp_cap
         self.node_budget = node_budget
         self._rows: dict[int, tuple[int, int]] = {}
-        self._facts: dict = {}
-
-    def once(self, derive: Callable[[PairFacts], _T]) -> _T:
-        """derive(self), computed on the first request and kept. A derive
-        that raises keeps nothing."""
-        facts = self._facts
-        if derive not in facts:
-            facts[derive] = derive(self)
-        return facts[derive]
-
-    def kept(self, derive: Callable[[PairFacts], _T]) -> _T | None:
-        """What `once(derive)` has kept, or None before it has run."""
-        return self._facts.get(derive)
 
     def row(self, mask: int) -> tuple[int, int]:
         """Disjoint (representable, UNKNOWN) degree bits of a value set, bit

@@ -184,8 +184,12 @@ def find_noncontracting_map(weights: WeightsLike,
     skips the images of its earlier facet-mates. Copies of a weight share
     every facet and every domain, so swapping their images keeps a map
     valid, and the first map gives them rising images: each vertex starts
-    above the image of the previous copy of its weight. Every assignment
-    tried counts one node against `errors.DEFAULT_NODE_BUDGET`.
+    above the image of the previous copy of its weight. Before the
+    search, a stratum count refutes in closed form: a map is injective on
+    each source facet and sends each vertex into its domain, so no map
+    exists when some facet has more vertices than the union of their
+    domains. Every assignment tried counts one node against
+    `errors.DEFAULT_NODE_BUDGET`.
     A returned map certifies that a general quasi-smooth complete
     intersection with these data is smooth and well-formed.
     """
@@ -194,12 +198,11 @@ def find_noncontracting_map(weights: WeightsLike,
     src = singular_complex(wt)
     tgt = singular_complex(WeightTuple.of(tuple(dg)) if len(dg) else (1,))
     src_verts = src.complex.vertices
-    domains = [
-        [t for t in tgt.complex.vertices
-         if tgt.vertex_weights[t] % src.vertex_weights[v] == 0]
-        for v in src_verts
-    ]
-    if not all(domains):
+    domains = {v: [t for t in tgt.complex.vertices
+                   if tgt.vertex_weights[t] % src.vertex_weights[v] == 0]
+               for v in src_verts}
+    if not all(domains.values()) or any(
+            len(f) > len({t for v in f for t in domains[v]}) for f in src.complex.facets):
         return None
 
     mates = {v: {u for f in src.complex.facets if v in f for u in f if u < v}
@@ -216,7 +219,7 @@ def find_noncontracting_map(weights: WeightsLike,
         v = src_verts[k]
         floor = assignment[previous_copy[v]] if v in previous_copy else -1
         taken = {assignment[u] for u in mates[v]}
-        for t in domains[k]:
+        for t in domains[v]:
             if t <= floor:
                 continue
             spend()
@@ -572,7 +575,10 @@ def _checked_faces(w: WeightFacts):
     faces on at most two least indices per value stand in for order
     preservation, and each value set with gcd above 1 gives one exact
     property-2 record: its maximal index set is a face, whose image is
-    the superset of every class member's image."""
+    the superset of every class member's image. Only the face count of
+    that restricted complex is guarded: the least indices of a value set
+    with gcd above 1 form one of its faces, so there are never more
+    value-class records than restricted faces."""
     sing = w.once(_singular_complex).complex
     faces = sing.faces(limit=FACE_LIMIT)
     if faces is not None:
@@ -585,10 +591,6 @@ def _checked_faces(w: WeightFacts):
         raise ResourceLimitError(
             f"face enumeration exceeds {FACE_LIMIT} even on value-class "
             f"representatives")
-    if 2 ** len(w.values) > FACE_LIMIT:
-        raise ResourceLimitError(
-            f"value-subset sweep over {len(w.values)} values exceeds "
-            f"{FACE_LIMIT} classes")
     checked = tuple((tuple(sorted(i for v in w.values_of(mask) for i in classes[v])), mask)
                     for mask in common_factor_masks(w.values))
     return "value-class-representatives", checked, tuple(faces)

@@ -21,7 +21,7 @@ because the input data cannot cause those failures.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from wciq import errors
 from wciq.arith import (
@@ -205,23 +205,22 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
 
     if not assign(0):
         return None
+    return _layout(ones, [len(ones) - sum(room[1:]), *room[1:]],
+                   [(wt.classes[v], dist) for v, dist in zip(values, counts)])
 
-    # Deterministic expansion into index parts: the ones go to I_0 first,
-    # then fill each deficit room[j].
-    parts: list[list[int]] = [[] for _ in range(c + 1)]
-    leftover = len(ones) - sum(room[1:])
-    parts[0].extend(ones[:leftover])
-    pos = leftover
-    for j in range(1, c + 1):
-        parts[j].extend(ones[pos:pos + room[j]])
-        pos += room[j]
-    for v, dist in zip(values, counts):
-        idx = wt.classes[v]
+
+def _layout(ones: Sequence[int], fill: Sequence[int],
+            heavy: Iterable[tuple[Sequence[int], Sequence[int]]]) -> NefPartition:
+    """The partition of the index blocks: the ones fill I_0 with fill[0]
+    and then each I_j with its deficit fill[j]; each heavy (indices,
+    counts) block puts its next counts[j] indices into I_j, in order."""
+    parts: list[list[int]] = [[] for _ in fill]
+    for idx, counts in [(ones, fill), *heavy]:
         at = 0
-        for j in range(c + 1):
-            parts[j].extend(idx[at:at + dist[j]])
-            at += dist[j]
-    return NefPartition(tuple(tuple(p) for p in parts))
+        for part, k in zip(parts, counts):
+            part.extend(idx[at:at + k])
+            at += k
+    return NefPartition(tuple(map(tuple, parts)))
 
 
 def construct_strong_nef_partition(
@@ -271,27 +270,22 @@ def _construction(facts: PairFacts) -> tuple[
         raise InternalConsistencyError(
             "no admissible family exists although all preconditions hold")
     fibers = vertex_fibers(fam)
-    c = len(dg)
+    heavy = [fibers.get(j, ()) for j in range(1, len(dg) + 1)]
     deltas = []
-    for j in range(1, c + 1):
-        fiber_sum = sum(wt[i] for i in fibers.get(j, ()))
-        delta = dg.degree(j) - fiber_sum
-        if delta < 0:
+    for j, (d, f) in enumerate(zip(dg, heavy), 1):
+        fiber_sum = sum(wt[i] for i in f)
+        if fiber_sum > d:
             raise InternalConsistencyError(
-                f"fiber of degree {j} outweighs the degree: "
-                f"{fiber_sum} > {dg.degree(j)}")
-        deltas.append(delta)
-    ones = list(wt.ones())
+                f"fiber of degree {j} outweighs the degree: {fiber_sum} > {d}")
+        deltas.append(d - fiber_sum)
+    ones = wt.ones()
     if len(ones) != idx + sum(deltas):
         raise InternalConsistencyError(
             f"{len(ones)} weight-one indices cannot absorb index {idx} "
             f"plus slack {sum(deltas)}")
-    parts: list[list[int]] = [ones[:idx]]
-    pos = idx
-    for j in range(1, c + 1):
-        parts.append(ones[pos:pos + deltas[j - 1]] + list(fibers.get(j, ())))
-        pos += deltas[j - 1]
-    partition = NefPartition(tuple(tuple(p) for p in parts))
+    # the fibers, in degree order, form one heavy block
+    partition = _layout(ones, [idx, *deltas],
+                        [([i for f in heavy for i in f], [0, *map(len, heavy)])])
     classification = classify_partition(wt, dg, partition)
     if not classification.strong:
         raise InternalConsistencyError(

@@ -496,6 +496,38 @@ class TestPosetmap:
         assert "exceeds the dp cap 1" in capsys.readouterr().err
 
 
+#: Odd primes 3..41: with 2 they give 13 heavy values, whose value subsets
+#: number 2^13 = 8192 but whose value sets with gcd above 1 number 25.
+ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: Past the face limit, with 25 value-class records.
+VALUE_CLASS_PAIR = {"weights": [1] * 419 + [2] * 13 + list(ODD_PRIMES),
+                    "degrees": list(range(4, 29, 2)) + [2 * p for p in ODD_PRIMES]}
+#: Past the face limit even on value-class representatives.
+REPRESENTATIVES_PAIR = {
+    "weights": [1] * 451 + [v for v in (6, 10, 14, 22, 26, 34, 38) for _ in range(2)],
+    "degrees": [k * v for v in (6, 10, 14, 22, 26, 34, 38) for k in (2, 3)]}
+
+
+class TestPosetMapBound:
+    def test_value_class_records_follow_the_restricted_faces(self, tmp_path, capsys):
+        pair = write_json(tmp_path, "p.json", VALUE_CLASS_PAIR)
+        code, out = run(["analyze", "--input", pair], capsys)
+        assert code == 0
+        report = json.loads(out)["poset_map"]
+        assert report["scope"] == "value-class-representatives"
+        assert report["all_ok"] is True
+        assert len(report["property2_records"]) == 25
+
+    def test_too_many_representative_faces(self, tmp_path, capsys):
+        pair = write_json(tmp_path, "p.json", REPRESENTATIVES_PAIR)
+        assert main(["analyze", "--input", pair]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: face enumeration exceeds 4096 even on value-class "
+            "representatives\n")
+        code, _ = run(["posetmap", "build", "--input", pair], capsys)
+        assert code == 0
+
+
 class TestRealize:
     def test_plain_realization(self, tmp_path, capsys):
         cx = write_json(tmp_path, "cx.json",
@@ -628,6 +660,26 @@ class TestOracle:
         assert len(err.splitlines()) == 1
         assert err.startswith("resource limit: ")
         assert err.endswith(" exceeded the node budget 1\n")
+
+    @pytest.mark.parametrize("reference,divergence", [
+        ("brute_force_representable", "representability of degree 1"),
+        ("naive_strictly_regular", "strict regularity"),
+        ("naive_partition_exists", "partition existence in mode strong"),
+    ])
+    def test_divergence_is_named(self, reference, divergence, small_file,
+                                 monkeypatch, capsys):
+        from wciq import oracles
+
+        ref = getattr(oracles, reference)
+
+        def disagree(*args, **kwargs):
+            out = ref(*args, **kwargs)
+            return (not out[0], out[1]) if isinstance(out, tuple) else not out
+
+        monkeypatch.setattr(oracles, reference, disagree)
+        code, out = run(["oracle", "--input", small_file], capsys)
+        assert code == 1
+        assert divergence in json.loads(out)["divergences"]
 
     def test_dp_cap_limits(self, map_file, capsys):
         # 16 is neither divisible by nor within the cap of any heavy value

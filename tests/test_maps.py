@@ -304,8 +304,7 @@ def swept_validation(fmap):
 
 def map_ladder_pair(m):
     """Weights 1^3 + (6, 10, 15)^m and degrees 30^m + (16, 21, 25): no
-    non-contracting map exists, and the search tries about 9 times more
-    assignments per added copy."""
+    non-contracting map exists, and the stratum count shows it."""
     return [1] * 3 + [6, 10, 15] * m, [30] * m + [16, 21, 25]
 
 
@@ -440,14 +439,23 @@ class TestFindNoncontractingMap:
                 assert v.valid and v.noncontracting
 
     def test_node_budget(self, monkeypatch):
-        # m = 6 answers None after trying 1,542 assignments
-        weights, degrees = map_ladder_pair(6)
-        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 1_541)
+        # the stratum count passes: each stratum's domains are large enough;
+        # the search answers None after trying 2,993 assignments
+        weights = [1] * 3 + [6, 10, 15] * 4
+        degrees = [30] * 4 + [42] * 2 + [70] * 2 + [105] * 2
+        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 2_992)
         with pytest.raises(ResourceLimitError, match=(
-                "non-contracting map search exceeded the node budget 1541")):
+                "non-contracting map search exceeded the node budget 2992")):
             find_noncontracting_map(weights, degrees)
-        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 1_542)
+        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 2_993)
         assert find_noncontracting_map(weights, degrees) is None
+
+    @pytest.mark.parametrize("m", [8, 12, 20])
+    def test_stratum_count_refutes_the_ladder(self, monkeypatch, m):
+        # stratum 2 holds 2m vertices whose only targets are the m degrees
+        # 30, so no node is spent
+        monkeypatch.setattr(maps, "DEFAULT_NODE_BUDGET", 0)
+        assert find_noncontracting_map(*map_ladder_pair(m)) is None
 
     @given(st.lists(st.sampled_from(REFEREE_VALUES), max_size=6),
            st.integers(0, 1),
