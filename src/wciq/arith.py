@@ -1,6 +1,6 @@
 """Exact integer arithmetic underlying all combinatorial criteria.
 
-Provides gcd/lcm folds, membership in numerical semigroups (is a number a
+Provides a gcd fold, membership in numerical semigroups (is a number a
 non-negative integer combination of given generators), representable degree
 sets, and cover relations in finite divisibility posets.
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
 
@@ -47,55 +47,46 @@ def _check_positive_int(value, what: str) -> int:
     return value
 
 
-class _Positives:
-    """Base of the records with one field of positive integers, which len,
-    iteration and `total` address, so `__getnewargs__` names the field for
-    pickling. `unit` names an entry in messages. Slot-free: each record
-    decides whether it has an instance dict."""
+class _Positives(tuple):
+    """Base of the tuples of positive integers: the record is the tuple of
+    its entries, so len, iteration, indexing, hashing and pickling are
+    tuple's. `unit` names an entry in messages and `field` the entries in
+    the repr. Slot-free: each record decides whether it has an instance
+    dict."""
 
     __slots__ = ()
     unit: str
+    field: str
 
     def __new__(cls, items: tuple[int, ...]):
         for a in items:
             _check_positive_int(a, cls.unit)
         return super().__new__(cls, items)
 
-    def __getnewargs__(self):
-        return (tuple.__getitem__(self, 0),)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.field}={tuple(self)!r})"
 
     @classmethod
     def of(cls, values: Iterable[int]):
         return cls(tuple(values))
 
-    def __len__(self) -> int:
-        return len(tuple.__getitem__(self, 0))
-
-    def __iter__(self):
-        return iter(tuple.__getitem__(self, 0))
-
     @property
     def total(self) -> int:
-        return sum(tuple.__getitem__(self, 0))
+        return sum(self)
 
 
-class _WeightFields(NamedTuple):
-    weights: tuple[int, ...]
-
-
-class WeightTuple(_Positives, _WeightFields):
+class WeightTuple(_Positives):
     """Ordered tuple of positive integer weights, addressed from 0. No
     __slots__: the cached `classes` lives in the instance dict."""
 
     unit = "weight"
+    field = "weights"
+    weights = property(tuple, doc="The weights as a plain tuple.")
 
     def __new__(cls, weights: tuple[int, ...]):
         if not weights:
             raise InputError("weight tuple must be nonempty")
         return super().__new__(cls, weights)
-
-    def __getitem__(self, i: int) -> int:
-        return self.weights[i]
 
     @functools.cached_property
     def classes(self) -> dict[int, tuple[int, ...]]:
@@ -103,7 +94,7 @@ class WeightTuple(_Positives, _WeightFields):
         ascending indices carrying it. Built once per tuple and shared by
         every caller, so it must not be modified."""
         out: dict[int, list[int]] = {}
-        for i, a in enumerate(self.weights):
+        for i, a in enumerate(self):
             out.setdefault(a, []).append(i)
         return {a: tuple(out[a]) for a in sorted(out)}
 
@@ -113,7 +104,7 @@ class WeightTuple(_Positives, _WeightFields):
 
     def heavy(self) -> tuple[int, ...]:
         """Indices carrying weight greater than 1, ascending."""
-        return tuple(i for i, a in enumerate(self.weights) if a > 1)
+        return tuple(i for i, a in enumerate(self) if a > 1)
 
     def heavy_values(self) -> tuple[int, ...]:
         """Distinct weight values greater than 1, ascending."""
@@ -128,21 +119,19 @@ class WeightTuple(_Positives, _WeightFields):
                             for i in idx))
 
 
-class _DegreeFields(NamedTuple):
-    degrees: tuple[int, ...]
-
-
-class DegreeTuple(_Positives, _DegreeFields):
+class DegreeTuple(_Positives):
     """Ordered tuple of positive integer degrees, addressed from 1."""
 
     __slots__ = ()
     unit = "degree"
+    field = "degrees"
+    degrees = property(tuple, doc="The degrees as a plain tuple.")
 
     def degree(self, j: int) -> int:
         """The j-th degree, 1-based."""
-        if not 1 <= j <= len(self.degrees):
-            raise InputError(f"degree index {j} outside 1..{len(self.degrees)}")
-        return self.degrees[j - 1]
+        if not 1 <= j <= len(self):
+            raise InputError(f"degree index {j} outside 1..{len(self)}")
+        return self[j - 1]
 
 
 WeightsLike = Union[WeightTuple, Sequence[int]]
@@ -164,11 +153,6 @@ def gcd_of(values: Iterable[int]) -> int:
     if not vals:
         raise InputError("gcd of an empty collection is undefined")
     return math.gcd(*vals)
-
-
-def lcm_or_one(values: Iterable[int]) -> int:
-    """Least common multiple, with the empty collection mapped to 1."""
-    return math.lcm(*tuple(values))
 
 
 def mask_levels(n: int, flags: Callable[[int], int]) -> Iterator[tuple[int, int]]:
@@ -352,7 +336,7 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
     """
     vals, g, reduced = _prepare(weights)
     dg = as_degrees(degrees)
-    return frozenset(_admissible(dg, *_decide_row(dg.degrees, 0, vals, g, reduced, dp_cap),
+    return frozenset(_admissible(dg, *_decide_row(dg, 0, vals, g, reduced, dp_cap),
                                  vals, dp_cap))
 
 
@@ -424,7 +408,7 @@ class WeightFacts(_Memo):
 
     def mask(self, indices: Iterable[int]) -> int:
         """The mask of the values at the given heavy indices."""
-        return sum({self._bit[self.wt.weights[i]] for i in indices})
+        return sum({self._bit[self.wt[i]] for i in indices})
 
     def values_of(self, mask: int) -> tuple[int, ...]:
         """The heavy values of a mask, ascending."""
@@ -477,7 +461,7 @@ class PairFacts(_Memo):
             for k in range(mask.bit_length()):
                 if mask >> k & 1:
                     rep |= self._rows.get(mask ^ 1 << k, (0,))[0]
-            dg = self.dg.degrees
+            dg = self.dg
             row = self._rows[mask] = (rep, 0) if rep == (1 << len(dg)) - 1 else _decide_row(
                 dg, rep, *_reduce(self.w.values_of(mask)), self.dp_cap)
         return row

@@ -285,9 +285,7 @@ def cmd_realize(args) -> tuple[dict, int]:
         "validation": {
             "simplicial": validation.simplicial,
             "weighted": validation.weighted,
-            "contracts_face":
-                None if validation.contracts_face is None
-                else list(validation.contracts_face),
+            "contracts_face": validation.contracts_face,
         },
     }
     return report, 0
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         if node_budget:
             sp.add_argument("--node-budget", type=_non_negative_int,
                             default=DEFAULT_NODE_BUDGET,
-                            help="node budget of each search the command runs")
+                            help="node budget of each admissible family and nef partition search")
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.set_defaults(func=func)
         return sp

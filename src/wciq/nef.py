@@ -106,13 +106,12 @@ def classify_partition(weights: WeightsLike, degrees: DegreesLike,
         missing = sorted(set(range(len(wt))) - seen)
         raise InputError(f"indices {missing} belong to no part")
 
-    w = wt.weights
-    paired = list(zip(dg.degrees, partition.parts[1:]))
-    valid = all(sum(w[i] for i in part) == d for d, part in paired)
-    nice = valid and any(w[i] == 1 for i in partition.leftover)
+    paired = list(zip(dg, partition.parts[1:]))
+    valid = all(sum(wt[i] for i in part) == d for d, part in paired)
+    nice = valid and any(wt[i] == 1 for i in partition.leftover)
     strong = (valid
-              and all(w[i] == 1 for i in partition.leftover)
-              and all(d % w[i] == 0 for d, part in paired for i in part))
+              and all(wt[i] == 1 for i in partition.leftover)
+              and all(d % wt[i] == 0 for d, part in paired for i in part))
     return NefClassification(valid, nice, strong)
 
 

@@ -34,7 +34,6 @@ from wciq.arith import (
     as_degrees,
     as_weights,
     gcd_of,
-    lcm_or_one,
     poset_covers,
     representable_degrees,
 )
@@ -220,7 +219,7 @@ def _index_non_divisible(wt, idx) -> bool:
 
 
 def _index_strongly_non_divisible(wt, idx) -> bool:
-    bound = lcm_or_one(gcd(wt[i], wt[j]) for i, j in combinations(idx, 2))
+    bound = lcm(*(gcd(wt[i], wt[j]) for i, j in combinations(idx, 2)))
     return all(bound % wt[k] != 0 for k in idx)
 
 

@@ -23,7 +23,7 @@ distinct heavy values and raise ResourceLimitError past 20 of them.
 from __future__ import annotations
 
 from itertools import accumulate, combinations, product
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import NamedTuple
 
 from wciq.arith import (
@@ -35,7 +35,6 @@ from wciq.arith import (
     as_degrees,
     as_weights,
     common_factor_masks,
-    lcm_or_one,
     mask_levels,
     maximal_masks,
     weight_facts,
@@ -66,7 +65,7 @@ def is_wellformed_wps(weights: WeightsLike) -> bool:
     wt = as_weights(weights)
     # prefix[i] is the gcd of wt[:i], suffix[i] that of wt[i:]; gcd(0, a) = a.
     prefix = list(accumulate(wt, gcd, initial=0))
-    suffix = list(accumulate(reversed(wt.weights), gcd, initial=0))[::-1]
+    suffix = list(accumulate(reversed(wt), gcd, initial=0))[::-1]
     return all(gcd(prefix[i], suffix[i + 1]) == 1 for i in range(len(wt)))
 
 
@@ -92,7 +91,7 @@ def _non_divisible(ws) -> bool:
 
 def _strongly_non_divisible(ws) -> bool:
     """No entry divides the lcm of the pairwise gcds of the entries."""
-    bound = lcm_or_one(gcd(a, b) for a, b in combinations(ws, 2))
+    bound = lcm(*(gcd(a, b) for a, b in combinations(ws, 2)))
     return all(bound % a != 0 for a in ws)
 
 

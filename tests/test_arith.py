@@ -12,7 +12,6 @@ from wciq.arith import (
     WeightTuple,
     gcd_of,
     is_representable,
-    lcm_or_one,
     poset_covers,
     representable_degrees,
 )
@@ -31,11 +30,14 @@ class TestTuples:
         assert wt.indices_of(6) == (1,)
         assert list(wt) == [1, 6, 10, 15, 1]
         assert wt[2] == 10
+        assert wt == (1, 6, 10, 15, 1) and type(wt.weights) is tuple
+        assert wt[1:3] == (6, 10) and type(wt[1:3]) is tuple
 
     def test_degree_tuple_is_one_based(self):
         dg = DegreeTuple.of([16, 21, 25, 30])
         assert dg.degree(1) == 16
         assert dg.degree(4) == 30
+        assert dg.degrees == (16, 21, 25, 30) and type(dg.degrees) is tuple
         with pytest.raises(InputError):
             dg.degree(0)
         with pytest.raises(InputError):
@@ -56,10 +58,6 @@ class TestGcdLcm:
         assert gcd_of([7]) == 7
         with pytest.raises(InputError):
             gcd_of([])
-
-    def test_lcm_or_one(self):
-        assert lcm_or_one([]) == 1
-        assert lcm_or_one([4, 6]) == 12
 
     def test_distinct_prime_factors(self):
         assert distinct_prime_factors(1) == ()

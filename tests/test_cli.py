@@ -22,6 +22,8 @@ LARGE_DEGREE_PAIR = {"weights": [1, 1, 1, 6, 10, 15],
                      "degrees": [10007, 46421, 215443, 999983]}
 SMALL_PAIR = {"weights": [1, 1, 1, 1, 1, 2], "degrees": [4]}
 MAP_PAIR = {"weights": [1, 6, 10, 15], "degrees": [16, 21, 25, 30]}
+#: Heavy weights 2 and 4, one dividing the other.
+DIVIDING_PAIR = {"weights": [1, 1, 2, 4], "degrees": [4, 8]}
 #: A weight with a prime factor far past trial division.
 LARGE_PRIME_PAIR = {"weights": [1, 2, 10 ** 24 + 7], "degrees": [4]}
 TEXT_REPORTS = Path(__file__).parent / "data" / "text_reports"
@@ -447,6 +449,29 @@ class TestPosetmap:
         assert report["all_ok"] is False
         assert report["scope"] == "invariants-failed"
 
+    @pytest.mark.parametrize("injections,violation", [
+        ({"2": {"2": 1, "3": 2}, "4": {"3": 1}},
+         "vertices 2 and 3 with dividing weights share image 1"),
+        ({"2": {"2": 1}, "4": {"3": 1}}, "injection at 2 does not cover its domain"),
+    ], ids=["shared-image", "uncovered-domain"])
+    def test_verify_reports_family_violation(self, injections, violation, tmp_path, capsys):
+        pair = write_json(tmp_path, "p.json", DIVIDING_PAIR)
+        fam = write_json(tmp_path, "fam.json", {"im_phi": [2, 4], "injections": injections})
+        code, out = run(["posetmap", "verify", "--input", pair, "--family", fam], capsys)
+        assert code == 1
+        assert json.loads(out)["poset_map"]["family_violations"] == [violation]
+
+    @pytest.mark.parametrize("family,message", [
+        ([], 'family must be an object with "im_phi" and "injections"'),
+        ({"im_phi": {}, "injections": {}}, '"im_phi" must be an array'),
+        ({"im_phi": [2, 4], "injections": []}, '"injections" must be an object'),
+    ], ids=["not-an-object", "im-phi-object", "injections-array"])
+    def test_verify_checks_family_shape(self, family, message, tmp_path, capsys):
+        pair = write_json(tmp_path, "p.json", DIVIDING_PAIR)
+        fam = write_json(tmp_path, "fam.json", family)
+        assert main(["posetmap", "verify", "--input", pair, "--family", fam]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_verify_needs_family(self, map_file, capsys):
         code, _ = run(["posetmap", "verify", "--input", map_file], capsys)
         assert code == 2
@@ -593,6 +618,15 @@ class TestRealize:
         mp = write_json(tmp_path, "mp.json", {"assignment": {}})
         code, _ = run(["realize", "--complex", cx, "--map", mp], capsys)
         assert code == 2
+
+    def test_map_assignment_must_be_an_object(self, tmp_path, capsys):
+        cx = write_json(tmp_path, "cx.json",
+                        {"n_vertices": 2, "facets": [[0, 1]]})
+        mp = write_json(tmp_path, "mp.json",
+                        {"target": {"n_vertices": 2, "facets": [[0, 1]]},
+                         "assignment": [0, 1]})
+        assert main(["realize", "--complex", cx, "--map", mp]) == 2
+        assert capsys.readouterr().err == 'error: "assignment" must be an object\n'
 
     @pytest.mark.parametrize("key,assignment", [
         ("\u0660", {"\u0660": 0, "1": 1, "2": 0}),

@@ -1,6 +1,7 @@
 """Semantics every record type of the package keeps: repr text, equality
 and hashing, immutable fields, pickling, validation and normalisation."""
 
+import copy
 import pickle
 
 import pytest
@@ -95,17 +96,25 @@ class TestRecordSemantics:
 
     def test_pickle_round_trip(self, build, text, hashable):
         record = build()
-        copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and type(copy) is type(record)
-        assert repr(copy) == text
+        for clone in copies(record):
+            assert clone == record and type(clone) is type(record)
+            assert repr(clone) == text
+
+
+def copies(record):
+    """The record through pickle at every protocol, copy and deepcopy."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(record, protocol))
+    yield copy.copy(record)
+    yield copy.deepcopy(record)
 
 
 def test_pickle_after_cached_classes():
     wt = WeightTuple((3, 1, 3))
     assert wt.classes == {1: (1,), 3: (0, 2)}
-    copy = pickle.loads(pickle.dumps(wt))
-    assert copy == wt and copy.classes == wt.classes
-    assert len(copy) == 3 and list(copy) == [3, 1, 3] and copy[2] == 3
+    for clone in copies(wt):
+        assert clone == wt and clone.classes == wt.classes
+        assert len(clone) == 3 and list(clone) == [3, 1, 3] and clone[2] == 3
 
 
 class TestValidation:
