@@ -59,8 +59,10 @@ class _Positives(tuple):
     field: str
 
     def __new__(cls, items: tuple[int, ...]):
-        for a in items:
-            _check_positive_int(a, cls.unit)
+        # all exact ints, least at least 1: valid; else the first bad entry raises
+        if not set(map(type, items)) <= {int} or min(items, default=1) < 1:
+            for a in items:
+                _check_positive_int(a, cls.unit)
         return super().__new__(cls, items)
 
     def __repr__(self) -> str:
@@ -379,7 +381,8 @@ class WeightFacts(_Memo):
     `weight_facts` keeps one holder per weight tuple in the process, so
     every pair with these weights shares its facts: the divisibility
     walk with its value masks, well-formedness, the singular complex,
-    the occurring face weights with their domains, and the report
+    the occurring face weights with their domains, the faces the
+    poset-map check reads (at most `maps.FACE_LIMIT`), and the report
     sections of the weights alone, encoded once by the command line (the
     singular complex, its presentation and both divisibility facet
     lists). Apart from those sections, whose size is that of the report

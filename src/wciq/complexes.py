@@ -236,18 +236,25 @@ def _base_facets(facts: PairFacts) -> list[tuple[int, int]]:
         len(facts.w.values), lambda mask: every & ~sum(facts.row(mask)))))
 
 
+def _base_facet_indices(facts: PairFacts) -> list[tuple[list[int], int]]:
+    """The facets of every base complex, each expanded once from its value
+    mask to an ascending index list, in lexicographic order, with the bits
+    of its degrees. Whole value classes expand distinct maximal value
+    masks, so the facets are maximal as they come."""
+    classes = facts.wt.classes
+    return sorted(((sorted(i for v in facts.w.values_of(mask) for i in classes[v]), bits)
+                   for mask, bits in facts.once(_base_facets)), key=lambda fb: fb[0])
+
+
 def _base_facet_lists(facts: PairFacts, j: int) -> list[list[int]]:
     """The facets of the pair's j-th base complex as ascending index lists,
-    in lexicographic order, expanded straight from the value masks. Whole
-    value classes expand distinct maximal value masks, so the facets are
-    maximal as they come."""
+    in lexicographic order."""
     d = facts.dg.degree(j)
     # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
     least = next((1 << k for k, v in enumerate(facts.w.values) if d % v), 0)
     if least:
         facts.representable(j, least)
-    return sorted(sorted(i for v in facts.w.values_of(mask) for i in facts.wt.classes[v])
-                  for mask, bits in facts.once(_base_facets) if bits >> j - 1 & 1)
+    return [f for f, bits in facts.once(_base_facet_indices) if bits >> j - 1 & 1]
 
 
 def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:

@@ -549,10 +549,11 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
         return PosetMapReport(violations, False, None, False, (), False, None,
                               False, None, "invariants-failed")
 
-    scope, checked, faces = _checked_faces(facts.w)
-    images = {face: induced_face_map(fam, face) for face in faces}
+    wt = facts.wt
+    scope, checked, faces = facts.w.once(_checked_faces)
+    images = {face: _face_image(fam, wt, face) for face in faces}
     records = tuple((face, j, facts.representable(j, mask)) for face, mask in checked
-                    for j in sorted(images.get(face) or induced_face_map(fam, face)))
+                    for j in sorted(images.get(face) or _face_image(fam, wt, face)))
     property2 = all(ok for _, _, ok in records)
 
     # faces are downward closed, so every one-smaller sub-face has an image
@@ -564,6 +565,16 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
     return PosetMapReport(
         violations, True, None, property2, records,
         True, None, order_preserving, order_witness, scope)
+
+
+def _face_image(fam: AdmissibleFamily, wt: WeightTuple,
+                face: tuple[int, ...]) -> frozenset[int]:
+    """`induced_face_map` of a face of the singular complex under a family
+    that has passed its invariant check against the weights wt. There the
+    domains are those of wt, so a heavy vertex i lies in the domain of
+    wt[i] and of its divisors only, and its `vertex_weight` is wt[i]: the
+    face weight is the gcd of the wt[i]."""
+    return frozenset(map(fam.injections[gcd(*map(wt.__getitem__, face))].__getitem__, face))
 
 
 def _checked_faces(w: WeightFacts):
@@ -578,7 +589,9 @@ def _checked_faces(w: WeightFacts):
     the superset of every class member's image. Only the face count of
     that restricted complex is guarded: the least indices of a value set
     with gcd above 1 form one of its faces, so there are never more
-    value-class records than restricted faces."""
+    value-class records than restricted faces. A fact of the weights
+    alone, kept on their facts holder: at most FACE_LIMIT faces and as
+    many records."""
     sing = w.once(_singular_complex).complex
     faces = sing.faces(limit=FACE_LIMIT)
     if faces is not None:

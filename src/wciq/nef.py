@@ -38,7 +38,7 @@ from wciq.errors import (
     InternalConsistencyError,
     PreconditionFailure,
 )
-from wciq.maps import AdmissibleFamily, _family, vertex_fibers
+from wciq.maps import AdmissibleFamily, _family
 from wciq.regularity import _pair_witness, _strict_regularity, is_linear_cone
 
 _MODES = ("any", "nice", "strong")
@@ -268,7 +268,10 @@ def _construction(facts: PairFacts) -> tuple[
     if fam is None:
         raise InternalConsistencyError(
             "no admissible family exists although all preconditions hold")
-    fibers = vertex_fibers(fam)
+    # `vertex_fibers` of a checked family: heavy i goes to injections[wt[i]][i]
+    fibers: dict[int, list[int]] = {}
+    for i in wt.heavy():
+        fibers.setdefault(fam.injections[wt[i]][i], []).append(i)
     heavy = [fibers.get(j, ()) for j in range(1, len(dg) + 1)]
     deltas = []
     for j, (d, f) in enumerate(zip(dg, heavy), 1):

@@ -31,12 +31,23 @@ def canonical_json(obj: Any) -> str:
     writes it, plus the trailing newline.
 
     With an indent, json.dumps always runs its pure-Python encoder. This
-    recursive one writes the same bytes in about half the time: strings
-    go through the C string encoder that ensure_ascii=False selects, and
-    a list of plain ints is joined in one go. Only plain lists and tuples
-    are arrays: a record is a tuple subclass, and raises TypeError here
-    where json.dumps would write its fields. An `Encoded` value is spliced
-    in as it was written.
+    one writes the same bytes with less Python per element:
+
+    * It dispatches on the exact types first. Strings go through the C
+      string encoder that ensure_ascii=False selects, ints through
+      `int.__repr__`, and bools and None by table. Subclasses, floats and
+      `Encoded` values take the isinstance branches after that.
+    * A dict sorts its items as json.dumps does and writes each key as
+      json.dumps spells it. For a tuple of str keys, the sorted order and
+      the `"key": ` heads are kept in a bounded table, and scalar values
+      are written in the item loop.
+    * A list or tuple whose members are all exact ints, as one type check
+      over the members finds, is joined in one go, and so is each int
+      array in an array of arrays.
+
+    Only plain lists and tuples are arrays: a record is a tuple subclass,
+    and raises TypeError here where json.dumps would write its fields. An
+    `Encoded` value is spliced in as it was written.
     """
     return _encode(obj, "\n") + "\n"
 
@@ -57,40 +68,77 @@ class Encoded:
         return json.loads(self.text)
 
 
+#: How each scalar of an exact type is written.
+_SCALARS: dict = {str: encode_basestring, int: int.__repr__,
+                  bool: {True: "true", False: "false"}.__getitem__,
+                  type(None): {None: "null"}.__getitem__}
+_INT = {int}
+_ARRAYS = {list, tuple}
+
+#: Key tuples, in insertion order, of the all-str-key dicts written so
+#: far, each with its keys sorted and paired with their `"key": ` heads;
+#: the oldest goes first past _HEADS_SIZE.
+_HEADS: dict[tuple, tuple[tuple[str, str], ...]] = {}
+_HEADS_SIZE = 1024
+
+
 def _encode(obj: Any, newline: str) -> str:
     """obj as json.dumps writes it, where `newline` starts the line obj
     ends on (a newline and that line's indent)."""
-    if type(obj) in (list, tuple):
+    t = type(obj)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        return scalar(obj)
+    if t in _ARRAYS:
         if not obj:
             return "[]"
         inner = newline + "  "
-        if all(type(x) is int for x in obj):
+        types = set(map(type, obj))
+        if types == _INT:
             items = map(int.__repr__, obj)
+        elif types <= _ARRAYS:
+            deeper = inner + "  "
+            items = ["[" + deeper + ("," + deeper).join(map(int.__repr__, x)) + inner + "]"
+                     if x and set(map(type, x)) == _INT else _encode(x, inner)
+                     for x in obj]
         else:
             items = [_encode(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        if t is not dict:
+            obj = dict(obj.items())
         inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            encode_basestring(_key(k)) + ": " + _encode(v, inner)
-            for k, v in sorted(obj.items())]) + newline + "}"
+        keys = tuple(obj)
+        heads = _HEADS.get(keys) or _heads(keys)
+        items = []
+        for k, head in heads:
+            v = obj[k]
+            scalar = _SCALARS.get(type(v))
+            items.append(head + (scalar(v) if scalar else _encode(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, str):
         return encode_basestring(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _float(obj)
-    if type(obj) is Encoded:
+    if t is Encoded:
         return obj.text.replace("\n", newline)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _heads(keys: tuple) -> tuple[tuple[Any, str], ...]:
+    """The keys in json.dumps' order, each with its `"key": ` head; kept
+    when every key is a str. Mixed key types do not sort: TypeError, as
+    in json.dumps."""
+    heads = tuple((k, encode_basestring(_key(k)) + ": ") for k in sorted(keys))
+    if set(map(type, keys)) == {str}:
+        if len(_HEADS) >= _HEADS_SIZE:
+            del _HEADS[next(iter(_HEADS))]
+        _HEADS[keys] = heads
+    return heads
 
 
 def _float(x: float) -> str:
@@ -158,12 +206,24 @@ def load_json(text: str, what: str = "input") -> Any:
         raise InputError(f"{what} nests deeper than the JSON parser can follow") from None
 
 
+def _encode_ints(xs) -> list:
+    """encode_int of each of the ints xs: xs itself, as a list, when they
+    all lie in the safe range."""
+    if -_SAFE_INT < min(xs, default=0) and max(xs, default=0) < _SAFE_INT:
+        return list(xs)
+    return [encode_int(a) for a in xs]
+
+
+def _decode_ints(raw: list, what: str) -> list[int]:
+    """decode_int of each entry of raw, which stays as it is when all its
+    entries are exact ints."""
+    return raw if set(map(type, raw)) <= {int} else [decode_int(v, what) for v in raw]
+
+
 def pair_to_json(weights, degrees) -> dict:
-    wt = as_weights(weights)
-    dg = as_degrees(degrees)
     return {
-        "weights": [encode_int(a) for a in wt],
-        "degrees": [encode_int(d) for d in dg],
+        "weights": _encode_ints(as_weights(weights)),
+        "degrees": _encode_ints(as_degrees(degrees)),
     }
 
 
@@ -176,8 +236,8 @@ def pair_from_json(data: Any) -> tuple[WeightTuple, DegreeTuple]:
     raw_d = data.get("degrees", [])
     if not isinstance(raw_w, list) or not isinstance(raw_d, list):
         raise InputError('"weights" and "degrees" must be JSON arrays')
-    weights = WeightTuple.of(decode_int(v, "weight") for v in raw_w)
-    degrees = DegreeTuple.of(decode_int(v, "degree") for v in raw_d)
+    weights = WeightTuple.of(_decode_ints(raw_w, "weight"))
+    degrees = DegreeTuple.of(_decode_ints(raw_d, "degree"))
     return weights, degrees
 
 
@@ -198,7 +258,7 @@ def complex_from_json(data: Any) -> Complex:
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise InputError('"facets" must be an array of vertex arrays')
     return Complex.from_facets(
-        n, [[decode_int(v, "vertex") for v in f] for f in facets])
+        n, [_decode_ints(f, "vertex") for f in facets])
 
 
 def weighted_complex_to_json(wc: WeightedComplex) -> dict:
@@ -211,14 +271,14 @@ def weighted_complex_to_json(wc: WeightedComplex) -> dict:
 def sr_to_json(sr: SRPresentation) -> dict:
     return {
         "vertices": list(sr.vertices),
-        "degrees": [encode_int(d) for d in sr.variable_degrees],
+        "degrees": _encode_ints(sr.variable_degrees),
         "generators": [sorted(g) for g in sr.generators],
     }
 
 
 def family_to_json(fam: AdmissibleFamily) -> dict:
     return {
-        "im_phi": [encode_int(b) for b in fam.im_phi],
+        "im_phi": _encode_ints(fam.im_phi),
         "injections": {
             str(b): {str(i): j for i, j in sorted(fam.injections[b].items())}
             for b in fam.im_phi
@@ -263,7 +323,7 @@ def partition_from_json(data: Any) -> NefPartition:
     if not isinstance(parts, list) or not all(isinstance(p, list) for p in parts):
         raise InputError('"parts" must be an array of index arrays')
     return NefPartition(tuple(
-        tuple(decode_int(i, "index") for i in p) for p in parts))
+        tuple(_decode_ints(p, "index")) for p in parts))
 
 
 def realization_to_json(res: RealizationResult) -> dict:

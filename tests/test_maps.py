@@ -1,11 +1,12 @@
+import functools
 import math
 import time
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wciq import maps
-from wciq.arith import PairFacts
+from wciq.arith import PairFacts, WeightTuple, weight_facts
 from wciq.complexes import Complex, WeightedComplex, singular_complex
 from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
 from wciq.maps import (
@@ -25,6 +26,7 @@ from wciq.maps import (
 
 from wciq.oracles import brute_force_family, brute_force_map, mrv_family_search
 from wciq.regularity import is_strictly_regular
+from wciq.serialize import family_from_json, family_to_json
 
 from helpers import BUDGET_FAMILY_PAIR, STUCK_FAMILY_PAIR, TRIANGLE_PAIR
 
@@ -256,6 +258,51 @@ class TestVerifyPosetMap:
         assert len(rep.property2_records) == 13
 
 
+def scanned_poset_map(weights, degrees, fam):
+    """The property-2 records, order witness and scope of `verify_poset_map`,
+    with every image read by the scanning `induced_face_map`."""
+    facts = PairFacts(weights, degrees)
+    scope, checked, faces = facts.w.once(maps._checked_faces)
+    image = functools.partial(induced_face_map, fam)
+    records = tuple((face, j, facts.representable(j, mask)) for face, mask in checked
+                    for j in sorted(image(face)))
+    order_witness = next(((sub, face) for face in faces
+                          for sub in (face[:k] + face[k + 1:] for k in range(len(face)))
+                          if sub and not image(sub) <= image(face)), None)
+    return records, order_witness, scope
+
+
+class TestCheckedFamilyImages:
+    """A family that passed its invariants sends a face through the
+    injection at the gcd of its weights, as the scan over im_phi does."""
+
+    @given(family_pairs())
+    @example(((2,) * 13, tuple(range(2, 28, 2))))
+    @example((RHO, MU))
+    @settings(deadline=None, max_examples=150)
+    def test_images_match_the_scan(self, pair):
+        weights, degrees = pair
+        try:
+            fam = build_admissible_family(weights, degrees)
+        except PreconditionFailure:
+            fam = None
+        assume(fam is not None)
+        wt = WeightTuple.of(weights)
+        _, checked, faces = weight_facts(wt).once(maps._checked_faces)
+        fibers = {}
+        for i in wt.heavy():
+            (j,) = induced_face_map(fam, (i,))
+            fibers.setdefault(j, []).append(i)
+        for family in (fam, family_from_json(family_to_json(fam), weights)):
+            for face in {*faces, *(face for face, _ in checked)}:
+                assert maps._face_image(family, wt, face) == induced_face_map(family, face)
+            assert vertex_fibers(family) == {j: tuple(vs) for j, vs in sorted(fibers.items())}
+            rep = verify_poset_map(weights, degrees, family)
+            assert rep.family_violations == ()
+            assert (rep.property2_records, rep.order_witness, rep.scope) == \
+                scanned_poset_map(weights, degrees, family)
+
+
 #: Vertex weights for random weighted complexes: divisor chains, coprime
 #: values and products of them.
 MAP_WEIGHTS = (1, 2, 3, 4, 6, 7, 10, 12, 15, 30, 60)
@@ -482,6 +529,15 @@ class TestFindNoncontractingMap:
         if found is not None:
             v = validate_weighted_map(found)
             assert v.valid and v.noncontracting
+
+    def test_five_cycle_gcd_graph_has_no_map(self):
+        # 6, 15, 35, 77, 22 share the primes 3, 5, 7, 11, 2 around a 5-cycle,
+        # whose edges are the facets. Both targets take every vertex, and two
+        # images cannot tell an odd cycle's neighbours apart. A relaxation that
+        # only bounds the copies per clique and target finds room here.
+        weights, degrees = (1, 6, 15, 35, 77, 22), (2310, 2310)
+        assert find_noncontracting_map(weights, degrees) is None
+        assert brute_force_map(weights, degrees) is None
 
     def test_brute_force_refuses_seven_vertices(self):
         with pytest.raises(ResourceLimitError, match="at most 6 source vertices"):

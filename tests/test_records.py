@@ -126,6 +126,24 @@ class TestValidation:
         with pytest.raises(InputError, match="^degree must be positive, got 0$"):
             DegreeTuple((3, 0))
 
+    @pytest.mark.parametrize("bad,problem", [
+        (True, "an integer, got True"), (0, "positive, got 0"), (-3, "positive, got -3"),
+        (2.0, "an integer, got 2.0"), ("12", "an integer, got '12'"),
+        ("1e3", "an integer, got '1e3'"), ("7" * 5000, f"an integer, got '{'7' * 5000}'"),
+    ])
+    def test_first_bad_entry_named(self, bad, problem):
+        # an all-int tuple is checked in one pass; any other names its first bad entry
+        with pytest.raises(InputError) as exc:
+            WeightTuple((2, bad, 0))
+        assert str(exc.value) == f"weight must be {problem}"
+        with pytest.raises(InputError) as exc:
+            DegreeTuple((bad, True))
+        assert str(exc.value) == f"degree must be {problem}"
+
+    def test_valid_entries_kept(self):
+        assert DegreeTuple(()) == () and WeightTuple([2 ** 80, 1]) == (2 ** 80, 1)
+        assert type(WeightTuple((1,))) is WeightTuple
+
     def test_weights_must_cover_vertices(self):
         with pytest.raises(InputError, match=(
                 r"^vertex weights must cover exactly the complex vertices; "

@@ -31,13 +31,17 @@ def dumps_reference(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+#: Facet-shaped values: lists of int lists or int tuples, some empty.
+FACETS = st.lists(st.lists(st.integers(-2, 2 ** 54)) | st.lists(st.integers(0, 30)).map(tuple),
+                  max_size=5)
+
 #: Arbitrary JSON values with str keys: every code point (control
 #: characters and lone surrogates included), floats with nan, infinities
-#: and -0.0, ints past 2**53, bools mixed into int lists, tuples, and
-#: empty and nested containers.
+#: and -0.0, ints past 2**53, bools mixed into int lists, tuples, facet
+#: lists, and empty and nested containers.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-(2 ** 80), 2 ** 80)
-    | st.floats() | st.text(st.characters(exclude_categories=())),
+    | st.floats() | st.text(st.characters(exclude_categories=())) | FACETS,
     lambda inner: (
         st.lists(inner, max_size=5)
         | st.lists(inner, max_size=5).map(tuple)
@@ -72,6 +76,28 @@ class TestCanonicalJson:
     def test_edge_values(self, value):
         assert canonical_json(value) == dumps_reference(value)
 
+    @pytest.mark.parametrize("value", [
+        [-1, 0, 1023, 1024, 2 ** 53], [1024, True, -1, False, 2 ** 53],
+        [[-1, 0], [1023, 1024, 2 ** 53], [], [True, 1]], [(0, 1), (2 ** 53,), [5]],
+        ([[1, 2]], ((3,), [4, False])), {"facets": [[1, 2], (3,)], "n": [[]]},
+    ])
+    def test_int_arrays(self, value):
+        assert canonical_json(value) == dumps_reference(value)
+
+    def test_key_orders_share_no_heads(self):
+        # one key set in two insertion orders, then beside a non-str key
+        first, second = {"b": 1, "a": [2]}, {"a": [2], "b": 1}
+        assert canonical_json(first) == canonical_json(second) == dumps_reference(first)
+        assert canonical_json([first, second]) == dumps_reference([first, second])
+        for mixed in ({"b": 1, "a": 2, 3: 4}, {3: 4, "a": 2, "b": 1}):
+            with pytest.raises(TypeError):
+                dumps_reference(mixed)
+            with pytest.raises(TypeError):
+                canonical_json(mixed)
+        # equal keys of other types spell themselves: 1 and True hash alike
+        for keyed in ({1: "a"}, {True: "a"}, {1.0: "a"}, {"1": "a"}):
+            assert canonical_json(keyed) == dumps_reference(keyed)
+
     def test_deep_nesting(self):
         value = 0
         for depth in range(60):
@@ -102,6 +128,16 @@ class TestCanonicalJson:
         for record in (NefPartition(((0,), (1,))), WeightTuple((2, 3))):
             with pytest.raises(TypeError):
                 canonical_json({"r": [record]})
+            with pytest.raises(TypeError):
+                canonical_json([[1, 2], record, [3]])
+            with pytest.raises(TypeError):
+                canonical_json([[1, 2], [record]])
+
+    def test_encoded_inside_int_arrays(self):
+        value = {"facets": [[1, 2], [3]]}
+        for wrapped, plain in (([[1], [Encoded(value)]], [[1], [value]]),
+                               ([[1], Encoded([2, 3])], [[1], [2, 3]])):
+            assert canonical_json(wrapped) == dumps_reference(plain)
 
 
 class TestIntEncoding:
@@ -157,6 +193,34 @@ class TestPair:
         for bad in ([1, 2], {"degrees": [2]}, {"weights": "no"}):
             with pytest.raises(InputError):
                 pair_from_json(bad)
+
+    @pytest.mark.parametrize("bad,error,problem", [
+        (True, InputError, "must be an integer, got True"),
+        (0, InputError, "must be positive, got 0"),
+        (-3, InputError, "must be positive, got -3"),
+        (2.0, InputError, "must be an integer or decimal string, got 2.0"),
+        ("1e3", InputError, "must be an integer or decimal string, got '1e3'"),
+        ("7" * 5000, ResourceLimitError, f"holds an integer of more than "
+         f"{sys.get_int_max_str_digits()} digits, the interpreter's limit for integer strings"),
+    ])
+    def test_bad_entries_named(self, bad, error, problem):
+        # an all-int array skips the per-entry decoding; any other takes it
+        with pytest.raises(error) as exc:
+            pair_from_json({"weights": [2, bad, 0], "degrees": [4]})
+        assert str(exc.value) == f"weight {problem}"
+        with pytest.raises(error) as exc:
+            pair_from_json({"weights": [2], "degrees": [bad, 0]})
+        assert str(exc.value) == f"degree {problem}"
+
+    def test_decimal_strings_and_empty_degrees_accepted(self):
+        wt, dg = pair_from_json({"weights": [2, "12"], "degrees": ["12"]})
+        assert (wt, dg) == ((2, 12), (12,))
+        assert type(wt[1]) is int and type(dg[0]) is int
+        assert pair_from_json({"weights": [2], "degrees": []}) == ((2,), ())
+
+    def test_large_ints_written_as_strings(self):
+        assert pair_to_json((2 ** 53, 3), (2 ** 53 - 1,)) == {
+            "weights": [str(2 ** 53), 3], "degrees": [2 ** 53 - 1]}
 
 
 class TestComplexJson:
