@@ -11,6 +11,7 @@ chains over realized weight tuples cannot overflow.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -205,9 +206,15 @@ _TABLE_SHIFT = 8
 #: Residue tables kept per process; the least recently used goes first.
 _TABLE_CACHE_SIZE = 256
 
-#: Weight tuples whose facts are kept per process (`weight_facts`); the
-#: least recently used goes first.
+#: Weight tuples whose facts are kept per process (`weight_facts`), and
+#: value sets whose facts are (`value_facts`); the least recently used
+#: goes first.
 _WEIGHT_CACHE_SIZE = 64
+
+#: Above this many source faces the poset-map check (`maps`) switches to
+#: value-class representatives. Also the most common-factor masks a value
+#: holder keeps.
+FACE_LIMIT = 4096
 
 
 def is_representable(d: int, weights: Iterable[int], *,
@@ -374,32 +381,28 @@ class _Memo:
         return self._facts.get(derive)
 
 
-class WeightFacts(_Memo):
-    """What is derived about one weight tuple, each fact at most once.
-    Internal: not part of the package interface.
+class ValueFacts(_Memo):
+    """What is derived about one set of distinct heavy values, each fact at
+    most once. Internal: not part of the package interface.
 
-    `weight_facts` keeps one holder per weight tuple in the process, so
-    every pair with these weights shares its facts: the divisibility
-    walk with its value masks, well-formedness, the singular complex,
-    the occurring face weights with their domains, the faces the
-    poset-map check reads (at most `maps.FACE_LIMIT`), and the report
-    sections of the weights alone, encoded once by the command line (the
-    singular complex, its presentation and both divisibility facet
-    lists). Apart from those sections, whose size is that of the report
-    sections they stand for, a kept fact grows with the weight tuple and
-    its distinct values, never with a product over the value classes;
-    what does is expanded per call. A kept fact is never handed to a
-    public caller in a mutable form. A value set is a mask: bit k for
-    values[k], the distinct heavy values ascending.
+    `value_facts` keeps one holder per ascending tuple of distinct heavy
+    values in the process, so every weight tuple with these values shares
+    its facts, whatever the order of its weights, their multiplicities and
+    its weight-1 padding: the divisibility walk with its value masks, the
+    occurring face weights with their value masks and covers, the coprime
+    base of the values, and the common-factor walk as far as it has gone,
+    at most FACE_LIMIT masks. A kept fact grows with the number of values
+    and the walks over their subsets, never with the indices. A value set
+    is a mask: bit k for values[k].
     """
 
-    __slots__ = ("wt", "values", "_bit")
+    __slots__ = ("values", "_common", "_walk")
 
-    def __init__(self, wt: WeightTuple):
+    def __init__(self, values: tuple[int, ...]):
         super().__init__()
-        self.wt = wt
-        self.values = wt.heavy_values()
-        self._bit = {v: 1 << k for k, v in enumerate(self.values)}
+        self.values = values
+        self._common: list[int] | None = None
+        self._walk: Iterator[int] | None = None
 
     def check_scale(self, walk: str) -> None:
         """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT
@@ -409,13 +412,72 @@ class WeightFacts(_Memo):
                 f"{walk} over {len(self.values)} distinct values exceeds "
                 f"the supported scale ({_VALUE_SUBSET_LIMIT})")
 
+    def values_of(self, mask: int) -> tuple[int, ...]:
+        """The values of a mask, ascending."""
+        return tuple(v for k, v in enumerate(self.values) if mask >> k & 1)
+
+    def common_masks(self) -> Iterator[int]:
+        """`common_factor_masks(self.values)`, in its order. The walk is
+        shared and kept only as far as some caller has taken it, so a caller
+        that stops early stops it; past FACE_LIMIT masks each caller walks
+        on alone, so no more are kept."""
+        if self._common is None:
+            self._common, self._walk = [], common_factor_masks(self.values)
+        kept, k = self._common, 0
+        while k < len(kept) or len(kept) < FACE_LIMIT and self._step():
+            yield kept[k]
+            k += 1
+        if self._walk is not None:
+            yield from itertools.islice(common_factor_masks(self.values), k, None)
+
+    def _step(self) -> bool:
+        """Keep the next mask of the shared walk; False once it has ended."""
+        mask = self._walk and next(self._walk, 0)
+        if mask:
+            self._common.append(mask)
+            return True
+        self._walk = None
+        return False
+
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def value_facts(values: tuple[int, ...]) -> ValueFacts:
+    """The holder of a value set's facts, shared by every caller in the
+    process; the least recently used of _WEIGHT_CACHE_SIZE goes first."""
+    return ValueFacts(values)
+
+
+class WeightFacts(_Memo):
+    """What is derived about one weight tuple that reads its indices or
+    multiplicities, each fact at most once. Internal: not part of the
+    package interface.
+
+    `weight_facts` keeps one holder per weight tuple in the process, so
+    every pair with these weights shares its facts: well-formedness, the
+    singular complex, the domains of the occurring face weights, the
+    faces the poset-map check reads (at most FACE_LIMIT), and the report
+    sections of the weights alone, encoded once by the command line (the
+    singular complex, its presentation and both divisibility facet
+    lists). What depends on the distinct heavy values alone lives on
+    `v`, their shared `value_facts`, and is expanded to indices here.
+    Apart from the encoded sections, whose size is that of the report
+    sections they stand for, a kept fact grows with the weight tuple and
+    its distinct values, never with a product over the value classes;
+    what does is expanded per call. A kept fact is never handed to a
+    public caller in a mutable form.
+    """
+
+    __slots__ = ("wt", "v", "_bit")
+
+    def __init__(self, wt: WeightTuple):
+        super().__init__()
+        self.wt = wt
+        self.v = value_facts(wt.heavy_values())
+        self._bit = {v: 1 << k for k, v in enumerate(self.v.values)}
+
     def mask(self, indices: Iterable[int]) -> int:
         """The mask of the values at the given heavy indices."""
         return sum({self._bit[self.wt[i]] for i in indices})
-
-    def values_of(self, mask: int) -> tuple[int, ...]:
-        """The heavy values of a mask, ascending."""
-        return tuple(v for k, v in enumerate(self.values) if mask >> k & 1)
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
@@ -431,15 +493,16 @@ class PairFacts(_Memo):
 
     One holder per command or public call, so no degree-dependent fact
     outlives its pair. The facts of the weights alone live on `w`, the
-    shared `weight_facts` of the tuple, with the distinct values and
-    their masks; a weight-only derive is kept there and nowhere else.
+    shared `weight_facts` of the tuple, and those of their distinct heavy
+    values on `w.v`; a weight-only derive is kept there and nowhere else.
     node_budget bounds each search run on the holder, each counting its
-    own nodes. Each value set has one `row` of verdicts. Through `once`
-    the layers keep the base facets, strict regularity, family skeleton,
-    checked family and construction.
+    own nodes. Each value set has one `row` of verdicts, beside its values,
+    their gcd and the values reduced by it. Through `once` the layers keep
+    the base facets, strict regularity, family skeleton, checked family and
+    construction.
     """
 
-    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows")
+    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows", "_reduced")
 
     def __init__(self, weights: WeightsLike, degrees: DegreesLike,
                  dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -450,6 +513,7 @@ class PairFacts(_Memo):
         self.dp_cap = dp_cap
         self.node_budget = node_budget
         self._rows: dict[int, tuple[int, int]] = {}
+        self._reduced: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
 
     def row(self, mask: int) -> tuple[int, int]:
         """Disjoint (representable, UNKNOWN) degree bits of a value set, bit
@@ -465,20 +529,27 @@ class PairFacts(_Memo):
                 if mask >> k & 1:
                     rep |= self._rows.get(mask ^ 1 << k, (0,))[0]
             dg = self.dg
+            reduced = self._reduced[mask] = _reduce(self.w.v.values_of(mask))
             row = self._rows[mask] = (rep, 0) if rep == (1 << len(dg)) - 1 else _decide_row(
-                dg, rep, *_reduce(self.w.values_of(mask)), self.dp_cap)
+                dg, rep, *reduced, self.dp_cap)
         return row
+
+    def values_of(self, mask: int) -> tuple[int, ...]:
+        """The values of a mask, ascending, kept beside its row."""
+        self.row(mask)
+        return self._reduced[mask][0]
 
     def admissible(self, mask: int) -> tuple[int, ...]:
         """`representable_degrees` over the value set, ascending, from its row."""
-        return _admissible(self.dg, *self.row(mask), self.w.values_of(mask), self.dp_cap)
+        rep, unknown = self.row(mask)
+        return _admissible(self.dg, rep, unknown, self._reduced[mask][0], self.dp_cap)
 
     def representable(self, j: int, mask: int) -> bool:
         """Is the j-th degree representable over the value set? Read off its
         row; where the verdict is UNKNOWN, raises ResourceLimitError."""
         rep, unknown = self.row(mask)
         if unknown >> j - 1 & 1:
-            raise _past_cap(self.dg.degree(j), self.w.values_of(mask), self.dp_cap)
+            raise _past_cap(self.dg.degree(j), self._reduced[mask][0], self.dp_cap)
         return bool(rep >> j - 1 & 1)
 
 

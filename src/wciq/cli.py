@@ -313,7 +313,7 @@ def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
     all_values = facts.w.mask(heavy)
     for j in range(1, len(dg) + 1):
         fast = facts.representable(j, all_values)
-        slow = brute_force_representable(dg.degree(j), facts.w.values)
+        slow = brute_force_representable(dg.degree(j), facts.w.v.values)
         rep_table[str(j)] = {"fast": fast, "brute": slow}
         if fast != slow:
             divergences.append(f"representability of degree {j}")

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, NamedTuple
 from wciq.arith import (
     DEFAULT_DP_CAP,
     PairFacts,
+    ValueFacts,
     WeightFacts,
     WeightsLike,
     as_weights,
@@ -185,17 +186,17 @@ def _singular_complex(w: WeightFacts) -> WeightedComplex:
     `divisible_by(b)`: the strata need no factoring.
     """
     wt = w.wt
-    strata = {frozenset(wt.divisible_by(b)) for b in _coprime_base(w.values)}
+    strata = {frozenset(wt.divisible_by(b)) for b in w.v.once(_coprime_base)}
     cx = Complex.from_facets(len(wt), strata)
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 
-def _coprime_base(numbers: Iterable[int]) -> list[int]:
-    """Pairwise coprime integers above 1, every number given a product of
-    their powers. By gcd splitting: a base element b sharing a factor
-    g > 1 with the next number x gives way to g, b // g and x // g."""
+def _coprime_base(v: ValueFacts) -> tuple[int, ...]:
+    """Pairwise coprime integers above 1, every value a product of their
+    powers. By gcd splitting: a base element b sharing a factor g > 1
+    with the next number x gives way to g, b // g and x // g."""
     base: list[int] = []
-    todo = list(numbers)
+    todo = list(v.values)
     while todo:
         x = todo.pop()
         if x == 1:
@@ -207,7 +208,7 @@ def _coprime_base(numbers: Iterable[int]) -> list[int]:
                 break
         else:
             base.append(x)
-    return base
+    return tuple(base)
 
 
 def base_complex(weights: WeightsLike, d: int, *,
@@ -230,10 +231,10 @@ def _base_facets(facts: PairFacts) -> list[tuple[int, int]]:
     """The facets of every base complex at once, as value masks with the
     bits of their degrees. A mask belongs to the degrees neither
     representable nor UNKNOWN over it (the row's two disjoint bit sets)."""
-    facts.w.check_scale("base complex walk")
+    facts.w.v.check_scale("base complex walk")
     every = (1 << len(facts.dg)) - 1
     return maximal_masks(dict(mask_levels(
-        len(facts.w.values), lambda mask: every & ~sum(facts.row(mask)))))
+        len(facts.w.v.values), lambda mask: every & ~sum(facts.row(mask)))))
 
 
 def _base_facet_indices(facts: PairFacts) -> list[tuple[list[int], int]]:
@@ -242,7 +243,7 @@ def _base_facet_indices(facts: PairFacts) -> list[tuple[list[int], int]]:
     of its degrees. Whole value classes expand distinct maximal value
     masks, so the facets are maximal as they come."""
     classes = facts.wt.classes
-    return sorted(((sorted(i for v in facts.w.values_of(mask) for i in classes[v]), bits)
+    return sorted(((sorted(i for v in facts.values_of(mask) for i in classes[v]), bits)
                    for mask, bits in facts.once(_base_facets)), key=lambda fb: fb[0])
 
 
@@ -251,7 +252,7 @@ def _base_facet_lists(facts: PairFacts, j: int) -> list[list[int]]:
     in lexicographic order."""
     d = facts.dg.degree(j)
     # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
-    least = next((1 << k for k, v in enumerate(facts.w.values) if d % v), 0)
+    least = next((1 << k for k, v in enumerate(facts.w.v.values) if d % v), 0)
     if least:
         facts.representable(j, least)
     return [f for f, bits in facts.once(_base_facet_indices) if bits >> j - 1 & 1]

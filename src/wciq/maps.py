@@ -36,14 +36,15 @@ from typing import Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
+    FACE_LIMIT,
     DegreesLike,
     PairFacts,
+    ValueFacts,
     WeightFacts,
     WeightsLike,
     WeightTuple,
     as_degrees,
     as_weights,
-    common_factor_masks,
     gcd_of,
     poset_covers,
     weight_facts,
@@ -64,10 +65,6 @@ from wciq.errors import (
     node_budget,
 )
 from wciq.regularity import _strict_regularity
-
-#: Above this many source faces the verifier switches to value-class
-#: representatives instead of full face enumeration.
-FACE_LIMIT = 4096
 
 
 class _WeightedMapFields(NamedTuple):
@@ -272,25 +269,32 @@ def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
     of the singular complex. Each value v adds itself and its gcds above 1
     with the face weights of the values before it, since the gcd of a set
     with v is the gcd of the set's gcd and v."""
-    return weight_facts(as_weights(weights)).once(_face_weights)[0]
+    return weight_facts(as_weights(weights)).v.once(_face_weights)[0]
 
 
-def _face_weights(w: WeightFacts):
-    """The occurring face weights, ascending, and the domain at each: its
-    divisible indices, ascending, and their value mask."""
+def _face_weights(v: ValueFacts):
+    """The occurring face weights, ascending; at each, the mask of the
+    values it divides (those of its domain) and the face weights it
+    covers."""
     im: set[int] = set()
-    for v in w.values:
-        im |= {g for x in im if (g := gcd(x, v)) > 1} | {v}
+    for a in v.values:
+        im |= {g for x in im if (g := gcd(x, a)) > 1} | {a}
     im_phi = tuple(sorted(im))
-    domains = {b: w.wt.divisible_by(b) for b in im_phi}
-    return im_phi, domains, {b: w.mask(domains[b]) for b in im_phi}
+    masks = {b: sum(1 << k for k, a in enumerate(v.values) if a % b == 0) for b in im_phi}
+    return im_phi, masks, {b: poset_covers(im_phi, b) for b in im_phi}
+
+
+def _domains(w: WeightFacts) -> dict[int, tuple[int, ...]]:
+    """The domain at each occurring face weight: its divisible indices,
+    ascending."""
+    return {b: w.wt.divisible_by(b) for b in w.v.once(_face_weights)[0]}
 
 
 def _skeleton(facts: PairFacts):
     """The occurring face weights, their domains, and the admissible degree
     indices (ascending) at each: what the family search runs on."""
-    im_phi, domains, masks = facts.w.once(_face_weights)
-    return im_phi, domains, {b: facts.admissible(masks[b]) for b in im_phi}
+    im_phi, masks, _ = facts.w.v.once(_face_weights)
+    return im_phi, facts.w.once(_domains), {b: facts.admissible(masks[b]) for b in im_phi}
 
 
 def family_csp_summary(weights: WeightsLike, degrees: DegreesLike, *,
@@ -305,12 +309,13 @@ def _csp_summary(facts: PairFacts) -> dict:
 
     wt = facts.wt
     im_phi, domains, good = facts.once(_skeleton)
+    covers = facts.w.v.once(_face_weights)[2]
     return {
         "im_phi": [encode_int(b) for b in im_phi],
         "domains": {str(b): list(domains[b]) for b in im_phi},
         "admissible_degrees": {str(b): list(good[b]) for b in im_phi},
         "cover_edges": [[encode_int(q), encode_int(b)] for b in im_phi
-                        for q in sorted(poset_covers(im_phi, b))],
+                        for q in sorted(covers[b])],
         "divisor_vertex_pairs": [
             [i, k] for i, k in combinations(wt.heavy(), 2)
             if wt[k] % wt[i] == 0 or wt[i] % wt[k] == 0],
@@ -420,7 +425,8 @@ def check_family_invariants(weights: WeightsLike, degrees: DegreesLike,
 def _invariant_violations(facts: PairFacts, fam: AdmissibleFamily) -> list[str]:
     wt = facts.wt
     problems: list[str] = []
-    im_phi, domains, masks = facts.w.once(_face_weights)
+    im_phi, masks, covers = facts.w.v.once(_face_weights)
+    domains = facts.w.once(_domains)
     if tuple(fam.im_phi) != im_phi:
         problems.append(f"occurring face weights mismatch: {fam.im_phi} vs {im_phi}")
         return problems
@@ -445,7 +451,7 @@ def _invariant_violations(facts: PairFacts, fam: AdmissibleFamily) -> list[str]:
         return problems
     for b in im_phi:
         im_b = set(fam.injections[b].values())
-        for q in poset_covers(im_phi, b):
+        for q in covers[b]:
             if not im_b <= set(fam.injections[q].values()):
                 problems.append(
                     f"image of injection at {b} is not contained in the image at {q}")
@@ -597,13 +603,13 @@ def _checked_faces(w: WeightFacts):
     if faces is not None:
         return "all-faces", tuple((face, w.mask(face)) for face in faces), tuple(faces)
     classes = w.wt.classes
-    keep = {i for v in w.values for i in classes[v][:2]}
+    keep = {i for v in w.v.values for i in classes[v][:2]}
     restricted = Complex.from_facets(sing.n_vertices, [f & keep for f in sing.facets if f & keep])
     faces = restricted.faces(limit=FACE_LIMIT)
     if faces is None:
         raise ResourceLimitError(
             f"face enumeration exceeds {FACE_LIMIT} even on value-class "
             f"representatives")
-    checked = tuple((tuple(sorted(i for v in w.values_of(mask) for i in classes[v])), mask)
-                    for mask in common_factor_masks(w.values))
+    checked = tuple((tuple(sorted(i for v in w.v.values_of(mask) for i in classes[v])), mask)
+                    for mask in w.v.common_masks())
     return "value-class-representatives", checked, tuple(faces)

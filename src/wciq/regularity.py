@@ -30,11 +30,11 @@ from wciq.arith import (
     DEFAULT_DP_CAP,
     DegreesLike,
     PairFacts,
+    ValueFacts,
     WeightFacts,
     WeightsLike,
     as_degrees,
     as_weights,
-    common_factor_masks,
     mask_levels,
     maximal_masks,
     weight_facts,
@@ -124,10 +124,10 @@ def _value_class_facets(w: WeightFacts, strong: bool) -> tuple[tuple[int, ...], 
     product over the value classes, so no weight fact keeps them: they
     are expanded per call from the kept value masks, and a report keeps
     only their encoding, once per weight tuple."""
-    classes = w.wt.classes
+    classes, v = w.wt.classes, w.v
     return tuple(sorted(
-        tuple(sorted(idx)) for mask in w.once(_divisibility)[strong]
-        for idx in product(*(classes[v] for v in w.values_of(mask)))))
+        tuple(sorted(idx)) for mask in v.once(_divisibility)[strong]
+        for idx in product(*(classes[a] for a in v.values_of(mask)))))
 
 
 def _value_class_complex(weights: WeightsLike, strong: bool) -> Complex:
@@ -156,29 +156,32 @@ def _pair_witness(w: WeightFacts) -> frozenset[int] | None:
     """`pair_nontriviality_witness` from the divisibility walk: the
     lex-least realization, by the least index of each value, of the failing
     value sets of least size."""
-    failing = w.once(_divisibility)[2]
+    v = w.v
+    failing = v.once(_divisibility)[2]
     if not failing:
         return None
-    return frozenset(min(sorted(w.wt.classes[v][0] for v in w.values_of(mask))
+    return frozenset(min(sorted(w.wt.classes[a][0] for a in v.values_of(mask))
                          for mask in failing))
 
 
-def _divisibility_flags(w: WeightFacts):
-    """`mask_levels` flags: 1 on non-divisible value masks, plus 2 if strongly
-    so. A mask asked about is non-divisible below its top value already."""
-    w.check_scale("divisibility walk")
-    values = w.values
+def _divisibility(v: ValueFacts) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """From one walk over the value sets: the maximal non-divisible and
+    strongly non-divisible value masks, and the failing masks
+    (non-divisible, not strongly) of least size. The pair is trivial when
+    there are none. A mask asked about is non-divisible below its top
+    value already, so it is flagged 1 unless its top value divides or is
+    divided by another of its values, plus 2 if strongly non-divisible."""
+    v.check_scale("divisibility walk")
+    values = v.values
     divides = [sum(1 << k for k, b in enumerate(values) if a != b and not (a % b and b % a))
                for a in values]
-    return lambda mask: 0 if divides[mask.bit_length() - 1] & mask else (
-        1 | 2 * _strongly_non_divisible(w.values_of(mask)))
 
+    def flags(mask: int) -> int:
+        if divides[mask.bit_length() - 1] & mask:
+            return 0
+        return 1 | 2 * _strongly_non_divisible(v.values_of(mask))
 
-def _divisibility(w: WeightFacts) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """From one walk: the maximal non-divisible and strongly non-divisible
-    value masks, and the failing masks (non-divisible, not strongly) of
-    least size. The pair is trivial when there are none."""
-    walked = dict(mask_levels(len(w.values), _divisibility_flags(w)))
+    walked = dict(mask_levels(len(values), flags))
     facets = maximal_masks(walked)
     failing = [mask for mask, bits in walked.items() if bits == 1]
     return (tuple(m for m, bits in facets if bits & 1), tuple(m for m, bits in facets if bits & 2),
@@ -195,10 +198,10 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
 
 def _trivial_all_indices(w: WeightFacts) -> bool:
     # the scale of the walk this reading stands for, ones or not
-    w.check_scale("divisibility walk")
+    w.v.check_scale("divisibility walk")
     if w.wt.ones():
         return False
-    return not w.once(_divisibility)[2]
+    return not w.v.once(_divisibility)[2]
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
@@ -219,17 +222,17 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _strict_regularity(facts: PairFacts):
-    w = facts.w
-    w.check_scale("strict regularity")
+    v = facts.w.v
+    v.check_scale("strict regularity")
     classes = facts.wt.classes
     failing: list[tuple[tuple[int, ...], int]] = []
     size = inf
-    for mask in common_factor_masks(w.values):
-        vs = w.values_of(mask)
-        if len(vs) > size:
+    for mask in v.common_masks():
+        if mask.bit_count() > size:
             break
-        count = sum(len(classes[v]) for v in vs)
         ng = len(facts.admissible(mask))
+        vs = facts.values_of(mask)
+        count = sum(len(classes[a]) for a in vs)
         if ng < count:
             s = max(len(vs), ng + 1)
             failing.append((vs, s))
@@ -240,8 +243,8 @@ def _strict_regularity(facts: PairFacts):
     def least_realization(vs: tuple[int, ...]) -> tuple[int, ...]:
         # V violates at each size s with ng < s, |V| <= s <= |indices of V|;
         # the lex-least such set: each value's least index, then the smallest.
-        firsts = [classes[v][0] for v in vs]
-        rest = sorted(i for v in vs for i in classes[v][1:])
+        firsts = [classes[a][0] for a in vs]
+        rest = sorted(i for a in vs for i in classes[a][1:])
         return tuple(sorted(firsts + rest[:size - len(vs)]))
 
     return False, min(least_realization(vs) for vs, s in failing if s == size)
@@ -275,7 +278,7 @@ def _regularity_verdicts(facts: PairFacts, with_degrees: bool) -> dict:
         "linear_cone": linear_cone,
         "strictly_regular": regular,
         "violating_subset": witness,
-        "pair_trivial": not w.once(_divisibility)[2],
+        "pair_trivial": not w.v.once(_divisibility)[2],
     }
 
 

@@ -237,7 +237,7 @@ class TestRows:
             facts = PairFacts(values, degrees, cap)
             for mask in order:
                 rep, unknown = facts.row(mask)
-                vals = facts.w.values_of(mask)
+                vals = facts.w.v.values_of(mask)
                 g = math.gcd(*vals)
                 gens = tuple(v // g for v in vals)
                 for j, d in enumerate(degrees):

@@ -220,8 +220,10 @@ class TestAnalyzeOnce:
 
     @pytest.fixture(autouse=True)
     def cold_weight_facts(self):
-        # the counts below are those of a pair whose weights are new to the process
+        # the counts below are those of a pair whose weights and values are
+        # new to the process
         arith.weight_facts.cache_clear()
+        arith.value_facts.cache_clear()
 
     def test_each_fact_once(self, tmp_path, monkeypatch, capsys):
         path = write_json(tmp_path, "pair.json", self.PAIR)
@@ -261,18 +263,18 @@ class TestAnalyzeOnce:
         # strict regularity, the divisibility walk with its pair witness,
         # and under analyze the base complexes
         path = write_json(tmp_path, "ref.json", REF_PAIR)
-        flags = count_calls(monkeypatch, regularity._divisibility_flags)
+        divisibility = count_calls(monkeypatch, regularity._divisibility)
         levels = count_calls(monkeypatch, arith.mask_levels)
         code, out = run([*argv, "--input", path], capsys)
         assert code == 1
         report = json.loads(out)
         assert report.get("construction", report)["witness"] == [62, 63, 64]
-        assert len(flags) == 1
+        assert len(divisibility) == 1
         assert len(levels) == walks
 
     def test_other_degrees_reuse_the_weight_facts(self, tmp_path, monkeypatch, capsys):
         # patched before the first run, so both runs key the kept facts alike
-        walks = count_calls(monkeypatch, regularity._divisibility_flags)
+        walks = count_calls(monkeypatch, regularity._divisibility)
         builds = count_calls(monkeypatch, complexes._singular_complex)
         base_walks = count_calls(monkeypatch, complexes._base_facets)
         expansions = count_calls(monkeypatch, regularity._value_class_facets)
@@ -290,6 +292,21 @@ class TestAnalyzeOnce:
         # the weight-only sections are spliced in as first encoded
         assert walks == builds == expansions == presentations == []
         assert len(base_walks) == 1
+
+    def test_permuted_weights_reuse_the_value_facts(self, tmp_path, monkeypatch, capsys):
+        # patched before the first run, so every run keys the kept facts alike
+        walks = [count_calls(monkeypatch, fn) for fn in (
+            regularity._divisibility, arith.common_factor_masks, maps._face_weights,
+            complexes._coprime_base)]
+        ones, heavy = self.PAIR["weights"][:11], self.PAIR["weights"][11:]
+        # the third pair is not strictly regular, so its analysis asks for
+        # no face weights; the call after the loop does
+        for weights in (self.PAIR["weights"], ones + heavy[::-1], ones + heavy + [5]):
+            path = write_json(tmp_path, "pair.json", {**self.PAIR, "weights": weights})
+            assert run(["analyze", "--input", path], capsys)[0] == 0
+            assert [len(calls) for calls in walks] == [1, 1, 1, 1]
+        assert maps.occurring_face_weights(weights) == (2, 3, 5)
+        assert [len(calls) for calls in walks] == [1, 1, 1, 1]
 
 
 class TestValueCountGuard:

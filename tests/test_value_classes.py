@@ -8,13 +8,15 @@ facet lists in order, witnesses, and verdicts.
 """
 
 import time
-from itertools import product
-from math import gcd
+from itertools import islice, product
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
+from wciq import arith
 from wciq.arith import (
     DEFAULT_DP_CAP,
+    FACE_LIMIT,
     UNKNOWN,
     PairFacts,
     WeightTuple,
@@ -245,6 +247,19 @@ class TestStrictRegularity:
         result = is_strictly_regular([1] + [3] * 20 + [2] * 40, [6] * 36)
         assert result == (False, tuple(range(21, 58)))
         assert time.perf_counter() - start < 5.0
+
+    def test_thirteen_even_values_keep_a_bounded_walk(self):
+        # all 8,191 value sets have gcd 2 and every value divides d: with 13
+        # degrees d no set violates, with 12 only the full set, the last mask
+        values = tuple(range(2, 28, 2))
+        d = lcm(*values)
+        arith.value_facts.cache_clear()
+        for degrees, verdict in (([d] * 13, (True, None)), ([d] * 12, (False, tuple(range(13))))):
+            assert is_strictly_regular(values, degrees) == verdict
+            kept = arith.value_facts(values)._common
+            assert 0 < len(kept) <= FACE_LIMIT
+            assert kept == list(islice(common_factor_masks(values), len(kept)))
+            assert is_strictly_regular(values, degrees) == verdict
 
 
 class TestWellFormed:

@@ -1,6 +1,7 @@
 """The three golden corpora replay byte for byte whatever the process has
-kept: with no weight facts kept, with the facts of the other inputs kept
-(reverse order), and after the kept facts were evicted.
+kept: with no weight or value facts kept, with the facts of the other
+inputs kept (reverse order), after the kept facts were evicted, and with
+each record's value facts first built from its weights reversed.
 
 See `analyze_corpus.py` for what the files hold.
 """
@@ -30,20 +31,42 @@ def _mismatches(replays) -> list:
     return [args for args, call, expected in replays if call(*args) != expected]
 
 
+def _clear() -> None:
+    arith.weight_facts.cache_clear()
+    arith.value_facts.cache_clear()
+
+
+def _permuted_first_mismatches(replays) -> list:
+    """`_mismatches` where, before each record, the process keeps nothing
+    but what the same call on its weights reversed derived."""
+    out = []
+    for (weights, *rest), call, expected in replays:
+        _clear()
+        call(weights[::-1], *rest)
+        if call(weights, *rest) != expected:
+            out.append((weights, *rest))
+    return out
+
+
 def test_cold_warm_and_evicted_replays_match():
     replays = _replays()
-    arith.weight_facts.cache_clear()
+    caches = (arith.weight_facts, arith.value_facts)
+    _clear()
     assert _mismatches(replays) == []
-    hits = arith.weight_facts.cache_info().hits
+    hits = [cache.cache_info().hits for cache in caches]
     assert _mismatches(replays[::-1]) == []
-    assert arith.weight_facts.cache_info().hits > hits
+    assert all(cache.cache_info().hits > h for cache, h in zip(caches, hits))
 
     size = arith.weight_facts.cache_info().maxsize
+    assert arith.value_facts.cache_info().maxsize == size
+    # each evicting pair has its own values, so both caches turn over
     evict = [([1, 2, k], [2 * k], "strong") for k in range(101, 103 + size)]
     for args in evict:
         analyze_digest(*args)
-    info = arith.weight_facts.cache_info()
-    assert info.currsize == size
+    infos = [cache.cache_info() for cache in caches]
+    assert [info.currsize for info in infos] == [size, size]
     assert len(evict) > size
     assert _mismatches(replays) == []
-    assert arith.weight_facts.cache_info().misses > info.misses
+    assert all(cache.cache_info().misses > info.misses for cache, info in zip(caches, infos))
+
+    assert _permuted_first_mismatches(replays) == []
