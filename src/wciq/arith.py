@@ -11,7 +11,6 @@ chains over realized weight tuples cannot overflow.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
@@ -390,19 +389,18 @@ class ValueFacts(_Memo):
     its facts, whatever the order of its weights, their multiplicities and
     its weight-1 padding: the divisibility walk with its value masks, the
     occurring face weights with their value masks and covers, the coprime
-    base of the values, and the common-factor walk as far as it has gone,
-    at most FACE_LIMIT masks. A kept fact grows with the number of values
-    and the walks over their subsets, never with the indices. A value set
-    is a mask: bit k for values[k].
+    base of the values, and the common-factor walk once some caller has
+    taken it to its end within FACE_LIMIT masks. A kept fact grows with
+    the number of values and the walks over their subsets, never with the
+    indices. A value set is a mask: bit k for values[k].
     """
 
-    __slots__ = ("values", "_common", "_walk")
+    __slots__ = ("values", "_common")
 
     def __init__(self, values: tuple[int, ...]):
         super().__init__()
         self.values = values
-        self._common: list[int] | None = None
-        self._walk: Iterator[int] | None = None
+        self._common: tuple[int, ...] | None = None
 
     def check_scale(self, walk: str) -> None:
         """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT
@@ -417,27 +415,23 @@ class ValueFacts(_Memo):
         return tuple(v for k, v in enumerate(self.values) if mask >> k & 1)
 
     def common_masks(self) -> Iterator[int]:
-        """`common_factor_masks(self.values)`, in its order. The walk is
-        shared and kept only as far as some caller has taken it, so a caller
-        that stops early stops it; past FACE_LIMIT masks each caller walks
-        on alone, so no more are kept."""
-        if self._common is None:
-            self._common, self._walk = [], common_factor_masks(self.values)
-        kept, k = self._common, 0
-        while k < len(kept) or len(kept) < FACE_LIMIT and self._step():
-            yield kept[k]
-            k += 1
-        if self._walk is not None:
-            yield from itertools.islice(common_factor_masks(self.values), k, None)
-
-    def _step(self) -> bool:
-        """Keep the next mask of the shared walk; False once it has ended."""
-        mask = self._walk and next(self._walk, 0)
-        if mask:
-            self._common.append(mask)
-            return True
-        self._walk = None
-        return False
+        """`common_factor_masks(self.values)`, in its order. A walk that a
+        caller takes to its end within FACE_LIMIT masks is kept for later
+        callers. One that stops early, runs longer or is interrupted keeps
+        nothing, so strict regularity still stops at its first violating
+        size and no later caller takes a prefix for the whole walk."""
+        if self._common is not None:
+            yield from self._common
+            return
+        walked: list[int] | None = []
+        for mask in common_factor_masks(self.values):
+            yield mask
+            if walked is not None:
+                walked.append(mask)
+                if len(walked) > FACE_LIMIT:
+                    walked = None
+        if walked is not None:
+            self._common = tuple(walked)
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
@@ -496,13 +490,12 @@ class PairFacts(_Memo):
     shared `weight_facts` of the tuple, and those of their distinct heavy
     values on `w.v`; a weight-only derive is kept there and nowhere else.
     node_budget bounds each search run on the holder, each counting its
-    own nodes. Each value set has one `row` of verdicts, beside its values,
-    their gcd and the values reduced by it. Through `once` the layers keep
-    the base facets, strict regularity, family skeleton, checked family and
-    construction.
+    own nodes. Each value set has one `row` of verdicts. Through `once`
+    the layers keep the base facets, strict regularity, family skeleton,
+    checked family and construction.
     """
 
-    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows", "_reduced")
+    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows")
 
     def __init__(self, weights: WeightsLike, degrees: DegreesLike,
                  dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -513,7 +506,6 @@ class PairFacts(_Memo):
         self.dp_cap = dp_cap
         self.node_budget = node_budget
         self._rows: dict[int, tuple[int, int]] = {}
-        self._reduced: dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
 
     def row(self, mask: int) -> tuple[int, int]:
         """Disjoint (representable, UNKNOWN) degree bits of a value set, bit
@@ -529,27 +521,23 @@ class PairFacts(_Memo):
                 if mask >> k & 1:
                     rep |= self._rows.get(mask ^ 1 << k, (0,))[0]
             dg = self.dg
-            reduced = self._reduced[mask] = _reduce(self.w.v.values_of(mask))
             row = self._rows[mask] = (rep, 0) if rep == (1 << len(dg)) - 1 else _decide_row(
-                dg, rep, *reduced, self.dp_cap)
+                dg, rep, *_reduce(self.w.v.values_of(mask)), self.dp_cap)
         return row
-
-    def values_of(self, mask: int) -> tuple[int, ...]:
-        """The values of a mask, ascending, kept beside its row."""
-        self.row(mask)
-        return self._reduced[mask][0]
 
     def admissible(self, mask: int) -> tuple[int, ...]:
         """`representable_degrees` over the value set, ascending, from its row."""
         rep, unknown = self.row(mask)
-        return _admissible(self.dg, rep, unknown, self._reduced[mask][0], self.dp_cap)
+        # the values only name an UNKNOWN verdict
+        return _admissible(self.dg, rep, unknown, unknown and self.w.v.values_of(mask),
+                           self.dp_cap)
 
     def representable(self, j: int, mask: int) -> bool:
         """Is the j-th degree representable over the value set? Read off its
         row; where the verdict is UNKNOWN, raises ResourceLimitError."""
         rep, unknown = self.row(mask)
         if unknown >> j - 1 & 1:
-            raise _past_cap(self.dg.degree(j), self._reduced[mask][0], self.dp_cap)
+            raise _past_cap(self.dg.degree(j), self.w.v.values_of(mask), self.dp_cap)
         return bool(rep >> j - 1 & 1)
 
 

@@ -243,7 +243,7 @@ def _base_facet_indices(facts: PairFacts) -> list[tuple[list[int], int]]:
     of its degrees. Whole value classes expand distinct maximal value
     masks, so the facets are maximal as they come."""
     classes = facts.wt.classes
-    return sorted(((sorted(i for v in facts.values_of(mask) for i in classes[v]), bits)
+    return sorted(((sorted(i for v in facts.w.v.values_of(mask) for i in classes[v]), bits)
                    for mask, bits in facts.once(_base_facets)), key=lambda fb: fb[0])
 
 

@@ -231,7 +231,7 @@ def _strict_regularity(facts: PairFacts):
         if mask.bit_count() > size:
             break
         ng = len(facts.admissible(mask))
-        vs = facts.values_of(mask)
+        vs = v.values_of(mask)
         count = sum(len(classes[a]) for a in vs)
         if ng < count:
             s = max(len(vs), ng + 1)

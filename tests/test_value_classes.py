@@ -11,12 +11,12 @@ import time
 from itertools import islice, product
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wciq import arith
 from wciq.arith import (
     DEFAULT_DP_CAP,
-    FACE_LIMIT,
     UNKNOWN,
     PairFacts,
     WeightTuple,
@@ -253,13 +253,39 @@ class TestStrictRegularity:
         # degrees d no set violates, with 12 only the full set, the last mask
         values = tuple(range(2, 28, 2))
         d = lcm(*values)
+        arith.weight_facts.cache_clear()
         arith.value_facts.cache_clear()
         for degrees, verdict in (([d] * 13, (True, None)), ([d] * 12, (False, tuple(range(13))))):
             assert is_strictly_regular(values, degrees) == verdict
-            kept = arith.value_facts(values)._common
-            assert 0 < len(kept) <= FACE_LIMIT
-            assert kept == list(islice(common_factor_masks(values), len(kept)))
+            # past FACE_LIMIT masks the holder keeps none of them
+            assert arith.value_facts(values)._common is None
             assert is_strictly_regular(values, degrees) == verdict
+        # twelve values: 4,095 masks, kept whole by the first walk to its end
+        values = values[:-1]
+        assert is_strictly_regular(values, [d] * 12) == (True, None)
+        assert arith.value_facts(values)._common == tuple(common_factor_masks(values))
+        assert is_strictly_regular(values, [d] * 11) == (False, tuple(range(12)))
+
+    def test_an_interrupted_walk_keeps_no_prefix(self, monkeypatch):
+        # an item timeout raised from a signal handler ends the walk midway;
+        # only the full set of the 12 even values violates, at the last mask
+        class Interrupt(BaseException):
+            pass
+
+        def interrupted(values):
+            yield from islice(walk(values), 10)
+            raise Interrupt
+
+        values = tuple(range(2, 26, 2))
+        degrees = [lcm(*values)] * 11
+        walk = arith.common_factor_masks
+        arith.weight_facts.cache_clear()
+        arith.value_facts.cache_clear()
+        monkeypatch.setattr(arith, "common_factor_masks", interrupted)
+        with pytest.raises(Interrupt):
+            is_strictly_regular(values, degrees)
+        monkeypatch.setattr(arith, "common_factor_masks", walk)
+        assert is_strictly_regular(values, degrees) == (False, tuple(range(12)))
 
 
 class TestWellFormed:
