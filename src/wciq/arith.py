@@ -211,8 +211,8 @@ _TABLE_CACHE_SIZE = 256
 _WEIGHT_CACHE_SIZE = 64
 
 #: Above this many source faces the poset-map check (`maps`) switches to
-#: value-class representatives. Also the most common-factor masks a value
-#: holder keeps.
+#: value-class representatives. Also bounds the common-factor walks a
+#: value holder keeps: those of at most 12 values, 2^12 - 1 masks.
 FACE_LIMIT = 4096
 
 
@@ -389,18 +389,17 @@ class ValueFacts(_Memo):
     its facts, whatever the order of its weights, their multiplicities and
     its weight-1 padding: the divisibility walk with its value masks, the
     occurring face weights with their value masks and covers, the coprime
-    base of the values, and the common-factor walk once some caller has
-    taken it to its end within FACE_LIMIT masks. A kept fact grows with
-    the number of values and the walks over their subsets, never with the
-    indices. A value set is a mask: bit k for values[k].
+    base of the values, and the common-factor walk of at most 12 values.
+    A kept fact grows with the number of values and the walks over their
+    subsets, never with the indices. A value set is a mask: bit k for
+    values[k].
     """
 
-    __slots__ = ("values", "_common")
+    __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]):
         super().__init__()
         self.values = values
-        self._common: tuple[int, ...] | None = None
 
     def check_scale(self, walk: str) -> None:
         """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT
@@ -414,24 +413,17 @@ class ValueFacts(_Memo):
         """The values of a mask, ascending."""
         return tuple(v for k, v in enumerate(self.values) if mask >> k & 1)
 
-    def common_masks(self) -> Iterator[int]:
-        """`common_factor_masks(self.values)`, in its order. A walk that a
-        caller takes to its end within FACE_LIMIT masks is kept for later
-        callers. One that stops early, runs longer or is interrupted keeps
-        nothing, so strict regularity still stops at its first violating
-        size and no later caller takes a prefix for the whole walk."""
-        if self._common is not None:
-            yield from self._common
-            return
-        walked: list[int] | None = []
-        for mask in common_factor_masks(self.values):
-            yield mask
-            if walked is not None:
-                walked.append(mask)
-                if len(walked) > FACE_LIMIT:
-                    walked = None
-        if walked is not None:
-            self._common = tuple(walked)
+    def common_masks(self) -> Iterable[int]:
+        """`common_factor_masks(self.values)`, in its order: kept whole
+        for k values whose 2^k - 1 subsets fit in FACE_LIMIT (k <= 12),
+        past that walked afresh on each call."""
+        if (1 << len(self.values)) - 1 <= FACE_LIMIT:
+            return self.once(_common_masks)
+        return common_factor_masks(self.values)
+
+
+def _common_masks(v: ValueFacts) -> tuple[int, ...]:
+    return tuple(common_factor_masks(v.values))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
@@ -472,6 +464,11 @@ class WeightFacts(_Memo):
     def mask(self, indices: Iterable[int]) -> int:
         """The mask of the values at the given heavy indices."""
         return sum({self._bit[self.wt[i]] for i in indices})
+
+    def indices(self, mask: int) -> tuple[int, ...]:
+        """The indices carrying the values of a mask, ascending."""
+        classes = self.wt.classes
+        return tuple(sorted(i for v in self.v.values_of(mask) for i in classes[v]))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)

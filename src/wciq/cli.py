@@ -70,7 +70,7 @@ def _read_json_file(path: str | None, what: str):
         raise InputError(f"--{what} is required for this subcommand")
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return load_json(text, what)
 
@@ -346,11 +346,23 @@ def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
     return report, 0 if not divergences else 1
 
 
+def _ascii_int(text: str, signed: bool = True) -> int:
+    """An integer option as pair files spell one: ASCII digits, after a
+    '-' where negatives are accepted."""
+    body = text[1:] if signed and text.startswith("-") else text
+    if not (body.isascii() and body.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer{'' if signed else ' 0 or more'}, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # ASCII digits: only the digit limit is left
+        raise argparse.ArgumentTypeError(
+            f"expected at most {sys.get_int_max_str_digits()} digits") from None
+
+
 def _non_negative_int(text: str) -> int:
-    """A cap or budget: decimal digits, so 0 or more."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
-    return int(text)
+    """A cap or budget: 0 or more."""
+    return _ascii_int(text, signed=False)
 
 
 @functools.cache
@@ -376,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = pair_command("analyze", cmd_analyze, "full pipeline report on a pair")
     sp.add_argument("--mode", choices=_MODES, default="strong")
-    sp.add_argument("--seed", type=int, help="echoed into the report")
+    sp.add_argument("--seed", type=_ascii_int, help="echoed into the report")
 
     pair_command("complex", cmd_complex, "singular and base complexes of a pair",
                  node_budget=False)
@@ -393,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("realize", help="realize a complex as weight data")
     sp.add_argument("--complex", required=True, help="complex file (JSON)")
     sp.add_argument("--map", help="map file: {\"target\": ..., \"assignment\": ...}")
-    sp.add_argument("--pad", type=int, default=1)
-    sp.add_argument("--ones", type=int, default=1)
+    sp.add_argument("--pad", type=_ascii_int, default=1)
+    sp.add_argument("--ones", type=_ascii_int, default=1)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_realize)
 

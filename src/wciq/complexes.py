@@ -227,35 +227,28 @@ def base_complex(weights: WeightsLike, d: int, *,
     return _base_complex(PairFacts(wt, (d,), dp_cap), 1)
 
 
-def _base_facets(facts: PairFacts) -> list[tuple[int, int]]:
-    """The facets of every base complex at once, as value masks with the
-    bits of their degrees. A mask belongs to the degrees neither
-    representable nor UNKNOWN over it (the row's two disjoint bit sets)."""
-    facts.w.v.check_scale("base complex walk")
+def _base_facets(facts: PairFacts) -> list[tuple[tuple[int, ...], int]]:
+    """The facets of every base complex at once, as ascending index tuples
+    in lexicographic order, with the bits of their degrees. A value mask
+    belongs to the degrees neither representable nor UNKNOWN over it (the
+    row's two disjoint bit sets). Whole value classes expand distinct
+    maximal value masks, so the facets are maximal as they come."""
+    w = facts.w
+    w.v.check_scale("base complex walk")
     every = (1 << len(facts.dg)) - 1
-    return maximal_masks(dict(mask_levels(
-        len(facts.w.v.values), lambda mask: every & ~sum(facts.row(mask)))))
+    return sorted((w.indices(mask), bits) for mask, bits in maximal_masks(dict(mask_levels(
+        len(w.v.values), lambda mask: every & ~sum(facts.row(mask))))))
 
 
-def _base_facet_indices(facts: PairFacts) -> list[tuple[list[int], int]]:
-    """The facets of every base complex, each expanded once from its value
-    mask to an ascending index list, in lexicographic order, with the bits
-    of its degrees. Whole value classes expand distinct maximal value
-    masks, so the facets are maximal as they come."""
-    classes = facts.wt.classes
-    return sorted(((sorted(i for v in facts.w.v.values_of(mask) for i in classes[v]), bits)
-                   for mask, bits in facts.once(_base_facets)), key=lambda fb: fb[0])
-
-
-def _base_facet_lists(facts: PairFacts, j: int) -> list[list[int]]:
-    """The facets of the pair's j-th base complex as ascending index lists,
-    in lexicographic order."""
+def _base_facet_lists(facts: PairFacts, j: int) -> list[tuple[int, ...]]:
+    """The facets of the pair's j-th base complex as ascending index
+    tuples, in lexicographic order."""
     d = facts.dg.degree(j)
     # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
     least = next((1 << k for k, v in enumerate(facts.w.v.values) if d % v), 0)
     if least:
         facts.representable(j, least)
-    return [f for f, bits in facts.once(_base_facet_indices) if bits >> j - 1 & 1]
+    return [f for f, bits in facts.once(_base_facets) if bits >> j - 1 & 1]
 
 
 def _base_complex(facts: PairFacts, j: int) -> WeightedComplex:

@@ -287,7 +287,7 @@ def _face_weights(v: ValueFacts):
 def _domains(w: WeightFacts) -> dict[int, tuple[int, ...]]:
     """The domain at each occurring face weight: its divisible indices,
     ascending."""
-    return {b: w.wt.divisible_by(b) for b in w.v.once(_face_weights)[0]}
+    return {b: w.indices(mask) for b, mask in w.v.once(_face_weights)[1].items()}
 
 
 def _skeleton(facts: PairFacts):
@@ -610,6 +610,5 @@ def _checked_faces(w: WeightFacts):
         raise ResourceLimitError(
             f"face enumeration exceeds {FACE_LIMIT} even on value-class "
             f"representatives")
-    checked = tuple((tuple(sorted(i for v in w.v.values_of(mask) for i in classes[v])), mask)
-                    for mask in w.v.common_masks())
+    checked = tuple((w.indices(mask), mask) for mask in w.v.common_masks())
     return "value-class-representatives", checked, tuple(faces)

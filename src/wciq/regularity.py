@@ -197,11 +197,8 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
 
 
 def _trivial_all_indices(w: WeightFacts) -> bool:
-    # the scale of the walk this reading stands for, ones or not
-    w.v.check_scale("divisibility walk")
-    if w.wt.ones():
-        return False
-    return not w.v.once(_divisibility)[2]
+    # the walk first: its scale guard holds for this reading, ones or not
+    return not w.v.once(_divisibility)[2] and not w.wt.ones()
 
 
 def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,

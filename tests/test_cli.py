@@ -791,6 +791,45 @@ class TestInputHandling:
             assert f"{sys.get_int_max_str_digits()} digits" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command", ["analyze --input", "realize --complex"])
+    def test_non_utf8_file_exits_cleanly(self, tmp_path, command):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"weights": [\xff1, 2], "degrees": [2]}')
+        proc = run_fresh("-m", "wciq.cli", *command.split(), str(p))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot read {p}: ")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--dp-cap", "٣"), ("--node-budget", "٣"), ("--seed", "٣"),
+        ("--seed", " 1_0"), ("--seed", "+3"), ("--seed", "--3"),
+        ("--seed", "1" * (sys.get_int_max_str_digits() + 1)),
+    ])
+    def test_options_take_ascii_digits_only(self, flag, text, small_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", small_file, f"{flag}={text}"])
+        assert exc.value.code == 2
+        if len(text) > sys.get_int_max_str_digits():
+            expected = f"expected at most {sys.get_int_max_str_digits()} digits"
+        else:
+            expected = (f"expected an integer{'' if flag == '--seed' else ' 0 or more'}, "
+                        f"got {text!r}")
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument {flag}: {expected}")
+
+    @pytest.mark.parametrize("flag", ["--pad", "--ones"])
+    def test_realize_counts_take_ascii_digits_only(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["realize", "--complex", "c.json", flag, "٣"])
+        assert exc.value.code == 2
+        assert build_parser().parse_args(
+            ["realize", "--complex", "c.json", flag, "-2"]).__dict__[flag[2:]] == -2
+
+    def test_negative_seed_is_echoed(self, small_file, capsys):
+        code, out = run(["analyze", "--input", small_file, "--seed", "-3"], capsys)
+        assert code == 0
+        assert json.loads(out)["seed"] == -3
+
     def test_output_is_canonical_json(self, small_file, capsys):
         _, out = run(["complex", "--input", small_file], capsys)
         assert out.endswith("\n")

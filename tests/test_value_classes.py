@@ -258,13 +258,39 @@ class TestStrictRegularity:
         for degrees, verdict in (([d] * 13, (True, None)), ([d] * 12, (False, tuple(range(13))))):
             assert is_strictly_regular(values, degrees) == verdict
             # past FACE_LIMIT masks the holder keeps none of them
-            assert arith.value_facts(values)._common is None
+            assert arith.value_facts(values).kept(arith._common_masks) is None
             assert is_strictly_regular(values, degrees) == verdict
         # twelve values: 4,095 masks, kept whole by the first walk to its end
         values = values[:-1]
         assert is_strictly_regular(values, [d] * 12) == (True, None)
-        assert arith.value_facts(values)._common == tuple(common_factor_masks(values))
+        assert arith.value_facts(values).kept(arith._common_masks) == \
+            tuple(common_factor_masks(values))
         assert is_strictly_regular(values, [d] * 11) == (False, tuple(range(12)))
+
+    def test_twelve_values_keep_the_walk_of_an_early_failure(self, monkeypatch):
+        # {2} violates at size 1, yet with at most 12 values the first call
+        # walks all 4,095 value sets once and keeps them; with 13 it stops
+        walk = arith.common_factor_masks
+        walks = []
+
+        def counted(values):
+            walks.append(values)
+            return walk(values)
+
+        monkeypatch.setattr(arith, "common_factor_masks", counted)
+        arith.weight_facts.cache_clear()
+        arith.value_facts.cache_clear()
+        values = tuple(range(2, 26, 2))
+        start = time.perf_counter()
+        assert is_strictly_regular(values, (7, 11)) == (False, (0,))
+        assert time.perf_counter() - start < 0.5
+        kept = arith.value_facts(values).kept(arith._common_masks)
+        assert len(kept) == 4095 and kept == tuple(walk(values))
+        assert is_strictly_regular(values, (7, 13)) == (False, (0,))
+        assert walks == [values]
+        values += (26,)
+        assert is_strictly_regular(values, (7, 11)) == (False, (0,))
+        assert arith.value_facts(values).kept(arith._common_masks) is None
 
     def test_an_interrupted_walk_keeps_no_prefix(self, monkeypatch):
         # an item timeout raised from a signal handler ends the walk midway;
