@@ -211,8 +211,9 @@ _TABLE_CACHE_SIZE = 256
 _WEIGHT_CACHE_SIZE = 64
 
 #: Above this many source faces the poset-map check (`maps`) switches to
-#: value-class representatives. Also bounds the common-factor walks a
-#: value holder keeps: those of at most 12 values, 2^12 - 1 masks.
+#: value-class representatives. Also bounds the occurring face weights
+#: (`maps`), and the common-factor walks a value holder keeps: those of
+#: at most 12 values, 2^12 - 1 masks.
 FACE_LIMIT = 4096
 
 
@@ -298,11 +299,6 @@ def _bitset_representable(d: int, vals: tuple[int, ...]) -> bool:
         if (reach >> d) & 1:
             return True
     return bool((reach >> d) & 1)
-
-
-def _table_representable(d: int, gens: tuple[int, ...]) -> bool:
-    """Membership over distinct ascending gens by their residue table."""
-    return d >= _residue_table(gens)[d % gens[0]]
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)

@@ -62,7 +62,7 @@ from wciq.errors import (
     InternalConsistencyError,
     PreconditionFailure,
     ResourceLimitError,
-    node_budget,
+    backtrack,
 )
 from wciq.regularity import _strict_regularity
 
@@ -172,8 +172,8 @@ def find_noncontracting_map(weights: WeightsLike,
     """Search for a non-contracting weighted simplicial map from the
     singular complex of the weights to the singular complex of the degrees.
 
-    Exhaustive backtracking over vertex assignments in ascending vertex
-    order with ascending target values; the first solution in that order
+    Exhaustive backtracking in `errors.backtrack`, one level per vertex in
+    ascending order, targets ascending; the first solution in that order
     is returned. By the facts in `validate_weighted_map`, a vertex goes
     only to target vertices whose weight its own weight divides; then the
     gcd b > 1 of a face divides the weights of its images, which so form
@@ -205,28 +205,20 @@ def find_noncontracting_map(weights: WeightsLike,
     mates = {v: {u for f in src.complex.facets if v in f for u in f if u < v}
              for v in src_verts}
     previous_copy = {v: u for c in wt.classes.values() for u, v in zip(c, c[1:])}
-    # A failed branch leaves stale images only at later vertices, and
-    # those are read only after they are assigned again.
+    # A failed branch leaves stale images only at vertices from its own
+    # on, and those are read only after they are assigned again.
     assignment: dict[int, int] = {}
-    spend = node_budget(DEFAULT_NODE_BUDGET, "non-contracting map search")
 
-    def extend(k: int) -> bool:
-        if k == len(src_verts):
-            return True
+    def level(k: int):
         v = src_verts[k]
         floor = assignment[previous_copy[v]] if v in previous_copy else -1
         taken = {assignment[u] for u in mates[v]}
         for t in domains[v]:
-            if t <= floor:
-                continue
-            spend()
-            if t not in taken:
+            if t > floor:
                 assignment[v] = t
-                if extend(k + 1):
-                    return True
-        return False
+                yield t not in taken
 
-    if extend(0):
+    if backtrack(len(src_verts), level, DEFAULT_NODE_BUDGET, "non-contracting map search"):
         return WeightedMap(src, tgt, dict(assignment))
     return None
 
@@ -275,10 +267,14 @@ def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
 def _face_weights(v: ValueFacts):
     """The occurring face weights, ascending; at each, the mask of the
     values it divides (those of its domain) and the face weights it
-    covers."""
+    covers. Past FACE_LIMIT face weights, before any cover is computed,
+    raises ResourceLimitError."""
     im: set[int] = set()
     for a in v.values:
         im |= {g for x in im if (g := gcd(x, a)) > 1} | {a}
+        if len(im) > FACE_LIMIT:
+            raise ResourceLimitError(
+                f"occurring face weights exceed {FACE_LIMIT} in the face-weight closure")
     im_phi = tuple(sorted(im))
     masks = {b: sum(1 << k for k, a in enumerate(v.values) if a % b == 0) for b in im_phi}
     return im_phi, masks, {b: poset_covers(im_phi, b) for b in im_phi}
@@ -334,8 +330,8 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     the union U_b of the S_w already chosen for the multiples w of b in
     im_phi, plus a padding of |D_b| - |U_b| indices from good[b] outside
     U_b, paddings tried in lex order. A branch is cut when |U_b| > |D_b|.
-    The root and every S_b tried count one node each against the node
-    budget, `errors.DEFAULT_NODE_BUDGET`.
+    In `errors.backtrack`, a root level and then one level per b, the root
+    and every S_b tried count one node each against the node budget.
 
     The search is complete. Take any admissible family. For b | w in
     im_phi there is a chain of covers from b up to w, and cover
@@ -376,25 +372,20 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
     im_phi, domains, good = facts.once(_skeleton)
     order = im_phi[::-1]
     images: dict[int, frozenset[int]] = {}
-    spend = node_budget(facts.node_budget, "admissible family search")
 
-    def search(at: int) -> bool:
-        spend()
-        if at == len(order):
-            return True
-        b = order[at]
-        union = frozenset().union(*(images[w] for w in order[:at] if w % b == 0))
+    def level(at: int):
+        if not at:
+            yield True  # the root
+            return
+        b = order[at - 1]
+        union = frozenset().union(*(images[w] for w in order[:at - 1] if w % b == 0))
         pad = len(domains[b]) - len(union)
-        if pad < 0:
-            return False
         free = [j for j in good[b] if j not in union]
-        for padding in combinations(free, pad):
+        for padding in combinations(free, pad) if pad >= 0 else ():
             images[b] = union.union(padding)
-            if search(at + 1):
-                return True
-        return False
+            yield True
 
-    if not search(0):
+    if not backtrack(len(order) + 1, level, facts.node_budget, "admissible family search"):
         return None
     weight_level: dict[int, list[int]] = {}
     for v in reversed(wt.heavy_values()):

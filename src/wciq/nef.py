@@ -21,6 +21,7 @@ because the input data cannot cause those failures.
 
 from __future__ import annotations
 
+from operator import floordiv
 from typing import Iterable, NamedTuple, Sequence
 
 from wciq import errors
@@ -132,8 +133,12 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
     copies into a part, so every complete distribution is a partition
     and the first one found is the lexicographically first; a branch
     where some value left to place no longer fits into the room of the
-    parts it may enter is cut. None means proven nonexistence within the
-    mode, not a timeout; running out of nodes raises instead.
+    parts it may enter is cut. The search runs in `errors.backtrack`: per
+    value, an entry level spends one node and one more to go on when the
+    values from it on still fit, then one level per part tries each k, one
+    node each; a last level spends one node. None means proven
+    nonexistence within the mode, not a timeout; running out of nodes
+    raises instead.
     """
     if mode not in _MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -147,62 +152,41 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
     c = len(degs)
     values = wt.heavy_values()
     room = [spare] + degs
-    # entries[vi]: the parts values[vi] may enter; in strong mode only the
-    # I_j whose degree it divides, never I_0
-    entries = [[j for j in range(1, c + 1) if degs[j - 1] % v == 0]
-               if mode == "strong" else range(c + 1) for v in values]
+    # sizes[vi][j]: the room a copy of values[vi] takes in part j; past every
+    # room where it may not enter (in strong mode I_0 and each I_j whose
+    # degree it does not divide), so that it fits there 0 times
+    never = max(room) + 1
+    sizes = [[v if mode != "strong" or j and degs[j - 1] % v == 0 else never
+              for j in range(c + 1)] for v in values]
     mults = [len(wt.classes[v]) for v in values]
     # counts[vi][j] = how many copies of values[vi] go to part j
     counts = [[0] * (c + 1) for _ in values]
-    spend = errors.node_budget(node_budget, "partition search")
 
-    def fits(vi: int) -> bool:
-        """Can each value from vi on still fit into its parts' room?"""
-        return all(sum(room[j] // values[wi] for j in entries[wi]) >= mults[wi]
-                   for wi in range(vi, len(values)))
-
-    def assign(vi: int) -> bool:
-        """Place the copies of values[vi:] in every way the rooms allow,
-        updating room and counts in place; True keeps the first partition."""
-        spend()
+    def level(i: int):
+        """Level i: c + 2 per value (entry, then parts 0..c), then the last."""
+        vi, j = divmod(i, c + 2)
         if vi == len(values):
-            return True
-        if not fits(vi):
-            return False
-        v = values[vi]
-        dist = counts[vi]
-        caps = [0] * (c + 1)
-        for j in entries[vi]:
-            caps[j] = room[j] // v
-        # tail[j]: copies that parts j..c can still take
-        tail = caps + [0]
-        for j in range(c, -1, -1):
-            tail[j] += tail[j + 1]
-
-        # An odometer over (k_0, ..., k_c), k ascending per part, so the stack
-        # grows with the values alone; ks[j] holds the k left to try at part j.
-        left, ks = mults[vi], []
-        while True:
-            spend()
-            if (j := len(ks)) <= c:
-                ks.append(iter(range(max(0, left - tail[j + 1]),
-                                     min(left, caps[j]) + 1)))
-                dist[j] = 0
-            elif assign(vi + 1):
-                return True
-            while (j := len(ks) - 1) >= 0:
-                room[j] += dist[j] * v
-                left += dist[j]
-                if (k := next(ks[j], None)) is not None:
-                    break
-                ks.pop()
-            else:
-                return False
+            yield True
+            return
+        if not j:
+            yield False
+            # go on when each value from vi on still fits into its parts' room
+            if all(sum(map(floordiv, room, sizes[wi])) >= mults[wi]
+                   for wi in range(vi, len(values))):
+                yield True
+            return
+        v, dist, j = values[vi], counts[vi], j - 1
+        # k ascending; the later parts, untouched by this value, take the rest
+        left = mults[vi] - sum(dist[:j])
+        for k in range(max(0, left - sum(map(floordiv, room[j + 1:], sizes[vi][j + 1:]))),
+                       min(left, room[j] // sizes[vi][j]) + 1):
             dist[j] = k
             room[j] -= k * v
-            left -= k
+            yield True
+            room[j] += k * v
 
-    if not assign(0):
+    if not errors.backtrack(len(values) * (c + 2) + 1, level, node_budget,
+                            "partition search"):
         return None
     return _layout(ones, [len(ones) - sum(room[1:]), *room[1:]],
                    [(wt.classes[v], dist) for v, dist in zip(values, counts)])

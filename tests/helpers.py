@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -37,6 +38,33 @@ BUDGET_FAMILY_PAIR = {
     "weights": TRIANGLE_PAIR["weights"] + [11] * 5,
     "degrees": TRIANGLE_PAIR["degrees"] + [11 * k for k in range(1, 17)],
 }
+
+
+def first_primes(k: int) -> list[int]:
+    """The first k primes, by trial division."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < k:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def cofactor_pair(k: int) -> dict:
+    """Weights 1, 1 and P/p for the first k primes p, P their product, with
+    degrees P k times. The gcd of a set of cofactors is P over the product
+    of its primes, so there are 2^k - 2 occurring face weights."""
+    primes = first_primes(k)
+    product = math.prod(primes)
+    return {"weights": [1, 1] + [product // p for p in primes], "degrees": [product] * k}
+
+
+def odd_primes_pair() -> dict:
+    """Five ones and the 1,199 odd primes up to 9,733, with their sum as
+    the one degree: 1,199 distinct heavy values."""
+    weights = [1] * 5 + first_primes(1200)[1:]
+    return {"weights": weights, "degrees": [sum(weights)]}
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

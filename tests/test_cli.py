@@ -11,7 +11,7 @@ from wciq import arith, complexes, maps, nef, regularity
 from wciq.cli import build_parser, main
 from wciq.serialize import canonical_json
 
-from helpers import BUDGET_FAMILY_PAIR, run_fresh
+from helpers import BUDGET_FAMILY_PAIR, cofactor_pair, run_fresh
 
 REF_PAIR = {
     "weights": [1] * 62 + [6, 10, 15],
@@ -568,6 +568,28 @@ class TestPosetMapBound:
             "representatives\n")
         code, _ = run(["posetmap", "build", "--input", pair], capsys)
         assert code == 0
+
+    def test_ten_cofactors_are_answered(self, tmp_path, capsys):
+        # 1,022 occurring face weights, one family search level each
+        data = cofactor_pair(10)
+        pair = write_json(tmp_path, "p.json", data)
+        assert main(["analyze", "--input", pair]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["family"]["built"] is True and err == ""
+        assert main(["posetmap", "build", "--input", pair]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["built"] is True and err == ""
+        fam = maps.build_admissible_family(data["weights"], data["degrees"])
+        assert maps.check_family_invariants(data["weights"], data["degrees"], fam) == []
+
+    def test_thirteen_cofactors_pass_the_face_limit(self, tmp_path, capsys):
+        pair = write_json(tmp_path, "p.json", cofactor_pair(13))
+        start = time.perf_counter()
+        assert main(["analyze", "--input", pair]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "resource limit: occurring face weights exceed 4096 in the "
+            "face-weight closure\n")
 
 
 class TestRealize:

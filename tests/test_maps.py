@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import time
 
 import pytest
@@ -28,7 +29,7 @@ from wciq.oracles import brute_force_family, brute_force_map, mrv_family_search
 from wciq.regularity import is_strictly_regular
 from wciq.serialize import family_from_json, family_to_json
 
-from helpers import BUDGET_FAMILY_PAIR, STUCK_FAMILY_PAIR, TRIANGLE_PAIR
+from helpers import BUDGET_FAMILY_PAIR, STUCK_FAMILY_PAIR, TRIANGLE_PAIR, cofactor_pair
 
 RHO = (1, 6, 10, 15)
 MU = (16, 21, 25, 30)
@@ -44,6 +45,13 @@ class TestOccurringFaceWeights:
         assert occurring_face_weights(RHO) == (2, 3, 5, 6, 10, 15)
         assert occurring_face_weights((1, 1)) == ()
         assert occurring_face_weights((4, 6)) == (2, 4, 6)
+
+    def test_closure_is_bounded(self):
+        # 8,190 face weights; their covers would take about half a minute
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="face-weight closure"):
+            occurring_face_weights(cofactor_pair(13)["weights"])
+        assert time.perf_counter() - start < 1
 
 
 class TestBuildFamily:
@@ -461,6 +469,14 @@ class TestFindNoncontractingMap:
         found = find_noncontracting_map((2, 3), (6, 6))
         assert found is not None
         assert found.vertex_assignment == {0: 0, 1: 0}
+        v = validate_weighted_map(found)
+        assert v.valid and v.noncontracting
+
+    def test_search_depth_is_not_bounded_by_the_stack(self):
+        # 1,100 vertices on one facet, one level each
+        assert 1100 > sys.getrecursionlimit()
+        found = find_noncontracting_map([2] * 1100, [2] * 1100)
+        assert found is not None
         v = validate_weighted_map(found)
         assert v.valid and v.noncontracting
 

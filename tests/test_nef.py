@@ -14,6 +14,8 @@ from wciq.nef import (
 )
 from wciq.oracles import lex_nef_search, naive_partition_exists
 
+from helpers import odd_primes_pair
+
 MU = (16, 21, 25, 30)
 MODES = ("any", "nice", "strong")
 
@@ -218,6 +220,15 @@ class TestBoundedSearch:
         assert found == lex_nef_search(weights, degrees, mode)
         with pytest.raises(ResourceLimitError):
             find_nef_partition(weights, degrees, mode, node_budget=2580)
+
+    def test_search_depth_is_not_bounded_by_the_stack(self):
+        # 1,199 distinct heavy values, three levels each: one stack frame
+        # per value would pass the recursion limit
+        pair = odd_primes_pair()
+        weights, degrees = pair["weights"], pair["degrees"]
+        assert len(set(weights)) - 1 > sys.getrecursionlimit()
+        found = find_nef_partition(weights, degrees, "any")
+        assert classify_partition(weights, degrees, found).valid
 
     def test_negative_index_past_the_old_budget(self):
         # index -6; the unbounded search runs out of its 2M nodes here
