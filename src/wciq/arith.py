@@ -1,8 +1,8 @@
 """Exact integer arithmetic underlying all combinatorial criteria.
 
 Provides a gcd fold, membership in numerical semigroups (is a number a
-non-negative integer combination of given generators), representable degree
-sets, and cover relations in finite divisibility posets.
+non-negative integer combination of given generators), and representable
+degree sets.
 
 All functions are pure. Python integers are arbitrary precision, so lcm
 chains over realized weight tuples cannot overflow.
@@ -532,20 +532,4 @@ class PairFacts(_Memo):
         if unknown >> j - 1 & 1:
             raise _past_cap(self.dg.degree(j), self.w.v.values_of(mask), self.dp_cap)
         return bool(rep >> j - 1 & 1)
-
-
-def poset_covers(poset: Iterable[int], b: int) -> frozenset[int]:
-    """Elements covered by b: maximal proper divisors of b within the poset.
-
-    q is covered by b when q | b, q != b, and no poset element r satisfies
-    q | r | b strictly between them.
-    """
-    elems = frozenset(poset)
-    if b not in elems:
-        raise InputError(f"{b} is not an element of the poset")
-    below = [q for q in elems if q != b and b % q == 0]
-    return frozenset(
-        q for q in below
-        if not any(r != q and r % q == 0 for r in below)
-    )
 

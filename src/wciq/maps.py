@@ -46,7 +46,6 @@ from wciq.arith import (
     as_degrees,
     as_weights,
     gcd_of,
-    poset_covers,
     weight_facts,
 )
 from wciq.complexes import (
@@ -267,8 +266,13 @@ def occurring_face_weights(weights: WeightsLike) -> tuple[int, ...]:
 def _face_weights(v: ValueFacts):
     """The occurring face weights, ascending; at each, the mask of the
     values it divides (those of its domain) and the face weights it
-    covers. Past FACE_LIMIT face weights, before any cover is computed,
-    raises ResourceLimitError."""
+    covers, ascending. Past FACE_LIMIT face weights, before any cover is
+    computed, raises ResourceLimitError. The covers of b are the maximal
+    g = gcd(a, b) > 1 over the values a that b does not divide (Lindig's
+    upper-neighbour rule, "Fast concept analysis", 2000): a cover q of b
+    is the gcd of the values it divides, b does not divide one of them,
+    a, or else b | q, so q | g | b with g != b and q = g by maximality;
+    and a g that is no cover lies below one, a larger g."""
     im: set[int] = set()
     for a in v.values:
         im |= {g for x in im if (g := gcd(x, a)) > 1} | {a}
@@ -276,8 +280,13 @@ def _face_weights(v: ValueFacts):
             raise ResourceLimitError(
                 f"occurring face weights exceed {FACE_LIMIT} in the face-weight closure")
     im_phi = tuple(sorted(im))
-    masks = {b: sum(1 << k for k, a in enumerate(v.values) if a % b == 0) for b in im_phi}
-    return im_phi, masks, {b: poset_covers(im_phi, b) for b in im_phi}
+    masks, covers = {}, {}
+    for b in im_phi:
+        gcds = [gcd(a, b) for a in v.values]
+        masks[b] = sum(1 << k for k, g in enumerate(gcds) if g == b)
+        below = {g for g in gcds if 1 < g < b}
+        covers[b] = tuple(sorted(q for q in below if not any(r % q == 0 for r in below - {q})))
+    return im_phi, masks, covers
 
 
 def _domains(w: WeightFacts) -> dict[int, tuple[int, ...]]:
@@ -310,8 +319,7 @@ def _csp_summary(facts: PairFacts) -> dict:
         "im_phi": [encode_int(b) for b in im_phi],
         "domains": {str(b): list(domains[b]) for b in im_phi},
         "admissible_degrees": {str(b): list(good[b]) for b in im_phi},
-        "cover_edges": [[encode_int(q), encode_int(b)] for b in im_phi
-                        for q in sorted(covers[b])],
+        "cover_edges": [[encode_int(q), encode_int(b)] for b in im_phi for q in covers[b]],
         "divisor_vertex_pairs": [
             [i, k] for i, k in combinations(wt.heavy(), 2)
             if wt[k] % wt[i] == 0 or wt[i] % wt[k] == 0],
@@ -327,10 +335,10 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     S_b for the image set of the injection there, good[b] for its
     admissible degrees, and m_v for the multiplicity of a heavy value v.
     The search runs over the S_b, visiting b in descending order: S_b is
-    the union U_b of the S_w already chosen for the multiples w of b in
-    im_phi, plus a padding of |D_b| - |U_b| indices from good[b] outside
-    U_b, paddings tried in lex order. A branch is cut when |U_b| > |D_b|.
-    In `errors.backtrack`, a root level and then one level per b, the root
+    the union U_b of the S_w already chosen for the upper covers w of b,
+    plus a padding of |D_b| - |U_b| indices from good[b] outside U_b,
+    paddings tried in lex order. A branch is cut when |U_b| > |D_b|. In
+    `errors.backtrack`, a root level and then one level per b, the root
     and every S_b tried count one node each against the node budget.
 
     The search is complete. Take any admissible family. For b | w in
@@ -360,7 +368,10 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
 
 def _family(facts: PairFacts) -> AdmissibleFamily | None:
     """`build_admissible_family` of the pair; the family it returns has
-    passed `check_family_invariants`."""
+    passed `check_family_invariants`. U_b, the union over the upper
+    covers of b alone, is the union over all its multiples w in im_phi:
+    each S_c holds U_c, so along a chain of covers from b up to w each
+    image set holds the next one up."""
     wt = facts.wt
     regular, witness = facts.once(_strict_regularity)
     if not regular:
@@ -370,6 +381,10 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
             f"violating index subset {witness}",
             witness=witness)
     im_phi, domains, good = facts.once(_skeleton)
+    upper: dict[int, list[int]] = {b: [] for b in im_phi}
+    for w, below in facts.w.v.once(_face_weights)[2].items():
+        for q in below:
+            upper[q].append(w)
     order = im_phi[::-1]
     images: dict[int, frozenset[int]] = {}
 
@@ -378,7 +393,7 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
             yield True  # the root
             return
         b = order[at - 1]
-        union = frozenset().union(*(images[w] for w in order[:at - 1] if w % b == 0))
+        union = frozenset().union(*map(images.__getitem__, upper[b]))
         pad = len(domains[b]) - len(union)
         free = [j for j in good[b] if j not in union]
         for padding in combinations(free, pad) if pad >= 0 else ():

@@ -6,7 +6,8 @@ coprime base, full subset sweeps instead of
 value-class reductions, per-index part assignment or an unbounded walk
 over every split instead of the bounded multiplicity search,
 vertex-level backtracking or plain enumeration instead of the image-set
-family search, every vertex assignment checked face by face instead
+family search, a scan of every face weight instead of the covers read
+off the values, every vertex assignment checked face by face instead
 of the facet-pruned map search, and an lcm descent of the face lattice
 instead of the closed-form realization. The tie-breaks mirror the fast
 implementations so witnesses can be compared verbatim; the family
@@ -34,12 +35,12 @@ from wciq.arith import (
     as_degrees,
     as_weights,
     gcd_of,
-    poset_covers,
     representable_degrees,
 )
 from wciq.complexes import Complex, singular_complex
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
+    InputError,
     InternalConsistencyError,
     PreconditionFailure,
     ResourceLimitError,
@@ -443,6 +444,23 @@ def lex_nef_search(weights: WeightsLike, degrees: DegreesLike,
             parts[j].extend(idx[at:at + counts[v][j]])
             at += counts[v][j]
     return NefPartition(tuple(tuple(p) for p in parts))
+
+
+def poset_covers(poset: Iterable[int], b: int) -> frozenset[int]:
+    """Elements covered by b: maximal proper divisors of b within the poset.
+
+    q is covered by b when q | b, q != b, and no poset element r satisfies
+    q | r | b strictly between them. The reference for the covers that
+    `maps` reads off the values.
+    """
+    elems = frozenset(poset)
+    if b not in elems:
+        raise InputError(f"{b} is not an element of the poset")
+    below = [q for q in elems if q != b and b % q == 0]
+    return frozenset(
+        q for q in below
+        if not any(r != q and r % q == 0 for r in below)
+    )
 
 
 def mrv_family_search(weights: WeightsLike, degrees: DegreesLike, *,

@@ -12,11 +12,10 @@ from wciq.arith import (
     WeightTuple,
     gcd_of,
     is_representable,
-    poset_covers,
     representable_degrees,
 )
 from wciq.errors import InputError, ResourceLimitError
-from wciq.oracles import brute_force_representable, distinct_prime_factors
+from wciq.oracles import brute_force_representable, distinct_prime_factors, poset_covers
 
 
 class TestTuples:

@@ -25,7 +25,7 @@ from wciq.maps import (
     vertex_fibers,
 )
 
-from wciq.oracles import brute_force_family, brute_force_map, mrv_family_search
+from wciq.oracles import brute_force_family, brute_force_map, mrv_family_search, poset_covers
 from wciq.regularity import is_strictly_regular
 from wciq.serialize import family_from_json, family_to_json
 
@@ -46,8 +46,27 @@ class TestOccurringFaceWeights:
         assert occurring_face_weights((1, 1)) == ()
         assert occurring_face_weights((4, 6)) == (2, 4, 6)
 
+    @staticmethod
+    def assert_covers_are_the_poset_covers(weights):
+        im_phi, _, covers = weight_facts(WeightTuple.of(weights)).v.once(maps._face_weights)
+        for b in im_phi:
+            assert covers[b] == tuple(sorted(poset_covers(im_phi, b)))
+
+    @given(st.lists(st.builds(lambda a, b, c, d: 2 ** a * 3 ** b * 5 ** c * 7 ** d,
+                              st.integers(0, 4), st.integers(0, 2), st.integers(0, 2),
+                              st.integers(0, 1)),
+                    min_size=1, max_size=9))
+    @settings(deadline=None, max_examples=300)
+    def test_covers_read_off_the_values_are_the_poset_covers(self, weights):
+        # products of small prime powers nest their face weights deeply
+        self.assert_covers_are_the_poset_covers(weights)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cofactor_covers_are_the_poset_covers(self, k):
+        self.assert_covers_are_the_poset_covers(cofactor_pair(k)["weights"])
+
     def test_closure_is_bounded(self):
-        # 8,190 face weights; their covers would take about half a minute
+        # 8,190 face weights; the closure stops before their covers
         start = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="face-weight closure"):
             occurring_face_weights(cofactor_pair(13)["weights"])
@@ -68,6 +87,15 @@ class TestBuildFamily:
 
     def test_invariants_empty(self, reference_family):
         assert check_family_invariants(RHO, MU, reference_family) == []
+
+    def test_containment_is_reported_by_ascending_cover(self):
+        # 42 covers 6 and 21, which a frozenset walks as 21, 6
+        weights, degrees = (1, 6, 21, 42), (42,) * 4
+        fam = build_admissible_family(weights, degrees)
+        broken = AdmissibleFamily(fam.im_phi, fam.domains, {**fam.injections, 42: {3: 4}})
+        assert check_family_invariants(weights, degrees, broken) == [
+            "image of injection at 42 is not contained in the image at 6",
+            "image of injection at 42 is not contained in the image at 21"]
 
     def test_requires_strict_regularity(self):
         with pytest.raises(PreconditionFailure) as err:
