@@ -7,13 +7,13 @@ signals that a derived identity failed at runtime and is never caught.
 
 from typing import Callable, Iterator
 
-#: Default node budget of each search. The nef partition search, the
-#: admissible family search and the non-contracting map search all run in
-#: `backtrack`, which spends one node per candidate a level yields; the
-#: first two count against the budget they are given (`--node-budget` on
-#: the command line), the map search always against this default. The
-#: minimal non-face search and the references in `wciq.oracles` spend
-#: through `node_budget`. Exceeding a budget raises ResourceLimitError.
+#: Default node budget of each search. Every search counts one node per
+#: candidate it tries, through `node_budget`; in `backtrack` (the nef
+#: partition, admissible family and non-contracting map searches) a
+#: candidate is a value a level yields. The map search and the minimal
+#: non-face search always count against this default, the others against
+#: the budget they are given (`--node-budget` on the command line).
+#: Exceeding a budget raises ResourceLimitError.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
@@ -56,19 +56,17 @@ def backtrack(depth: int, level: Callable[[int], Iterator[bool]], limit: int,
               search: str) -> bool:
     """Depth-first search over `depth` levels in one loop. `level(i)` is a
     generator, started each time level i - 1 goes deeper, that undoes a
-    candidate's changes when resumed; each value it yields spends one
-    node, True going on to level i + 1 and False dropping the candidate.
-    True once the last level goes deeper, False once level 0 runs out;
-    past `limit` nodes raises ResourceLimitError naming the search."""
+    candidate's changes when resumed; each value it yields is a candidate
+    and spends one node of `node_budget(limit, search)`, True going on to
+    level i + 1 and False dropping it. True once the last level goes
+    deeper, at once when `depth` is 0; False once level 0 runs out."""
+    spend = node_budget(limit, search)
     levels: list[Iterator[bool]] = []
-    nodes = 0
     while len(levels) < depth:
         levels.append(level(len(levels)))
         while levels:
             for deeper in levels[-1]:
-                nodes += 1
-                if nodes > limit:
-                    raise ResourceLimitError(f"{search} exceeded the node budget {limit}")
+                spend()
                 if deeper:
                     break
             else:  # the level ran out: back to the one above

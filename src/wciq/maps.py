@@ -337,9 +337,9 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     The search runs over the S_b, visiting b in descending order: S_b is
     the union U_b of the S_w already chosen for the upper covers w of b,
     plus a padding of |D_b| - |U_b| indices from good[b] outside U_b,
-    paddings tried in lex order. A branch is cut when |U_b| > |D_b|. In
-    `errors.backtrack`, a root level and then one level per b, the root
-    and every S_b tried count one node each against the node budget.
+    paddings tried in lex order. A branch is cut when |U_b| > |D_b|. The
+    search runs in `errors.backtrack`, one level per b; every S_b tried
+    is a candidate and counts one node against the node budget.
 
     The search is complete. Take any admissible family. For b | w in
     im_phi there is a chain of covers from b up to w, and cover
@@ -389,10 +389,7 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
     images: dict[int, frozenset[int]] = {}
 
     def level(at: int):
-        if not at:
-            yield True  # the root
-            return
-        b = order[at - 1]
+        b = order[at]
         union = frozenset().union(*map(images.__getitem__, upper[b]))
         pad = len(domains[b]) - len(union)
         free = [j for j in good[b] if j not in union]
@@ -400,7 +397,7 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
             images[b] = union.union(padding)
             yield True
 
-    if not backtrack(len(order) + 1, level, facts.node_budget, "admissible family search"):
+    if not backtrack(len(order), level, facts.node_budget, "admissible family search"):
         return None
     weight_level: dict[int, list[int]] = {}
     for v in reversed(wt.heavy_values()):

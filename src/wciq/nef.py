@@ -133,12 +133,11 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
     copies into a part, so every complete distribution is a partition
     and the first one found is the lexicographically first; a branch
     where some value left to place no longer fits into the room of the
-    parts it may enter is cut. The search runs in `errors.backtrack`: per
-    value, an entry level spends one node and one more to go on when the
-    values from it on still fit, then one level per part tries each k, one
-    node each; a last level spends one node. None means proven
-    nonexistence within the mode, not a timeout; running out of nodes
-    raises instead.
+    parts it may enter is cut, before the value's first part, at no node
+    cost. The search runs in `errors.backtrack`, one level per value and
+    part; each k tried is a candidate and counts one node, so a pair with
+    no heavy value spends none. None means proven nonexistence within the
+    mode, not a timeout; running out of nodes raises instead.
     """
     if mode not in _MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -163,19 +162,14 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
     counts = [[0] * (c + 1) for _ in values]
 
     def level(i: int):
-        """Level i: c + 2 per value (entry, then parts 0..c), then the last."""
-        vi, j = divmod(i, c + 2)
-        if vi == len(values):
-            yield True
+        """Level i: c + 1 per value, one for each part 0..c."""
+        vi, j = divmod(i, c + 1)
+        # part 0 goes on only when each value from vi on still fits into
+        # its parts' room
+        if not j and any(sum(map(floordiv, room, sizes[wi])) < mults[wi]
+                         for wi in range(vi, len(values))):
             return
-        if not j:
-            yield False
-            # go on when each value from vi on still fits into its parts' room
-            if all(sum(map(floordiv, room, sizes[wi])) >= mults[wi]
-                   for wi in range(vi, len(values))):
-                yield True
-            return
-        v, dist, j = values[vi], counts[vi], j - 1
+        v, dist = values[vi], counts[vi]
         # k ascending; the later parts, untouched by this value, take the rest
         left = mults[vi] - sum(dist[:j])
         for k in range(max(0, left - sum(map(floordiv, room[j + 1:], sizes[vi][j + 1:]))),
@@ -185,7 +179,7 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
             yield True
             room[j] += k * v
 
-    if not errors.backtrack(len(values) * (c + 2) + 1, level, node_budget,
+    if not errors.backtrack(len(values) * (c + 1), level, node_budget,
                             "partition search"):
         return None
     return _layout(ones, [len(ones) - sum(room[1:]), *room[1:]],

@@ -16,7 +16,7 @@ from wciq.oracles import brute_force_representable
 
 #: Strictly regular (20 heavy indices over 4 values). The vertex-level
 #: family search (`oracles.mrv_family_search`) backtracks without end on
-#: it; the image-set search builds a family in 7 nodes.
+#: it; the image-set search builds a family in 6 nodes.
 STUCK_FAMILY_PAIR = {
     "weights": [12, 8, 12, 1, 34, 8, 31, 12, 31, 31, 8, 8, 31, 1, 31, 12, 31,
                 12, 8, 12],
@@ -33,7 +33,7 @@ TRIANGLE_PAIR = {"weights": [1, 30, 42, 70], "degrees": [210, 72, 100, 112]}
 #: TRIANGLE_PAIR beside five copies of the coprime value 11 with sixteen
 #: multiples of 11 as degrees. The image-set search refutes the triangle
 #: once for each of the C(16, 5) image sets at face weight 11, so it
-#: answers None only after 34,950 nodes.
+#: answers None only after 34,949 nodes.
 BUDGET_FAMILY_PAIR = {
     "weights": TRIANGLE_PAIR["weights"] + [11] * 5,
     "degrees": TRIANGLE_PAIR["degrees"] + [11 * k for k in range(1, 17)],

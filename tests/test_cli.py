@@ -767,6 +767,27 @@ class TestOracle:
             "exceeds the dp cap 1\n")
 
 
+class TestZeroNodeBudget:
+    """`[1, 1, 1]; [2]` has no heavy value, so the family and partition
+    searches have no candidate and spend no node."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["nef", "find", "--mode", "any"], ["nef", "construct"],
+        ["posetmap", "build"]])
+    def test_nothing_to_search_is_answered(self, argv, tmp_path, capsys):
+        pair = write_json(tmp_path, "p.json", {"weights": [1, 1, 1], "degrees": [2]})
+        code, _ = run(argv + ["--input", pair, "--node-budget", "0"], capsys)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_oracle_tries_the_empty_placement(self, tmp_path, capsys):
+        # the reference enumeration spends one node on the empty placement
+        pair = write_json(tmp_path, "p.json", {"weights": [1, 1, 1], "degrees": [2]})
+        assert main(["oracle", "--input", pair, "--node-budget", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: oracle partition enumeration exceeded the node budget 0\n")
+
+
 class TestInputHandling:
     def test_missing_input_flag(self, capsys):
         assert main(["analyze"]) == 2

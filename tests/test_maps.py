@@ -124,6 +124,24 @@ class TestBuildFamily:
         assert build_admissible_family(BUDGET_FAMILY_PAIR["weights"],
                                        BUDGET_FAMILY_PAIR["degrees"]) is None
 
+    def test_no_face_weight_spends_no_node(self):
+        fam = PairFacts([1, 1, 1], [2], node_budget=0).once(_family)
+        assert fam.im_phi == ()
+
+    @pytest.mark.parametrize("pair,nodes,found", [
+        (TRIANGLE_PAIR, 6, False),
+        (STUCK_FAMILY_PAIR, 6, True),
+        (BUDGET_FAMILY_PAIR, 34_949, False),
+    ])
+    def test_pinned_node_counts(self, pair, nodes, found):
+        # one node per image set tried
+        weights, degrees = pair["weights"], pair["degrees"]
+        fam = PairFacts(weights, degrees, node_budget=nodes).once(_family)
+        assert (fam is not None) == found
+        with pytest.raises(ResourceLimitError, match=(
+                f"^admissible family search exceeded the node budget {nodes - 1}$")):
+            PairFacts(weights, degrees, node_budget=nodes - 1).once(_family)
+
     def test_stuck_pair_within_100_nodes(self):
         weights, degrees = STUCK_FAMILY_PAIR["weights"], STUCK_FAMILY_PAIR["degrees"]
         fam = PairFacts(weights, degrees, node_budget=100).once(_family)

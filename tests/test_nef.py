@@ -184,6 +184,12 @@ class TestBoundedSearch:
         # index -1: even a budget of one node is not reached
         assert find_nef_partition((1, 2, 2), (6,), "any", node_budget=1) is None
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_heavy_value_spends_no_node(self, mode):
+        # nothing to distribute: the ones fill the parts without a search
+        found = find_nef_partition((1, 1, 1), (2,), mode, node_budget=0)
+        assert found == NefPartition(((0,), (1, 2)))
+
     def test_many_copies(self):
         weights = (1,) * 3 + (6, 10, 15, 21) * 4
         degrees = (41, 43, 37, 47)
@@ -196,11 +202,11 @@ class TestBoundedSearch:
         assert found == lex_nef_search(weights, degrees, "any")
 
     @pytest.mark.parametrize("weights,degrees,mode,nodes,found", [
-        (padded(1), MU, "strong", 15, False),
-        (padded(1), MU, "nice", 22, True),
-        (padded(1), MU, "any", 22, True),
-        ((1, 1, 2, 2, 3), (4, 5), "any", 11, True),
-        ((1,) * 10 + (2, 2, 2, 3, 3, 5), (6, 9, 10), "strong", 23, True),
+        (padded(1), MU, "strong", 10, False),
+        (padded(1), MU, "nice", 15, True),
+        (padded(1), MU, "any", 15, True),
+        ((1, 1, 2, 2, 3), (4, 5), "any", 6, True),
+        ((1,) * 10 + (2, 2, 2, 3, 3, 5), (6, 9, 10), "strong", 15, True),
     ])
     def test_pinned_node_counts(self, weights, degrees, mode, nodes, found):
         got = find_nef_partition(weights, degrees, mode, node_budget=nodes)
@@ -210,19 +216,19 @@ class TestBoundedSearch:
 
     @pytest.mark.parametrize("mode", ["any", "nice"])
     def test_stack_grows_with_values_not_parts(self, mode):
-        # 60 distinct heavy values and 40 parts: a frame per value and part
-        # would need 60 * (40 + 3) frames, well past the recursion limit
+        # 60 distinct heavy values and 41 parts: a frame per value and part
+        # would need 60 * (40 + 1) frames, well past the recursion limit
         weights = (1,) * 600 + tuple(range(2, 62))
         degrees = (61,) * 40
-        assert 60 * (40 + 3) > 2 * sys.getrecursionlimit()
-        found = find_nef_partition(weights, degrees, mode, node_budget=2581)
+        assert 60 * (40 + 1) > 2 * sys.getrecursionlimit()
+        found = find_nef_partition(weights, degrees, mode, node_budget=2460)
         assert classify_partition(weights, degrees, found).satisfies(mode)
         assert found == lex_nef_search(weights, degrees, mode)
         with pytest.raises(ResourceLimitError):
-            find_nef_partition(weights, degrees, mode, node_budget=2580)
+            find_nef_partition(weights, degrees, mode, node_budget=2459)
 
     def test_search_depth_is_not_bounded_by_the_stack(self):
-        # 1,199 distinct heavy values, three levels each: one stack frame
+        # 1,199 distinct heavy values, two levels each: one stack frame
         # per value would pass the recursion limit
         pair = odd_primes_pair()
         weights, degrees = pair["weights"], pair["degrees"]
