@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
@@ -191,7 +192,7 @@ def maximal_masks(found: dict[int, int]) -> list[tuple[int, int]]:
 def common_factor_masks(values: Sequence[int]) -> Iterator[int]:
     """Masks of the value subsets with gcd above 1, by size, then lex."""
     return (mask for mask, _ in mask_levels(len(values), lambda mask: math.gcd(
-        *(v for k, v in enumerate(values) if mask >> k & 1)) > 1))
+        *picked(values, mask)) > 1))
 
 
 #: Distinct heavy values past which a walk over their subsets is refused.
@@ -351,7 +352,7 @@ def _admissible(dg: DegreeTuple, rep: int, unknown: int, vals: tuple[int, ...],
     if unknown:
         j = (unknown & -unknown).bit_length()
         raise _past_cap(f"degree d_{j} = {dg.degree(j)}", vals, dp_cap)
-    return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
+    return tuple(picked(range(1, len(dg) + 1), rep))
 
 
 class _Memo:
@@ -385,10 +386,10 @@ class ValueFacts(_Memo):
     its facts, whatever the order of its weights, their multiplicities and
     its weight-1 padding: the divisibility walk with its value masks, the
     occurring face weights with their value masks and covers, the coprime
-    base of the values, and the common-factor walk of at most 12 values.
-    A kept fact grows with the number of values and the walks over their
-    subsets, never with the indices. A value set is a mask: bit k for
-    values[k].
+    base, the facet and minimal non-face masks of the singular complex over
+    the values, and the common-factor walk of at most 12 values. A kept
+    fact grows with the values and the walks over their subsets, never
+    with the indices. A value set is a mask: bit k for values[k].
     """
 
     __slots__ = ("values",)
@@ -407,7 +408,7 @@ class ValueFacts(_Memo):
 
     def values_of(self, mask: int) -> tuple[int, ...]:
         """The values of a mask, ascending."""
-        return tuple(v for k, v in enumerate(self.values) if mask >> k & 1)
+        return tuple(picked(self.values, mask))
 
     def common_masks(self) -> Iterable[int]:
         """`common_factor_masks(self.values)`, in its order: kept whole
@@ -416,6 +417,15 @@ class ValueFacts(_Memo):
         if (1 << len(self.values)) - 1 <= FACE_LIMIT:
             return self.once(_common_masks)
         return common_factor_masks(self.values)
+
+
+def picked(items: Sequence[_T], mask: int) -> list[_T]:
+    """The items at the set bits of the mask, in order."""
+    out = []
+    while mask:
+        out.append(items[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return out
 
 
 def _common_masks(v: ValueFacts) -> tuple[int, ...]:
@@ -434,37 +444,36 @@ class WeightFacts(_Memo):
     multiplicities, each fact at most once. Internal: not part of the
     package interface.
 
-    `weight_facts` keeps one holder per weight tuple in the process, so
-    every pair with these weights shares its facts: well-formedness, the
-    singular complex, the domains of the occurring face weights, the
-    faces the poset-map check reads (at most FACE_LIMIT), and the report
-    sections of the weights alone, encoded once by the command line (the
-    singular complex, its presentation and both divisibility facet
-    lists). What depends on the distinct heavy values alone lives on
-    `v`, their shared `value_facts`, and is expanded to indices here.
-    Apart from the encoded sections, whose size is that of the report
-    sections they stand for, a kept fact grows with the weight tuple and
-    its distinct values, never with a product over the value classes;
-    what does is expanded per call. A kept fact is never handed to a
-    public caller in a mutable form.
+    A thin expander of the value masks kept by `v`, the `value_facts` of
+    the distinct heavy values: `members` holds the index class of each
+    value, bit k's. `weight_facts` keeps one holder per weight tuple, so
+    every pair with these weights shares well-formedness, the singular
+    complex, the domains of the occurring face weights, the faces the
+    poset-map check reads (at most FACE_LIMIT), and the report sections of
+    the weights alone, encoded once; the rest is expanded per call. No
+    kept fact reaches a public caller mutable.
     """
 
-    __slots__ = ("wt", "v", "_bit")
+    __slots__ = ("wt", "v", "members")
 
     def __init__(self, wt: WeightTuple):
         super().__init__()
         self.wt = wt
         self.v = value_facts(wt.heavy_values())
-        self._bit = {v: 1 << k for k, v in enumerate(self.v.values)}
+        self.members = [wt.classes[v] for v in self.v.values]
 
     def mask(self, indices: Iterable[int]) -> int:
         """The mask of the values at the given heavy indices."""
-        return sum({self._bit[self.wt[i]] for i in indices})
+        return sum({1 << self.v.values.index(self.wt[i]) for i in indices})
 
     def indices(self, mask: int) -> tuple[int, ...]:
         """The indices carrying the values of a mask, ascending."""
-        classes = self.wt.classes
-        return tuple(sorted(i for v in self.v.values_of(mask) for i in classes[v]))
+        return tuple(sorted(chain.from_iterable(picked(self.members, mask))))
+
+    def choices(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
+        """Every choice of one index per value of each mask, lex sorted."""
+        return sorted(tuple(sorted(idx)) for mask in masks
+                      for idx in product(*picked(self.members, mask)))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from wciq.arith import DEFAULT_DP_CAP, PairFacts, WeightFacts
-from wciq.complexes import _base_facet_lists, _singular_complex, sr_presentation
+from wciq.complexes import _base_facet_lists, _singular_complex, _singular_presentation
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InputError,
@@ -127,18 +127,15 @@ def _emit(report: dict, fmt: str) -> None:
 
 
 def _singular_sections(w: WeightFacts) -> dict[str, Encoded]:
-    """The singular complex and its presentation, encoded once per weight
-    tuple."""
-    sing = w.once(_singular_complex)
+    """The singular complex and its presentation, encoded once per tuple."""
     return {
-        "singular_complex": Encoded(weighted_complex_to_json(sing)),
-        "singular_sr": Encoded(sr_to_json(sr_presentation(sing))),
+        "singular_complex": Encoded(weighted_complex_to_json(w.once(_singular_complex))),
+        "singular_sr": Encoded(sr_to_json(_singular_presentation(w))),
     }
 
 
 def _divisibility_sections(w: WeightFacts) -> dict[str, Encoded]:
-    """The facets of both divisibility complexes, encoded once per weight
-    tuple."""
+    """The facets of both divisibility complexes, encoded once per tuple."""
     return {
         "nondivisible_facets": Encoded(_value_class_facets(w, False)),
         "strongly_nondivisible_facets": Encoded(_value_class_facets(w, True)),

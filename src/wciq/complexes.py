@@ -23,7 +23,7 @@ lexicographically on their sorted vertex tuples.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
@@ -35,13 +35,10 @@ from wciq.arith import (
     as_weights,
     mask_levels,
     maximal_masks,
+    picked,
     weight_facts,
 )
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, node_budget
-
-
-def _sorted_key(s: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(s))
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError, node_budget
 
 
 class Complex(NamedTuple):
@@ -109,7 +106,7 @@ class Complex(NamedTuple):
 
     def sorted_facets(self) -> list[tuple[int, ...]]:
         """Facets as sorted tuples, in lexicographic order."""
-        return sorted(_sorted_key(f) for f in self.facets)
+        return sorted(tuple(sorted(f)) for f in self.facets)
 
 
 class _WeightedComplexFields(NamedTuple):
@@ -178,17 +175,20 @@ def singular_complex(weights: WeightsLike) -> WeightedComplex:
 
 
 def _singular_complex(w: WeightFacts) -> WeightedComplex:
-    """`singular_complex` of the weights, kept: never to be handed out.
-
-    Every value is a product of powers of the pairwise coprime elements of
-    a coprime base of the values. So a prime p of a base element b divides
-    exactly the weights that b divides, and {i : p | a_i} is
-    `divisible_by(b)`: the strata need no factoring.
-    """
+    """`singular_complex`, kept and never handed out: value facets by class."""
     wt = w.wt
-    strata = {frozenset(wt.divisible_by(b)) for b in w.v.once(_coprime_base)}
-    cx = Complex.from_facets(len(wt), strata)
+    cx = Complex(len(wt), frozenset(frozenset(w.indices(m)) for m in w.v.once(_singular_values)[0]))
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
+
+
+def _singular_values(v: ValueFacts) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The facet and minimal non-face masks of the singular complex over the
+    values. A prime of a coprime base element b divides exactly the values
+    b divides, so the maximal such value sets are the facets."""
+    cx = Complex.from_facets(len(v.values), ([k for k, a in enumerate(v.values) if a % b == 0]
+                                            for b in v.once(_coprime_base)))
+    sr = sr_presentation(WeightedComplex(cx, dict(enumerate(v.values))))
+    return tuple(tuple(sum(1 << k for k in s) for s in sets) for sets in (cx.facets, sr.generators))
 
 
 def _coprime_base(v: ValueFacts) -> tuple[int, ...]:
@@ -319,10 +319,10 @@ def minimal_nonfaces(cx: Complex,
         transversals = [t for t in transversals if t & edge] + grown
     classes = list(twins.values())
     for t in transversals:
-        for vs in product(*(members for k, members in enumerate(classes) if t >> k & 1)):
+        for vs in product(*picked(classes, t)):
             spend()
             out.append(frozenset(sorted(vs)))
-    return sorted(out, key=_sorted_key)
+    return sorted(out, key=sorted)
 
 
 def _private_classes(mask: int, edges: list[int]) -> int:
@@ -348,3 +348,14 @@ def sr_presentation(wc: WeightedComplex) -> SRPresentation:
     gens = tuple(minimal_nonfaces(wc.complex, within=verts))
     return SRPresentation(verts, degrees, gens)
 
+
+def _singular_presentation(w: WeightFacts) -> SRPresentation:
+    """`sr_presentation` of the singular complex: a value's indices are
+    twins, so each minimal non-face over the values takes one index per
+    value. Past DEFAULT_NODE_BUDGET of them, counted first, raises."""
+    masks, heavy = w.v.once(_singular_values)[1], w.wt.heavy()
+    if sum(prod(map(len, picked(w.members, m))) for m in masks) > DEFAULT_NODE_BUDGET:
+        raise ResourceLimitError(
+            f"minimal non-face search exceeded the node budget {DEFAULT_NODE_BUDGET}")
+    return SRPresentation(heavy, tuple(map(w.wt.__getitem__, heavy)),
+                          tuple(map(frozenset, w.choices(masks))))

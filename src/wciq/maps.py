@@ -30,8 +30,8 @@ command sets one, and raises ResourceLimitError past it.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import gcd
+from itertools import combinations, islice
+from math import gcd, prod
 from typing import Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
@@ -46,15 +46,10 @@ from wciq.arith import (
     as_degrees,
     as_weights,
     gcd_of,
+    picked,
     weight_facts,
 )
-from wciq.complexes import (
-    Complex,
-    WeightedComplex,
-    _singular_complex,
-    minimal_nonfaces,
-    singular_complex,
-)
+from wciq.complexes import WeightedComplex, minimal_nonfaces, singular_complex
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InputError,
@@ -589,29 +584,30 @@ def _face_image(fam: AdmissibleFamily, wt: WeightTuple,
 def _checked_faces(w: WeightFacts):
     """What `_poset_map` checks on the singular complex: its scope, the
     (face, value mask) pairs whose images must be representable, and the
-    faces whose images must nest.
-
-    Up to FACE_LIMIT faces, every face serves both checks. Past it, the
-    faces on at most two least indices per value stand in for order
-    preservation, and each value set with gcd above 1 gives one exact
-    property-2 record: its maximal index set is a face, whose image is
-    the superset of every class member's image. Only the face count of
-    that restricted complex is guarded: the least indices of a value set
-    with gcd above 1 form one of its faces, so there are never more
-    value-class records than restricted faces. A fact of the weights
-    alone, kept on their facts holder: at most FACE_LIMIT faces and as
-    many records."""
-    sing = w.once(_singular_complex).complex
-    faces = sing.faces(limit=FACE_LIMIT)
-    if faces is not None:
-        return "all-faces", tuple((face, w.mask(face)) for face in faces), tuple(faces)
-    classes = w.wt.classes
-    keep = {i for v in w.v.values for i in classes[v][:2]}
-    restricted = Complex.from_facets(sing.n_vertices, [f & keep for f in sing.facets if f & keep])
-    faces = restricted.faces(limit=FACE_LIMIT)
-    if faces is None:
-        raise ResourceLimitError(
-            f"face enumeration exceeds {FACE_LIMIT} even on value-class "
-            f"representatives")
-    checked = tuple((w.indices(mask), mask) for mask in w.v.common_masks())
-    return "value-class-representatives", checked, tuple(faces)
+    faces whose images must nest. A face over a value set with gcd above 1
+    joins a nonempty subset of its least value's class to a face over the
+    rest: the faces, a sum of products of 2^m - 1 over class sizes m, are
+    counted before any is built. Up to FACE_LIMIT faces, every face serves
+    both checks. Past it, the faces on at most two least indices per value
+    stand in for order preservation, and each value set with gcd above 1
+    gives one exact property-2 record, its whole classes, a face whose
+    image holds every member's: never more records than guarded faces."""
+    masks = tuple(islice(w.v.common_masks(), FACE_LIMIT + 1))
+    for keep, scope in ((None, "all-faces"), (2, "value-class-representatives")):
+        kept = [c[:keep] for c in w.members]
+        sizes = [(1 << len(c)) - 1 for c in kept]
+        # no value set has more faces than all the classes together
+        if len(masks) * prod(sizes) <= FACE_LIMIT or \
+                sum(prod(picked(sizes, m)) for m in masks) <= FACE_LIMIT:
+            break
+    else:
+        raise ResourceLimitError(f"face enumeration exceeds {FACE_LIMIT} even on "
+                                 "value-class representatives")
+    subsets = [[s for r in range(1, len(c) + 1) for s in combinations(c, r)] for c in kept]
+    over = {0: [()]}
+    for m in masks:
+        over[m] = [tuple(sorted(f + s)) for f in over[m & m - 1]
+                   for s in subsets[(m & -m).bit_length() - 1]]
+    faces = sorted(((f, m) for m in masks for f in over[m]), key=lambda fm: (len(fm[0]), fm[0]))
+    checked = tuple(faces) if keep is None else tuple((w.indices(m), m) for m in masks)
+    return scope, checked, tuple(face for face, _ in faces)

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from wciq import errors
 from wciq.arith import (
     DEFAULT_DP_CAP,
+    FACE_LIMIT,
     DegreesLike,
     PairFacts,
     WeightsLike,
@@ -95,6 +96,42 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     if rem > 1:
         out.append(rem)
     return tuple(out)
+
+
+def prime_strata_complex(weights: WeightsLike) -> Complex:
+    """The singular complex of the weights from its definition: the
+    maximal sets among the index sets {i : p | a_i}, one per prime p
+    found by trial division."""
+    wt = as_weights(weights)
+    primes = {p for a in wt.heavy_values() for p in distinct_prime_factors(a)}
+    return Complex.from_facets(len(wt), [wt.divisible_by(p) for p in primes])
+
+
+def face_walk_checked_faces(weights: WeightsLike):
+    """`maps._checked_faces` by walking index faces: every face of the
+    singular complex up to FACE_LIMIT of them (`Complex.faces`); past it,
+    those of the complex restricted to the two least indices per value,
+    with one record per value set with gcd above 1, which holds its
+    whole classes."""
+    wt = as_weights(weights)
+    sing = prime_strata_complex(wt)
+    bit = {a: 1 << k for k, a in enumerate(wt.heavy_values())}
+
+    def mask(face) -> int:
+        return sum({bit[wt[i]] for i in face})
+
+    faces = sing.faces(limit=FACE_LIMIT)
+    if faces is not None:
+        return "all-faces", tuple((face, mask(face)) for face in faces), tuple(faces)
+    keep = {i for a in bit for i in wt.classes[a][:2]}
+    restricted = Complex.from_facets(sing.n_vertices, [f & keep for f in sing.facets if f & keep])
+    faces = restricted.faces(limit=FACE_LIMIT)
+    if faces is None:
+        raise ResourceLimitError(
+            f"face enumeration exceeds {FACE_LIMIT} even on value-class representatives")
+    checked = tuple((idx, mask(idx)) for vs in common_factor_subsets(tuple(bit))
+                    for idx in [tuple(sorted(i for a in vs for i in wt.classes[a]))])
+    return "value-class-representatives", checked, tuple(faces)
 
 
 def naive_strictly_regular(weights: WeightsLike,

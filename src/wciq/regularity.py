@@ -22,7 +22,7 @@ distinct heavy values and raise ResourceLimitError past 20 of them.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import gcd, inf, lcm
 from typing import NamedTuple
 
@@ -37,6 +37,7 @@ from wciq.arith import (
     as_weights,
     mask_levels,
     maximal_masks,
+    picked,
     weight_facts,
 )
 from wciq.complexes import Complex
@@ -117,17 +118,9 @@ def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
 
 def _value_class_facets(w: WeightFacts, strong: bool) -> tuple[tuple[int, ...], ...]:
     """The facets of the non-divisible or the strongly non-divisible
-    complex over the heavy indices, as sorted tuples in lexicographic
-    order. Both families admit at most one index per value, so each
-    maximal value set expands to every choice of one index per value, and
-    those index sets are maximal by construction. Their number is a
-    product over the value classes, so no weight fact keeps them: they
-    are expanded per call from the kept value masks, and a report keeps
-    only their encoding, once per weight tuple."""
-    classes, v = w.wt.classes, w.v
-    return tuple(sorted(
-        tuple(sorted(idx)) for mask in v.once(_divisibility)[strong]
-        for idx in product(*(classes[a] for a in v.values_of(mask)))))
+    complex over the heavy indices, lex sorted: both families take at most
+    one index per value, so each maximal value set takes one per value."""
+    return tuple(w.choices(w.v.once(_divisibility)[strong]))
 
 
 def _value_class_complex(weights: WeightsLike, strong: bool) -> Complex:
@@ -156,12 +149,9 @@ def _pair_witness(w: WeightFacts) -> frozenset[int] | None:
     """`pair_nontriviality_witness` from the divisibility walk: the
     lex-least realization, by the least index of each value, of the failing
     value sets of least size."""
-    v = w.v
-    failing = v.once(_divisibility)[2]
-    if not failing:
-        return None
-    return frozenset(min(sorted(w.wt.classes[a][0] for a in v.values_of(mask))
-                         for mask in failing))
+    failing = w.v.once(_divisibility)[2]
+    return (frozenset(min(sorted(c[0] for c in picked(w.members, m)) for m in failing))
+            if failing else None)
 
 
 def _divisibility(v: ValueFacts) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -219,32 +209,29 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _strict_regularity(facts: PairFacts):
-    v = facts.w.v
-    v.check_scale("strict regularity")
-    classes = facts.wt.classes
-    failing: list[tuple[tuple[int, ...], int]] = []
+    w = facts.w
+    w.v.check_scale("strict regularity")
+    failing: list[tuple[list[tuple[int, ...]], int]] = []
     size = inf
-    for mask in v.common_masks():
+    for mask in w.v.common_masks():
         if mask.bit_count() > size:
             break
         ng = len(facts.admissible(mask))
-        vs = v.values_of(mask)
-        count = sum(len(classes[a]) for a in vs)
-        if ng < count:
-            s = max(len(vs), ng + 1)
-            failing.append((vs, s))
+        classes = picked(w.members, mask)
+        if ng < sum(map(len, classes)):
+            s = max(len(classes), ng + 1)
+            failing.append((classes, s))
             size = min(size, s)
     if not failing:
         return True, None
 
-    def least_realization(vs: tuple[int, ...]) -> tuple[int, ...]:
+    def least_realization(classes: list[tuple[int, ...]]) -> tuple[int, ...]:
         # V violates at each size s with ng < s, |V| <= s <= |indices of V|;
         # the lex-least such set: each value's least index, then the smallest.
-        firsts = [classes[a][0] for a in vs]
-        rest = sorted(i for a in vs for i in classes[a][1:])
-        return tuple(sorted(firsts + rest[:size - len(vs)]))
+        rest = sorted(i for c in classes for i in c[1:])
+        return tuple(sorted([c[0] for c in classes] + rest[:size - len(classes)]))
 
-    return False, min(least_realization(vs) for vs, s in failing if s == size)
+    return False, min(least_realization(c) for c, s in failing if s == size)
 
 
 def pair_is_trivial(weights: WeightsLike, degrees: DegreesLike | None = None, *,

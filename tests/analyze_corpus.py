@@ -11,6 +11,13 @@ the large-degree items of the same generators (seed 3, two blocks): degrees
 up to 10^7, where membership answers from residue tables, plus the two items
 whose degree lies past the dp cap.
 
+`data/analyze_golden_realized.jsonl` holds, in all three nef modes, the
+pairs that `realize_map_instance` plants in the realized items of the same
+generators (seed 3, two blocks), each also with its heavy weights reversed,
+and a padded pair past the face limit whose poset-map check runs on
+value-class representatives. Their heavy values are products of distinct
+primes, a shape no other corpus has.
+
 `data/low_cap_golden.jsonl` replays the 440 inputs of both files with
 `--dp-cap 30` and `--dp-cap 200`, through `wciq analyze` and `wciq complex`,
 so that which UNKNOWN membership verdict is reported first, and with which
@@ -23,6 +30,8 @@ repository root with
     PYTHONPATH=src python tests/analyze_corpus.py > tests/data/analyze_golden.jsonl
     PYTHONPATH=src python tests/analyze_corpus.py large-degree \
         > tests/data/analyze_golden_large_degree.jsonl
+    PYTHONPATH=src python tests/analyze_corpus.py realized \
+        > tests/data/analyze_golden_realized.jsonl
     PYTHONPATH=src python tests/analyze_corpus.py low-cap \
         > tests/data/low_cap_golden.jsonl
 """
@@ -42,9 +51,14 @@ from wciq.cli import main as cli_main
 
 GOLDEN = Path(__file__).parent / "data" / "analyze_golden.jsonl"
 GOLDEN_LARGE_DEGREE = Path(__file__).parent / "data" / "analyze_golden_large_degree.jsonl"
+GOLDEN_REALIZED = Path(__file__).parent / "data" / "analyze_golden_realized.jsonl"
 LOW_CAP = Path(__file__).parent / "data" / "low_cap_golden.jsonl"
 LOW_CAPS = (30, 200)
 MODES = ("any", "nice", "strong")
+
+#: 44 heavy indices over 2, 3, 5, 7 with 200 ones: more than FACE_LIMIT
+#: faces, so the poset-map check reads value-class representatives.
+PAST_FACE_LIMIT_PAIR = ([1] * 200 + [2, 3, 5, 7] * 11, [4, 6, 10, 14] * 11)
 
 
 def analyze_digest(weights, degrees, mode: str,
@@ -96,15 +110,40 @@ def random_pairs(rng: random.Random, n: int):
         yield weights, degrees, rng.choice(MODES)
 
 
-def bench_pairs(name: str):
-    """(weights, degrees, mode) of two seed-3 blocks of a bench workload."""
+def bench_payloads(name: str):
+    """The payloads of two seed-3 blocks of a bench workload."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
     stream = workloads.blocks(name, 3)
     for _ in range(2):
         for item in next(stream):
-            yield item.payload["weights"], item.payload["degrees"], item.payload["mode"]
+            yield item.payload
+
+
+def bench_pairs(name: str):
+    """(weights, degrees, mode) of two seed-3 blocks of a bench workload."""
+    for payload in bench_payloads(name):
+        yield payload["weights"], payload["degrees"], payload["mode"]
+
+
+def realized_pairs():
+    """(weights, degrees) of the pairs planted in two seed-3 blocks of the
+    bench realized workload, each followed by its heavy weights reversed,
+    then PAST_FACE_LIMIT_PAIR."""
+    from wciq.complexes import Complex
+    from wciq.realize import realize_map_instance
+
+    for payload in bench_payloads("realized"):
+        source = Complex.from_facets(payload["n_vertices"], payload["facets"])
+        target = Complex.from_facets(payload["targets"], [range(payload["targets"])])
+        inst = realize_map_instance(source, target, dict(enumerate(payload["assignment"])),
+                                    payload["pad"], payload["ones"])
+        weights, degrees = list(inst.weights), list(inst.degrees)
+        yield weights, degrees
+        heavy = iter([a for a in weights if a > 1][::-1])
+        yield [a if a == 1 else next(heavy) for a in weights], degrees
+    yield PAST_FACE_LIMIT_PAIR
 
 
 def corpus():
@@ -129,7 +168,13 @@ def main(argv: list[str]) -> None:
                               "runs": low_cap_runs(weights, degrees, mode)},
                              separators=(",", ":")))
         return
-    pairs = bench_pairs("large-degree") if argv == ["large-degree"] else corpus()
+    if argv == ["realized"]:
+        pairs = ((weights, degrees, mode) for weights, degrees in realized_pairs()
+                 for mode in MODES)
+    elif argv == ["large-degree"]:
+        pairs = bench_pairs("large-degree")
+    else:
+        pairs = corpus()
     for weights, degrees, mode in pairs:
         rc, digest = analyze_digest(weights, degrees, mode)
         print(json.dumps({"weights": weights, "degrees": degrees, "mode": mode,

@@ -3,8 +3,9 @@
 The fast paths sweep distinct heavy values (or twin classes of vertices)
 and expand to indices at the end; the references sweep index sets. Inputs
 repeat values, interleave them, and pad with weight-1 indices, with at
-most 12 heavy indices so the references stay cheap. Equality is exact:
-facet lists in order, witnesses, and verdicts.
+most 15 heavy indices so the references stay cheap (16 in the fixed
+face-limit cases). Equality is exact: facet lists in order, witnesses,
+and verdicts.
 """
 
 import time
@@ -17,23 +18,32 @@ from hypothesis import given, settings, strategies as st
 from wciq import arith
 from wciq.arith import (
     DEFAULT_DP_CAP,
+    FACE_LIMIT,
     UNKNOWN,
     PairFacts,
     WeightTuple,
     common_factor_masks,
     is_representable,
+    weight_facts,
 )
 from wciq.complexes import (
     Complex,
     _base_complex,
+    _singular_presentation,
     minimal_nonfaces,
     singular_complex,
     sr_presentation,
 )
 from wciq.errors import ResourceLimitError
-from wciq.maps import AdmissibleFamily, build_admissible_family, verify_poset_map
+from wciq.maps import (
+    AdmissibleFamily,
+    _checked_faces,
+    build_admissible_family,
+    verify_poset_map,
+)
 from wciq.oracles import (
     common_factor_subsets,
+    face_walk_checked_faces,
     lex_walk_strictly_regular,
     maximal_members,
     naive_minimal_nonfaces,
@@ -41,6 +51,7 @@ from wciq.oracles import (
     naive_pair_nontriviality_witness,
     naive_pair_trivial_all_indices,
     naive_strongly_nondivisible_facets,
+    prime_strata_complex,
     swept_poset_properties,
 )
 from wciq.regularity import (
@@ -214,6 +225,57 @@ class TestMinimalNonfaces:
         verts = tuple(sorted(wc.vertex_weights))
         assert sr_presentation(wc).generators == \
             tuple(naive_minimal_nonfaces(wc.complex, within=verts))
+
+
+@st.composite
+def twin_value_weights(draw):
+    """Up to 5 distinct heavy values, among them twins that share their
+    primes (6/12, 10/20, 15/45), with 1-3 copies each, shuffled among up
+    to 4 weight-1 indices."""
+    values = draw(st.lists(st.sampled_from((6, 12, 10, 20, 15, 45, 2, 3, 5, 7, 9, 14, 21)),
+                           max_size=5, unique=True))
+    weights = [1] * draw(st.integers(0 if values else 1, 4))
+    for v in values:
+        weights += [v] * draw(st.integers(1, 3))
+    return WeightTuple.of(draw(st.permutations(weights)))
+
+
+class TestSingularExpansions:
+    """The singular complex, its presentation and the faces the poset-map
+    check reads are derived once per value set and expanded per weight
+    tuple; each equals its index-level reference, in order."""
+
+    @staticmethod
+    def assert_expansions_match(wt):
+        w = weight_facts(wt)
+        reference = prime_strata_complex(wt)
+        assert singular_complex(wt).complex == reference
+        heavy = wt.heavy()
+        sr = _singular_presentation(w)
+        assert (sr.vertices, sr.variable_degrees) == (heavy, tuple(wt[i] for i in heavy))
+        assert [sorted(g) for g in sr.generators] == \
+            [sorted(g) for g in minimal_nonfaces(reference, within=heavy)]
+        assert sr == sr_presentation(singular_complex(wt))
+        assert w.once(_checked_faces) == face_walk_checked_faces(wt)
+
+    @given(twin_value_weights())
+    @settings(deadline=None, max_examples=300)
+    def test_match_index_references(self, wt):
+        self.assert_expansions_match(wt)
+
+    @pytest.mark.parametrize("weights,faces,scope", [
+        # 2^12 - 1 faces over the 2s and one over the 3
+        ((2,) * 12 + (3,), FACE_LIMIT, "all-faces"),
+        ((2,) * 12 + (3, 5), 5, "value-class-representatives"),
+        # the twins 6 and 12: 3 + 1,023 faces alone, 3 * 1,023 together
+        ((1, 6, 6) + (12,) * 10 + (5,), FACE_LIMIT, "all-faces"),
+        ((1, 6, 6) + (12,) * 10 + (5, 7, 1), 3 + 3 + 3 * 3 + 1 + 1, "value-class-representatives"),
+    ])
+    def test_face_limit_boundary(self, weights, faces, scope):
+        wt = WeightTuple.of(weights)
+        self.assert_expansions_match(wt)
+        got_scope, _, got_faces = weight_facts(wt).once(_checked_faces)
+        assert (got_scope, len(got_faces)) == (scope, faces)
 
 
 class TestStrictRegularity:

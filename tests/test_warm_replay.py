@@ -1,7 +1,8 @@
-"""The three golden corpora replay byte for byte whatever the process has
+"""The four golden corpora replay byte for byte whatever the process has
 kept: with no weight or value facts kept, with the facts of the other
-inputs kept (reverse order), after the kept facts were evicted, and with
-each record's value facts first built from its weights reversed.
+inputs kept (reverse order), after the kept facts were evicted, with each
+record's value facts first built from its weights reversed, and with them
+first built from the same values at other multiplicities and padding.
 
 See `analyze_corpus.py` for what the files hold.
 """
@@ -10,13 +11,20 @@ import json
 
 from wciq import arith
 
-from analyze_corpus import GOLDEN, GOLDEN_LARGE_DEGREE, LOW_CAP, analyze_digest, low_cap_runs
+from analyze_corpus import (
+    GOLDEN,
+    GOLDEN_LARGE_DEGREE,
+    GOLDEN_REALIZED,
+    LOW_CAP,
+    analyze_digest,
+    low_cap_runs,
+)
 
 
 def _replays():
-    """(input, call, expected) for every record of the three files."""
+    """(input, call, expected) for every record of the four files."""
     out = []
-    for path in (GOLDEN, GOLDEN_LARGE_DEGREE):
+    for path in (GOLDEN, GOLDEN_LARGE_DEGREE, GOLDEN_REALIZED):
         for line in path.read_text(encoding="utf-8").splitlines():
             rec = json.loads(line)
             args = (rec["weights"], rec["degrees"], rec["mode"])
@@ -36,16 +44,22 @@ def _clear() -> None:
     arith.value_facts.cache_clear()
 
 
-def _permuted_first_mismatches(replays) -> list:
+def _first_mismatches(replays, first) -> list:
     """`_mismatches` where, before each record, the process keeps nothing
-    but what the same call on its weights reversed derived."""
+    but what the same call on first(weights) derived."""
     out = []
     for (weights, *rest), call, expected in replays:
         _clear()
-        call(weights[::-1], *rest)
+        call(first(weights), *rest)
         if call(weights, *rest) != expected:
             out.append((weights, *rest))
     return out
+
+
+def _other_multiplicities(weights: list) -> list:
+    """The weights with one more copy of their largest heavy value and one
+    more 1: the same values, other multiplicities and padding."""
+    return weights + [v for v in (max(weights),) if v > 1] + [1]
 
 
 def test_cold_warm_and_evicted_replays_match():
@@ -69,4 +83,10 @@ def test_cold_warm_and_evicted_replays_match():
     assert _mismatches(replays) == []
     assert all(cache.cache_info().misses > info.misses for cache, info in zip(caches, infos))
 
-    assert _permuted_first_mismatches(replays) == []
+    assert _first_mismatches(replays, lambda weights: weights[::-1]) == []
+
+
+def test_replays_after_other_multiplicities():
+    # a fact kept per value set that read multiplicities or padding
+    # would replay the first call's answer here
+    assert _first_mismatches(_replays(), _other_multiplicities) == []
