@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
@@ -192,7 +192,7 @@ def maximal_masks(found: dict[int, int]) -> list[tuple[int, int]]:
 def common_factor_masks(values: Sequence[int]) -> Iterator[int]:
     """Masks of the value subsets with gcd above 1, by size, then lex."""
     return (mask for mask, _ in mask_levels(len(values), lambda mask: math.gcd(
-        *picked(values, mask)) > 1))
+        *(v for k, v in enumerate(values) if mask >> k & 1)) > 1))
 
 
 #: Distinct heavy values past which a walk over their subsets is refused.
@@ -352,7 +352,7 @@ def _admissible(dg: DegreeTuple, rep: int, unknown: int, vals: tuple[int, ...],
     if unknown:
         j = (unknown & -unknown).bit_length()
         raise _past_cap(f"degree d_{j} = {dg.degree(j)}", vals, dp_cap)
-    return tuple(picked(range(1, len(dg) + 1), rep))
+    return tuple([j for j in range(1, rep.bit_length() + 1) if rep >> j - 1 & 1])
 
 
 class _Memo:
@@ -386,10 +386,11 @@ class ValueFacts(_Memo):
     its facts, whatever the order of its weights, their multiplicities and
     its weight-1 padding: the divisibility walk with its value masks, the
     occurring face weights with their value masks and covers, the coprime
-    base, the facet and minimal non-face masks of the singular complex over
-    the values, and the common-factor walk of at most 12 values. A kept
-    fact grows with the values and the walks over their subsets, never
-    with the indices. A value set is a mask: bit k for values[k].
+    base, the singular complex over the values and, apart, its minimal
+    non-faces by twin classes, and the common-factor walk of at most 12
+    values. A kept fact grows with the values and the walks over their
+    subsets, never with the indices. A value set is a mask: bit k for
+    values[k].
     """
 
     __slots__ = ("values",)
@@ -469,11 +470,6 @@ class WeightFacts(_Memo):
     def indices(self, mask: int) -> tuple[int, ...]:
         """The indices carrying the values of a mask, ascending."""
         return tuple(sorted(chain.from_iterable(picked(self.members, mask))))
-
-    def choices(self, masks: Iterable[int]) -> list[tuple[int, ...]]:
-        """Every choice of one index per value of each mask, lex sorted."""
-        return sorted(tuple(sorted(idx)) for mask in masks
-                      for idx in product(*picked(self.members, mask)))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)

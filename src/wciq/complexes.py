@@ -22,9 +22,9 @@ lexicographically on their sorted vertex tuples.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from math import gcd, prod
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -35,10 +35,9 @@ from wciq.arith import (
     as_weights,
     mask_levels,
     maximal_masks,
-    picked,
     weight_facts,
 )
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError, node_budget
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, node_budget
 
 
 class Complex(NamedTuple):
@@ -87,22 +86,6 @@ class Complex(NamedTuple):
         if not fs:
             return bool(self.facets)
         return any(fs <= f for f in self.facets)
-
-    def faces(self, limit: int | None = None) -> list[tuple[int, ...]] | None:
-        """Nonempty faces as sorted tuples, ordered by (cardinality, lex).
-
-        When limit is given and more than `limit` faces exist, returns None
-        instead of a list.
-        """
-        seen: set[tuple[int, ...]] = set()
-        for f in self.facets:
-            fv = sorted(f)
-            for k in range(1, len(fv) + 1):
-                for combo in combinations(fv, k):
-                    seen.add(combo)
-                    if limit is not None and len(seen) > limit:
-                        return None
-        return sorted(seen, key=lambda t: (len(t), t))
 
     def sorted_facets(self) -> list[tuple[int, ...]]:
         """Facets as sorted tuples, in lexicographic order."""
@@ -177,18 +160,25 @@ def singular_complex(weights: WeightsLike) -> WeightedComplex:
 def _singular_complex(w: WeightFacts) -> WeightedComplex:
     """`singular_complex`, kept and never handed out: value facets by class."""
     wt = w.wt
-    cx = Complex(len(wt), frozenset(frozenset(w.indices(m)) for m in w.v.once(_singular_values)[0]))
+    facets = w.v.once(_value_singular_complex).facets
+    cx = Complex(len(wt), frozenset(frozenset(i for k in f for i in w.members[k]) for f in facets))
     return WeightedComplex(cx, {i: wt[i] for i in cx.vertices})
 
 
-def _singular_values(v: ValueFacts) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The facet and minimal non-face masks of the singular complex over the
-    values. A prime of a coprime base element b divides exactly the values
-    b divides, so the maximal such value sets are the facets."""
-    cx = Complex.from_facets(len(v.values), ([k for k, a in enumerate(v.values) if a % b == 0]
-                                            for b in v.once(_coprime_base)))
-    sr = sr_presentation(WeightedComplex(cx, dict(enumerate(v.values))))
-    return tuple(tuple(sum(1 << k for k in s) for s in sets) for sets in (cx.facets, sr.generators))
+def _value_singular_complex(v: ValueFacts) -> Complex:
+    """The singular complex over the value positions. A prime of a coprime
+    base element b divides exactly the values b divides, so the maximal
+    such value sets are the facets."""
+    return Complex.from_facets(len(v.values), ([k for k, a in enumerate(v.values) if a % b == 0]
+                                               for b in v.once(_coprime_base)))
+
+
+def _value_nonfaces(v: ValueFacts) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The minimal non-faces of the singular complex over the values, each
+    as the value masks of its twin classes, and the class sets tried."""
+    spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
+    found = _transversal_classes(v.once(_value_singular_complex), range(len(v.values)), spend)
+    return tuple(tuple(sum(1 << k for k in c) for c in classes) for classes in found), spend(0)
 
 
 def _coprime_base(v: ValueFacts) -> tuple[int, ...]:
@@ -269,19 +259,10 @@ def minimal_nonfaces(cx: Complex,
     as its single minimal non-face, which keeps the defining equivalence
     (face iff containing no minimal non-face) intact.
 
-    Twins (vertices in the same facets) form a face together, so a minimal
-    non-face takes at most one vertex per twin class, and a set of classes
-    is a non-face exactly when it meets, for each facet, a class outside
-    it. So the minimal non-faces at class level are the minimal
-    transversals of the facet complements, built by Berge multiplication
-    (Berge, *Hypergraphs*, 1989): per complement, the transversals meeting
-    it stay, and each one missing it grows by each of its classes and is
-    kept when still minimal. Each class set expands by every choice of one
-    vertex per class. The work follows the output, not the vertex count:
-    every set tried, of classes or of vertices, counts one node against
-    `errors.DEFAULT_NODE_BUDGET`, a weight-only fact sharing no budget
-    with a pair's searches, and a node costs time linear in the number
-    of facets, not in the size of the family built so far.
+    The others expand each class set of `_transversal_classes` by every
+    choice of one vertex per class. The work follows the output, not the
+    vertex count: every set tried, of classes or of vertices, counts one
+    node against a budget of `errors.DEFAULT_NODE_BUDGET` no pair's search shares.
     """
     if not cx.facets:
         return [frozenset()]
@@ -289,14 +270,35 @@ def minimal_nonfaces(cx: Complex,
         ambient = tuple(range(cx.n_vertices))
     else:
         ambient = tuple(sorted(set(within)))
-    out: list[frozenset[int]] = []
+    out = [frozenset((v,)) for v in ambient if not cx.is_face((v,))]
+    spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
+    for classes in _transversal_classes(cx, ambient, spend):
+        for vs in product(*classes):
+            spend()
+            out.append(frozenset(sorted(vs)))
+    return sorted(out, key=sorted)
+
+
+def _transversal_classes(cx: Complex, ambient: Iterable[int],
+                         spend: Callable[[], object]) -> list[list[list[int]]]:
+    """The minimal non-faces within the ambient vertices that are faces,
+    by twin classes: per non-face, its classes.
+
+    Twins (vertices in the same facets) form a face together, so a minimal
+    non-face takes at most one vertex per twin class, and a set of classes
+    is a non-face exactly when it meets, for each facet, a class outside
+    it. So the minimal non-faces at class level are the minimal
+    transversals of the facet complements, built by Berge multiplication
+    (Berge, *Hypergraphs*, 1989): per complement, the transversals meeting
+    it stay, and each one missing it grows by each of its classes and is
+    kept when still minimal. Each class set tried calls `spend` once, and
+    costs time linear in the number of facets, not in the size of the
+    family built so far.
+    """
     twins: dict[frozenset[frozenset[int]], list[int]] = {}
     for v in ambient:
         if cx.is_face((v,)):
             twins.setdefault(frozenset(f for f in cx.facets if v in f), []).append(v)
-        else:
-            out.append(frozenset((v,)))
-    spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
     # bit k of a mask stands for the k-th twin class
     inside = dict.fromkeys(cx.facets, 0)
     for k, facets in enumerate(twins):
@@ -318,11 +320,8 @@ def minimal_nonfaces(cx: Complex,
                     grown.append(t | b)
         transversals = [t for t in transversals if t & edge] + grown
     classes = list(twins.values())
-    for t in transversals:
-        for vs in product(*picked(classes, t)):
-            spend()
-            out.append(frozenset(sorted(vs)))
-    return sorted(out, key=sorted)
+    return [[members for k, members in enumerate(classes) if t >> k & 1]
+            for t in transversals]
 
 
 def _private_classes(mask: int, edges: list[int]) -> int:
@@ -350,12 +349,15 @@ def sr_presentation(wc: WeightedComplex) -> SRPresentation:
 
 
 def _singular_presentation(w: WeightFacts) -> SRPresentation:
-    """`sr_presentation` of the singular complex: a value's indices are
-    twins, so each minimal non-face over the values takes one index per
-    value. Past DEFAULT_NODE_BUDGET of them, counted first, raises."""
-    masks, heavy = w.v.once(_singular_values)[1], w.wt.heavy()
-    if sum(prod(map(len, picked(w.members, m))) for m in masks) > DEFAULT_NODE_BUDGET:
-        raise ResourceLimitError(
-            f"minimal non-face search exceeded the node budget {DEFAULT_NODE_BUDGET}")
-    return SRPresentation(heavy, tuple(map(w.wt.__getitem__, heavy)),
-                          tuple(map(frozenset, w.choices(masks))))
+    """`sr_presentation` of the singular complex from `_value_nonfaces`:
+    twin values' indices (6's and 12's) form one twin class, so each class
+    set takes one index per class. As in `minimal_nonfaces`, the class sets
+    tried and the index sets, counted before any is built, share a budget."""
+    masks, tried = w.v.once(_value_nonfaces)
+    found = [list(map(w.indices, classes)) for classes in masks]
+    node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")(
+        tried + sum(prod(map(len, classes)) for classes in found))
+    heavy = w.wt.heavy()
+    gens = sorted((frozenset(sorted(vs)) for classes in found for vs in product(*classes)),
+                  key=sorted)
+    return SRPresentation(heavy, tuple(map(w.wt.__getitem__, heavy)), tuple(gens))

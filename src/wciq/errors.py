@@ -38,16 +38,18 @@ class InternalConsistencyError(RuntimeError):
     """An identity that the theory guarantees failed on concrete data."""
 
 
-def node_budget(limit: int, search: str) -> Callable[[], None]:
-    """A `spend()` for one run of a search, to call once per node. Past
-    `limit` calls it raises ResourceLimitError naming the search."""
+def node_budget(limit: int, search: str) -> Callable[[int], int]:
+    """A `spend(n=1)` for one run of a search: it charges n nodes, one per
+    node or a counted batch at once, and returns the nodes spent so far.
+    Past `limit` it raises ResourceLimitError naming the search."""
     nodes = 0
 
-    def spend() -> None:
+    def spend(n: int = 1) -> int:
         nonlocal nodes
-        nodes += 1
+        nodes += n
         if nodes > limit:
             raise ResourceLimitError(f"{search} exceeded the node budget {limit}")
+        return nodes
 
     return spend
 

@@ -596,9 +596,7 @@ def _checked_faces(w: WeightFacts):
     for keep, scope in ((None, "all-faces"), (2, "value-class-representatives")):
         kept = [c[:keep] for c in w.members]
         sizes = [(1 << len(c)) - 1 for c in kept]
-        # no value set has more faces than all the classes together
-        if len(masks) * prod(sizes) <= FACE_LIMIT or \
-                sum(prod(picked(sizes, m)) for m in masks) <= FACE_LIMIT:
+        if sum(prod(picked(sizes, m)) for m in masks) <= FACE_LIMIT:
             break
     else:
         raise ResourceLimitError(f"face enumeration exceeds {FACE_LIMIT} even on "

@@ -98,6 +98,20 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def complex_faces(cx: Complex, limit: int | None = None) -> list[tuple[int, ...]] | None:
+    """Nonempty faces as sorted tuples, ordered by (cardinality, lex), by
+    walking the subsets of every facet; None past `limit` of them."""
+    seen: set[tuple[int, ...]] = set()
+    for f in cx.facets:
+        fv = sorted(f)
+        for k in range(1, len(fv) + 1):
+            for combo in combinations(fv, k):
+                seen.add(combo)
+                if limit is not None and len(seen) > limit:
+                    return None
+    return sorted(seen, key=lambda t: (len(t), t))
+
+
 def prime_strata_complex(weights: WeightsLike) -> Complex:
     """The singular complex of the weights from its definition: the
     maximal sets among the index sets {i : p | a_i}, one per prime p
@@ -120,12 +134,12 @@ def face_walk_checked_faces(weights: WeightsLike):
     def mask(face) -> int:
         return sum({bit[wt[i]] for i in face})
 
-    faces = sing.faces(limit=FACE_LIMIT)
+    faces = complex_faces(sing, FACE_LIMIT)
     if faces is not None:
         return "all-faces", tuple((face, mask(face)) for face in faces), tuple(faces)
     keep = {i for a in bit for i in wt.classes[a][:2]}
     restricted = Complex.from_facets(sing.n_vertices, [f & keep for f in sing.facets if f & keep])
-    faces = restricted.faces(limit=FACE_LIMIT)
+    faces = complex_faces(restricted, FACE_LIMIT)
     if faces is None:
         raise ResourceLimitError(
             f"face enumeration exceeds {FACE_LIMIT} even on value-class representatives")
@@ -285,7 +299,7 @@ def naive_pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | N
     strongly non-divisible; None when there is none."""
     wt = as_weights(weights)
     nd = Complex.from_facets(len(wt), naive_nondivisible_facets(wt))
-    for face in nd.faces() or []:
+    for face in complex_faces(nd) or []:
         if not _index_strongly_non_divisible(wt, face):
             return frozenset(face)
     return None
@@ -374,7 +388,7 @@ def swept_poset_properties(weights: WeightsLike, degrees: DegreesLike,
     if check_family_invariants(wt, degrees, fam, dp_cap=dp_cap):
         return False, None, False, None
     p1_witness = next(
-        (face for face in singular_complex(wt).complex.faces()
+        (face for face in complex_faces(singular_complex(wt).complex)
          if len(induced_face_map(fam, face)) != len(face)), None)
     p3_witness = next(
         ((i, k) for i, k in combinations(wt.heavy(), 2)
@@ -696,7 +710,7 @@ def brute_force_map(weights: WeightsLike, degrees: DegreesLike) -> WeightedMap |
         raise ResourceLimitError(
             f"brute-force map enumeration takes at most {BRUTE_MAP_VERTICES} "
             f"source vertices, got {len(verts)}")
-    faces = src.complex.faces()
+    faces = complex_faces(src.complex)
     for images in product(tgt.complex.vertices, repeat=len(verts)):
         at = dict(zip(verts, images))
         if all(len(img := {at[v] for v in face}) == len(face)

@@ -22,7 +22,7 @@ distinct heavy values and raise ResourceLimitError past 20 of them.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from math import gcd, inf, lcm
 from typing import NamedTuple
 
@@ -120,7 +120,8 @@ def _value_class_facets(w: WeightFacts, strong: bool) -> tuple[tuple[int, ...], 
     """The facets of the non-divisible or the strongly non-divisible
     complex over the heavy indices, lex sorted: both families take at most
     one index per value, so each maximal value set takes one per value."""
-    return tuple(w.choices(w.v.once(_divisibility)[strong]))
+    return tuple(sorted(tuple(sorted(idx)) for mask in w.v.once(_divisibility)[strong]
+                        for idx in product(*picked(w.members, mask))))
 
 
 def _value_class_complex(weights: WeightsLike, strong: bool) -> Complex:

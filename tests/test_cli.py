@@ -278,7 +278,7 @@ class TestAnalyzeOnce:
         builds = count_calls(monkeypatch, complexes._singular_complex)
         base_walks = count_calls(monkeypatch, complexes._base_facets)
         expansions = count_calls(monkeypatch, regularity._value_class_facets)
-        presentations = count_calls(monkeypatch, complexes.sr_presentation)
+        presentations = count_calls(monkeypatch, complexes._singular_presentation)
         path = write_json(tmp_path, "pair.json", self.PAIR)
         assert run(["analyze", "--input", path], capsys)[0] == 0
         assert (len(walks), len(builds), len(base_walks)) == (1, 1, 1)

@@ -17,7 +17,12 @@ from wciq.complexes import (
     sr_presentation,
 )
 from wciq.errors import InputError, ResourceLimitError
-from wciq.oracles import brute_force_representable, distinct_prime_factors, maximal_members
+from wciq.oracles import (
+    brute_force_representable,
+    complex_faces,
+    distinct_prime_factors,
+    maximal_members,
+)
 
 from helpers import all_faces_by_definition, faces_of, random_complex, subset_gcd
 
@@ -49,9 +54,9 @@ class TestComplex:
 
     def test_faces_order_and_limit(self):
         cx = Complex.from_facets(3, [[0, 1], [1, 2]])
-        assert cx.faces() == [(0,), (1,), (2,), (0, 1), (1, 2)]
-        assert cx.faces(limit=3) is None
-        assert cx.faces(limit=5) is not None
+        assert complex_faces(cx) == [(0,), (1,), (2,), (0, 1), (1, 2)]
+        assert complex_faces(cx, 3) is None
+        assert complex_faces(cx, 5) is not None
 
     def test_sorted_facets(self):
         cx = Complex.from_facets(4, [[2, 3], [0, 1]])

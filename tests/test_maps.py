@@ -25,7 +25,13 @@ from wciq.maps import (
     vertex_fibers,
 )
 
-from wciq.oracles import brute_force_family, brute_force_map, mrv_family_search, poset_covers
+from wciq.oracles import (
+    brute_force_family,
+    brute_force_map,
+    complex_faces,
+    mrv_family_search,
+    poset_covers,
+)
 from wciq.regularity import is_strictly_regular
 from wciq.serialize import family_from_json, family_to_json
 
@@ -392,7 +398,7 @@ def swept_validation(fmap):
     src, tgt, at = fmap
     tgt_vertices = set(tgt.complex.vertices)
     simplicial_witness = weighted_witness = None
-    for face in src.complex.faces():
+    for face in complex_faces(src.complex):
         img = frozenset(at[v] for v in face)
         if not (img <= tgt_vertices and tgt.complex.is_face(img)):
             if simplicial_witness is None:

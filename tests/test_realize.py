@@ -145,6 +145,18 @@ class TestVerifyRealization:
             res = realize_weights(cx)
             assert verify_realization(cx, res.weights)
 
+    def test_many_minimal_nonfaces_cost_no_search(self):
+        # facets V minus {x_i, y_i} and V minus every y_i, 42 vertices with
+        # no twins: 2^21 - 1 minimal non-faces, past the default node budget,
+        # which building the complex alone must not look for
+        n = 21
+        every = set(range(2 * n))
+        cx = Complex.from_facets(2 * n, [every - {i, n + i} for i in range(n)]
+                                 + [every - set(range(n, 2 * n))])
+        start = time.perf_counter()
+        assert verify_realization(cx, realize_weights(cx).weights)
+        assert time.perf_counter() - start < 1
+
 
 class TestContractionInstance:
     def test_reference_triangle(self):

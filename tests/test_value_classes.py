@@ -15,7 +15,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wciq import arith
+from wciq import arith, complexes
 from wciq.arith import (
     DEFAULT_DP_CAP,
     FACE_LIMIT,
@@ -34,7 +34,7 @@ from wciq.complexes import (
     singular_complex,
     sr_presentation,
 )
-from wciq.errors import ResourceLimitError
+from wciq.errors import ResourceLimitError, node_budget
 from wciq.maps import (
     AdmissibleFamily,
     _checked_faces,
@@ -277,6 +277,63 @@ class TestSingularExpansions:
         got_scope, _, got_faces = weight_facts(wt).once(_checked_faces)
         assert (got_scope, len(got_faces)) == (scope, faces)
 
+
+    @staticmethod
+    def most_nodes(search) -> int:
+        """The most nodes one `node_budget` of `wciq.complexes` is charged
+        while `search()` runs from cleared caches."""
+        totals = []
+
+        def counting(limit, name):
+            spend, k = node_budget(limit, name), len(totals)
+            totals.append(0)
+
+            def counted(n=1):
+                totals[k] += n
+                return spend(n)
+            return counted
+
+        arith.weight_facts.cache_clear()
+        arith.value_facts.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes, "node_budget", counting)
+            search()
+        return max(totals, default=0)
+
+    @given(twin_value_weights())
+    @settings(deadline=None, max_examples=200)
+    def test_one_budget_as_the_index_search(self, wt):
+        # ascending weights order the twin classes alike at both levels, so
+        # the search over the values tries the class sets the index search
+        # does; with no heavy weight the empty generator, which the index
+        # search returns before counting, is charged one node
+        wt = WeightTuple.of(sorted(wt))
+        assert self.most_nodes(lambda: _singular_presentation(weight_facts(wt))) == \
+            self.most_nodes(lambda: sr_presentation(singular_complex(wt))) + (not wt.heavy())
+
+    @pytest.mark.parametrize("twos,threes,answers", [(7, 14, True), (9, 11, False)])
+    def test_budget_boundary(self, monkeypatch, twos, threes, answers):
+        # two class sets tried and twos * threes index pairs: 100, then 101 nodes
+        monkeypatch.setattr(complexes, "DEFAULT_NODE_BUDGET", 100)
+        wt = WeightTuple.of((2,) * twos + (3,) * threes)
+        for search in (lambda: _singular_presentation(weight_facts(wt)),
+                       lambda: sr_presentation(singular_complex(wt))):
+            arith.weight_facts.cache_clear()
+            arith.value_facts.cache_clear()
+            if answers:
+                assert len(search().generators) == twos * threes
+            else:
+                with pytest.raises(ResourceLimitError, match="minimal non-face search"):
+                    search()
+
+    def test_budget_counted_before_any_set_is_built(self):
+        # 2,000 * 1,000 index pairs and the two class sets tried: 2 past the
+        # default budget, refused without building one pair
+        wt = WeightTuple.of((2,) * 2000 + (3,) * 1000)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="minimal non-face search"):
+            _singular_presentation(weight_facts(wt))
+        assert time.perf_counter() - start < 1.0
 
 class TestStrictRegularity:
     @given(padded_weights(), st.lists(st.integers(1, 60), max_size=4))
