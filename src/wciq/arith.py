@@ -15,7 +15,7 @@ import math
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError, node_budget
 
 #: Default ceiling for the semigroup membership table. Queries above the
 #: ceiling that no shortcut resolves return UNKNOWN instead of guessing.
@@ -107,7 +107,8 @@ class WeightTuple(_Positives):
 
     def heavy(self) -> tuple[int, ...]:
         """Indices carrying weight greater than 1, ascending."""
-        return tuple(i for i, a in enumerate(self) if a > 1)
+        return tuple(sorted(chain.from_iterable(
+            idx for a, idx in self.classes.items() if a > 1)))
 
     def heavy_values(self) -> tuple[int, ...]:
         """Distinct weight values greater than 1, ascending."""
@@ -206,9 +207,9 @@ _TABLE_SHIFT = 8
 #: Residue tables kept per process; the least recently used goes first.
 _TABLE_CACHE_SIZE = 256
 
-#: Weight tuples whose facts are kept per process (`weight_facts`), and
-#: value sets whose facts are (`value_facts`); the least recently used
-#: goes first.
+#: Weight tuples whose facts are kept per process (`weight_facts`), value
+#: sets whose facts are (`value_facts`), and pairs at value level whose
+#: facts are (`value_pair_facts`); the least recently used goes first.
 _WEIGHT_CACHE_SIZE = 64
 
 #: Above this many source faces the poset-map check (`maps`) switches to
@@ -376,6 +377,19 @@ class _Memo:
         """What `once(derive)` has kept, or None before it has run."""
         return self._facts.get(derive)
 
+    def metered(self, derive: Callable[..., _T], limit: int, search: str) -> _T:
+        """derive(self, spend), spend a `node_budget(limit, search)`: kept
+        with the nodes it spent once it finishes. Then a call whose limit
+        is below that count raises as the search would have, so each limit
+        answers alike whatever ran before."""
+        facts = self._facts
+        if derive not in facts:
+            spend = node_budget(limit, search)
+            facts[derive] = derive(self, spend), spend(0)
+        result, nodes = facts[derive]
+        node_budget(limit, search)(nodes)
+        return result
+
 
 class ValueFacts(_Memo):
     """What is derived about one set of distinct heavy values, each fact at
@@ -479,30 +493,29 @@ def weight_facts(wt: WeightTuple) -> WeightFacts:
     return WeightFacts(wt)
 
 
-class PairFacts(_Memo):
-    """What is derived about one pair (weights, degrees, dp_cap), each fact
-    at most once. Internal: not part of the package interface.
+class ValuePairFacts(_Memo):
+    """What is derived about one pair at value level, each fact at most
+    once. Internal: not part of the package interface.
 
-    One holder per command or public call, so no degree-dependent fact
-    outlives its pair. The facts of the weights alone live on `w`, the
-    shared `weight_facts` of the tuple, and those of their distinct heavy
-    values on `w.v`; a weight-only derive is kept there and nowhere else.
-    node_budget bounds each search run on the holder, each counting its
-    own nodes. Each value set has one `row` of verdicts. Through `once`
-    the layers keep the base facets, strict regularity, family skeleton,
-    checked family and construction.
+    `value_pair_facts` keeps one holder per (distinct heavy values, their
+    multiplicities, degrees, dp_cap) in the process, so every pair with
+    these shares its facts, whatever the order of its weights and its
+    weight-1 padding: the membership rows, the strict-regularity sweep,
+    the maximal base-complex value masks and the family's image sets. The
+    facts of the values alone live on `v`, the shared `value_facts`. No
+    fact here reads an index; each pair expands them on its own holder.
+    Each value set has one `row` of verdicts.
     """
 
-    __slots__ = ("w", "wt", "dg", "dp_cap", "node_budget", "_rows")
+    __slots__ = ("v", "mults", "dg", "dp_cap", "_rows")
 
-    def __init__(self, weights: WeightsLike, degrees: DegreesLike,
-                 dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, values: tuple[int, ...], mults: tuple[int, ...], dg: DegreeTuple,
+                 dp_cap: int):
         super().__init__()
-        self.w = weight_facts(as_weights(weights))
-        self.wt = self.w.wt
-        self.dg = as_degrees(degrees)
+        self.v = value_facts(values)
+        self.mults = mults
+        self.dg = dg
         self.dp_cap = dp_cap
-        self.node_budget = node_budget
         self._rows: dict[int, tuple[int, int]] = {}
 
     def row(self, mask: int) -> tuple[int, int]:
@@ -520,14 +533,14 @@ class PairFacts(_Memo):
                     rep |= self._rows.get(mask ^ 1 << k, (0,))[0]
             dg = self.dg
             row = self._rows[mask] = (rep, 0) if rep == (1 << len(dg)) - 1 else _decide_row(
-                dg, rep, *_reduce(self.w.v.values_of(mask)), self.dp_cap)
+                dg, rep, *_reduce(self.v.values_of(mask)), self.dp_cap)
         return row
 
     def admissible(self, mask: int) -> tuple[int, ...]:
         """`representable_degrees` over the value set, ascending, from its row."""
         rep, unknown = self.row(mask)
         # the values only name an UNKNOWN verdict
-        return _admissible(self.dg, rep, unknown, unknown and self.w.v.values_of(mask),
+        return _admissible(self.dg, rep, unknown, unknown and self.v.values_of(mask),
                            self.dp_cap)
 
     def representable(self, j: int, mask: int) -> bool:
@@ -535,6 +548,41 @@ class PairFacts(_Memo):
         row; where the verdict is UNKNOWN, raises ResourceLimitError."""
         rep, unknown = self.row(mask)
         if unknown >> j - 1 & 1:
-            raise _past_cap(self.dg.degree(j), self.w.v.values_of(mask), self.dp_cap)
+            raise _past_cap(self.dg.degree(j), self.v.values_of(mask), self.dp_cap)
         return bool(rep >> j - 1 & 1)
 
+
+@functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def value_pair_facts(values: tuple[int, ...], mults: tuple[int, ...], dg: DegreeTuple,
+                     dp_cap: int) -> ValuePairFacts:
+    """The holder of a pair's value-level facts, shared by every caller in
+    the process; the least recently used of _WEIGHT_CACHE_SIZE goes first."""
+    return ValuePairFacts(values, mults, dg, dp_cap)
+
+
+class PairFacts(_Memo):
+    """What is derived about one pair (weights, degrees, dp_cap) that reads
+    its indices, each fact at most once. Internal: not part of the package
+    interface.
+
+    One holder per command or public call. It expands to indices the facts
+    of `v`, the shared `value_pair_facts` of the pair; those of the weights
+    alone live on `w`, the shared `weight_facts` of the tuple, and those of
+    their distinct heavy values on `w.v`. A fact is kept at the level it
+    reads and nowhere else. node_budget bounds each search run for the
+    holder; a search kept on `v` answers each budget as a fresh run would.
+    Through `once` the layers keep the base facets, strict regularity's
+    witness, the family skeleton, the checked family and the construction.
+    """
+
+    __slots__ = ("w", "wt", "dg", "v", "node_budget")
+
+    def __init__(self, weights: WeightsLike, degrees: DegreesLike,
+                 dp_cap: int = DEFAULT_DP_CAP, node_budget: int = DEFAULT_NODE_BUDGET):
+        super().__init__()
+        self.w = weight_facts(as_weights(weights))
+        self.wt = self.w.wt
+        self.dg = as_degrees(degrees)
+        self.v = value_pair_facts(self.w.v.values, tuple(map(len, self.w.members)),
+                                  self.dg, dp_cap)
+        self.node_budget = node_budget

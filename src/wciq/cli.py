@@ -309,7 +309,7 @@ def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
     rep_table = {}
     all_values = facts.w.mask(heavy)
     for j in range(1, len(dg) + 1):
-        fast = facts.representable(j, all_values)
+        fast = facts.v.representable(j, all_values)
         slow = brute_force_representable(dg.degree(j), facts.w.v.values)
         rep_table[str(j)] = {"fast": fast, "brute": slow}
         if fast != slow:

@@ -30,6 +30,7 @@ from wciq.arith import (
     DEFAULT_DP_CAP,
     PairFacts,
     ValueFacts,
+    ValuePairFacts,
     WeightFacts,
     WeightsLike,
     as_weights,
@@ -219,15 +220,20 @@ def base_complex(weights: WeightsLike, d: int, *,
 
 def _base_facets(facts: PairFacts) -> list[tuple[tuple[int, ...], int]]:
     """The facets of every base complex at once, as ascending index tuples
-    in lexicographic order, with the bits of their degrees. A value mask
-    belongs to the degrees neither representable nor UNKNOWN over it (the
-    row's two disjoint bit sets). Whole value classes expand distinct
-    maximal value masks, so the facets are maximal as they come."""
-    w = facts.w
-    w.v.check_scale("base complex walk")
-    every = (1 << len(facts.dg)) - 1
-    return sorted((w.indices(mask), bits) for mask, bits in maximal_masks(dict(mask_levels(
-        len(w.v.values), lambda mask: every & ~sum(facts.row(mask))))))
+    in lexicographic order, with the bits of their degrees. Whole value
+    classes expand distinct maximal value masks, so the facets are maximal
+    as they come."""
+    return sorted((facts.w.indices(mask), bits) for mask, bits in facts.v.once(_base_masks))
+
+
+def _base_masks(pv: ValuePairFacts) -> list[tuple[int, int]]:
+    """The maximal value masks of every base complex, with the bits of
+    their degrees: a value mask belongs to the degrees neither
+    representable nor UNKNOWN over it (the row's two disjoint bit sets)."""
+    pv.v.check_scale("base complex walk")
+    every = (1 << len(pv.dg)) - 1
+    return maximal_masks(dict(mask_levels(len(pv.v.values),
+                                          lambda mask: every & ~sum(pv.row(mask)))))
 
 
 def _base_facet_lists(facts: PairFacts, j: int) -> list[tuple[int, ...]]:
@@ -237,7 +243,7 @@ def _base_facet_lists(facts: PairFacts, j: int) -> list[tuple[int, ...]]:
     # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
     least = next((1 << k for k, v in enumerate(facts.w.v.values) if d % v), 0)
     if least:
-        facts.representable(j, least)
+        facts.v.representable(j, least)
     return [f for f, bits in facts.once(_base_facets) if bits >> j - 1 & 1]
 
 

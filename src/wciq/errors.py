@@ -54,15 +54,14 @@ def node_budget(limit: int, search: str) -> Callable[[int], int]:
     return spend
 
 
-def backtrack(depth: int, level: Callable[[int], Iterator[bool]], limit: int,
-              search: str) -> bool:
+def backtrack(depth: int, level: Callable[[int], Iterator[bool]],
+              spend: Callable[..., int]) -> bool:
     """Depth-first search over `depth` levels in one loop. `level(i)` is a
     generator, started each time level i - 1 goes deeper, that undoes a
     candidate's changes when resumed; each value it yields is a candidate
-    and spends one node of `node_budget(limit, search)`, True going on to
-    level i + 1 and False dropping it. True once the last level goes
+    and calls `spend`, a `node_budget` of the search, once: True going on
+    to level i + 1 and False dropping it. True once the last level goes
     deeper, at once when `depth` is 0; False once level 0 runs out."""
-    spend = node_budget(limit, search)
     levels: list[Iterator[bool]] = []
     while len(levels) < depth:
         levels.append(level(len(levels)))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import combinations, islice
 from math import gcd, prod
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
@@ -40,6 +40,7 @@ from wciq.arith import (
     DegreesLike,
     PairFacts,
     ValueFacts,
+    ValuePairFacts,
     WeightFacts,
     WeightsLike,
     WeightTuple,
@@ -57,6 +58,7 @@ from wciq.errors import (
     PreconditionFailure,
     ResourceLimitError,
     backtrack,
+    node_budget,
 )
 from wciq.regularity import _strict_regularity
 
@@ -212,7 +214,8 @@ def find_noncontracting_map(weights: WeightsLike,
                 assignment[v] = t
                 yield t not in taken
 
-    if backtrack(len(src_verts), level, DEFAULT_NODE_BUDGET, "non-contracting map search"):
+    if backtrack(len(src_verts), level,
+                 node_budget(DEFAULT_NODE_BUDGET, "non-contracting map search")):
         return WeightedMap(src, tgt, dict(assignment))
     return None
 
@@ -293,8 +296,12 @@ def _domains(w: WeightFacts) -> dict[int, tuple[int, ...]]:
 def _skeleton(facts: PairFacts):
     """The occurring face weights, their domains, and the admissible degree
     indices (ascending) at each: what the family search runs on."""
-    im_phi, masks, _ = facts.w.v.once(_face_weights)
-    return im_phi, facts.w.once(_domains), {b: facts.admissible(masks[b]) for b in im_phi}
+    return facts.w.v.once(_face_weights)[0], facts.w.once(_domains), facts.v.once(_good)
+
+
+def _good(pv: ValuePairFacts) -> dict[int, tuple[int, ...]]:
+    """The admissible degree indices at each occurring face weight."""
+    return {b: pv.admissible(mask) for b, mask in pv.v.once(_face_weights)[1].items()}
 
 
 def family_csp_summary(weights: WeightsLike, degrees: DegreesLike, *,
@@ -334,7 +341,10 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
     plus a padding of |D_b| - |U_b| indices from good[b] outside U_b,
     paddings tried in lex order. A branch is cut when |U_b| > |D_b|. The
     search runs in `errors.backtrack`, one level per b; every S_b tried
-    is a candidate and counts one node against the node budget.
+    is a candidate and counts one node against the node budget. It reads
+    the values, their multiplicities and the degrees alone, so its image
+    sets are kept once per value-level pair and answer each budget as a
+    fresh search would.
 
     The search is complete. Take any admissible family. For b | w in
     im_phi there is a chain of covers from b up to w, and cover
@@ -362,11 +372,9 @@ def build_admissible_family(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _family(facts: PairFacts) -> AdmissibleFamily | None:
-    """`build_admissible_family` of the pair; the family it returns has
-    passed `check_family_invariants`. U_b, the union over the upper
-    covers of b alone, is the union over all its multiples w in im_phi:
-    each S_c holds U_c, so along a chain of covers from b up to w each
-    image set holds the next one up."""
+    """`build_admissible_family` of the pair: the kept image sets expanded
+    to injections. The family it returns has passed
+    `check_family_invariants`."""
     wt = facts.wt
     regular, witness = facts.once(_strict_regularity)
     if not regular:
@@ -375,25 +383,10 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
             f"weights are not strictly regular for the degrees; "
             f"violating index subset {witness}",
             witness=witness)
-    im_phi, domains, good = facts.once(_skeleton)
-    upper: dict[int, list[int]] = {b: [] for b in im_phi}
-    for w, below in facts.w.v.once(_face_weights)[2].items():
-        for q in below:
-            upper[q].append(w)
-    order = im_phi[::-1]
-    images: dict[int, frozenset[int]] = {}
-
-    def level(at: int):
-        b = order[at]
-        union = frozenset().union(*map(images.__getitem__, upper[b]))
-        pad = len(domains[b]) - len(union)
-        free = [j for j in good[b] if j not in union]
-        for padding in combinations(free, pad) if pad >= 0 else ():
-            images[b] = union.union(padding)
-            yield True
-
-    if not backtrack(len(order), level, facts.node_budget, "admissible family search"):
+    images = facts.v.metered(_image_sets, facts.node_budget, "admissible family search")
+    if images is None:
         return None
+    im_phi, domains = facts.w.v.once(_face_weights)[0], facts.w.once(_domains)
     weight_level: dict[int, list[int]] = {}
     for v in reversed(wt.heavy_values()):
         taken = {j for w, t in weight_level.items() if w % v == 0 for j in t}
@@ -410,6 +403,35 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
         raise InternalConsistencyError(
             f"solver produced a family violating its own invariants: {leftovers}")
     return fam
+
+
+def _image_sets(pv: ValuePairFacts,
+                spend: Callable[..., int]) -> dict[int, frozenset[int]] | None:
+    """The image sets S_b of `build_admissible_family`'s search, or None
+    when there are none; each set tried calls spend. |D_b| is the sum of
+    the multiplicities of the values b divides. U_b, the union over the
+    upper covers of b alone, is the union over all its multiples w in
+    im_phi: each S_c holds U_c, so along a chain of covers from b up to w
+    each image set holds the next one up."""
+    im_phi, masks, covers = pv.v.once(_face_weights)
+    good = pv.once(_good)
+    upper: dict[int, list[int]] = {b: [] for b in im_phi}
+    for w, below in covers.items():
+        for q in below:
+            upper[q].append(w)
+    order = im_phi[::-1]
+    images: dict[int, frozenset[int]] = {}
+
+    def level(at: int):
+        b = order[at]
+        union = frozenset().union(*map(images.__getitem__, upper[b]))
+        pad = sum(picked(pv.mults, masks[b])) - len(union)
+        free = [j for j in good[b] if j not in union]
+        for padding in combinations(free, pad) if pad >= 0 else ():
+            images[b] = union.union(padding)
+            yield True
+
+    return images if backtrack(len(order), level, spend) else None
 
 
 def check_family_invariants(weights: WeightsLike, degrees: DegreesLike,
@@ -440,7 +462,7 @@ def _invariant_violations(facts: PairFacts, fam: AdmissibleFamily) -> list[str]:
         images = list(inj.values())
         if len(set(images)) != len(images):
             problems.append(f"injection at {b} is not injective: {inj}")
-        admissible = facts.admissible(masks[b])
+        admissible = facts.v.admissible(masks[b])
         bad = [j for j in images if j not in admissible]
         if bad:
             problems.append(
@@ -556,7 +578,7 @@ def _poset_map(facts: PairFacts, fam: AdmissibleFamily) -> PosetMapReport:
     wt = facts.wt
     scope, checked, faces = facts.w.once(_checked_faces)
     images = {face: _face_image(fam, wt, face) for face in faces}
-    records = tuple((face, j, facts.representable(j, mask)) for face, mask in checked
+    records = tuple((face, j, facts.v.representable(j, mask)) for face, mask in checked
                     for j in sorted(images.get(face) or _face_image(fam, wt, face)))
     property2 = all(ok for _, _, ok in records)
 

@@ -179,8 +179,8 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
             yield True
             room[j] += k * v
 
-    if not errors.backtrack(len(values) * (c + 1), level, node_budget,
-                            "partition search"):
+    if not errors.backtrack(len(values) * (c + 1), level,
+                            errors.node_budget(node_budget, "partition search")):
         return None
     return _layout(ones, [len(ones) - sum(room[1:]), *room[1:]],
                    [(wt.classes[v], dist) for v, dist in zip(values, counts)])

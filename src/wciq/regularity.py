@@ -31,6 +31,7 @@ from wciq.arith import (
     DegreesLike,
     PairFacts,
     ValueFacts,
+    ValuePairFacts,
     WeightFacts,
     WeightsLike,
     as_degrees,
@@ -210,19 +211,9 @@ def is_strictly_regular(weights: WeightsLike, degrees: DegreesLike, *,
 
 
 def _strict_regularity(facts: PairFacts):
-    w = facts.w
-    w.v.check_scale("strict regularity")
-    failing: list[tuple[list[tuple[int, ...]], int]] = []
-    size = inf
-    for mask in w.v.common_masks():
-        if mask.bit_count() > size:
-            break
-        ng = len(facts.admissible(mask))
-        classes = picked(w.members, mask)
-        if ng < sum(map(len, classes)):
-            s = max(len(classes), ng + 1)
-            failing.append((classes, s))
-            size = min(size, s)
+    """`is_strictly_regular` of the pair: the least violating index set
+    realized from the kept sweep."""
+    size, failing = facts.v.once(_regularity_sweep)
     if not failing:
         return True, None
 
@@ -232,7 +223,26 @@ def _strict_regularity(facts: PairFacts):
         rest = sorted(i for c in classes for i in c[1:])
         return tuple(sorted([c[0] for c in classes] + rest[:size - len(classes)]))
 
-    return False, min(least_realization(c) for c, s in failing if s == size)
+    return False, min(least_realization(picked(facts.w.members, m)) for m in failing)
+
+
+def _regularity_sweep(pv: ValuePairFacts) -> tuple[float, tuple[int, ...]]:
+    """The least violation size and the value masks of the failing value
+    sets that violate at it, from the sweep of `is_strictly_regular`: V
+    fails when its ng admissible degrees are fewer than the indices
+    carrying it, and then violates at max(|V|, ng + 1)."""
+    pv.v.check_scale("strict regularity")
+    failing: list[tuple[int, int]] = []
+    size = inf
+    for mask in pv.v.common_masks():
+        if mask.bit_count() > size:
+            break
+        ng = len(pv.admissible(mask))
+        if ng < sum(picked(pv.mults, mask)):
+            s = max(mask.bit_count(), ng + 1)
+            failing.append((mask, s))
+            size = min(size, s)
+    return size, tuple(m for m, s in failing if s == size)
 
 
 def pair_is_trivial(weights: WeightsLike, degrees: DegreesLike | None = None, *,

@@ -79,7 +79,7 @@ class TestUnknown:
     def test_strict_call_raises_past_the_cap(self):
         def representable(d, weights, **caps):
             facts = PairFacts(weights, (d,), **caps)
-            return facts.representable(1, facts.w.mask(facts.wt.heavy()))
+            return facts.v.representable(1, facts.w.mask(facts.wt.heavy()))
 
         assert representable(10**7, (10, 3), dp_cap=10**6) is True
         assert representable(29, (15, 6, 10, 6)) is False
@@ -239,9 +239,10 @@ class TestRows:
         masks = range(1, 1 << len(values))
         # ascending, rows carry their sub-masks' bits; descending, none exist
         for order in (masks, reversed(masks)):
+            arith.value_pair_facts.cache_clear()
             facts = PairFacts(values, degrees, cap)
             for mask in order:
-                rep, unknown = facts.row(mask)
+                rep, unknown = facts.v.row(mask)
                 vals = facts.w.v.values_of(mask)
                 g = math.gcd(*vals)
                 gens = tuple(v // g for v in vals)
@@ -259,9 +260,9 @@ class TestRows:
     def test_empty_value_set(self):
         # every weight 1: no heavy value, so no degree is representable
         facts = PairFacts([1, 1], [3])
-        assert facts.row(0) == (0, 0)
-        assert facts.admissible(0) == ()
-        assert facts.representable(1, 0) is False
+        assert facts.v.row(0) == (0, 0)
+        assert facts.v.admissible(0) == ()
+        assert facts.v.representable(1, 0) is False
         assert representable_degrees([], [3, 10**7]) == frozenset()
         assert is_representable(0, []) is True
         assert is_representable(10**7, []) is False
@@ -275,9 +276,10 @@ class TestRows:
         # d // gcd < 256 a: every degree is on the bitset side of the crossover
         top = 256 * a * math.gcd(*values) - 1
         degrees = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=6))
+        arith.value_pair_facts.cache_clear()
         facts = PairFacts(values, degrees)
         arith._residue_table.cache_clear()
-        rep, _ = facts.row((1 << len(values)) - 1)
+        rep, _ = facts.v.row((1 << len(values)) - 1)
         assert arith._residue_table.cache_info().currsize == 0
         assert rep == sum(1 << j for j, d in enumerate(degrees)
                           if is_representable(d, values) is True)

@@ -219,11 +219,12 @@ class TestAnalyzeOnce:
     PAIR = {"weights": [1] * 11 + [2, 2, 3, 3, 5], "degrees": [6, 9, 10]}
 
     @pytest.fixture(autouse=True)
-    def cold_weight_facts(self):
-        # the counts below are those of a pair whose weights and values are
-        # new to the process
+    def cold_kept_facts(self):
+        # the counts below are those of one command on a pair whose weights,
+        # values and value-level pair are new to the process
         arith.weight_facts.cache_clear()
         arith.value_facts.cache_clear()
+        arith.value_pair_facts.cache_clear()
 
     def test_each_fact_once(self, tmp_path, monkeypatch, capsys):
         path = write_json(tmp_path, "pair.json", self.PAIR)

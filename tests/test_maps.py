@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from wciq import maps
+from wciq import arith, maps
 from wciq.arith import PairFacts, WeightTuple, weight_facts
 from wciq.complexes import Complex, WeightedComplex, singular_complex
 from wciq.errors import InputError, PreconditionFailure, ResourceLimitError
@@ -140,13 +140,25 @@ class TestBuildFamily:
         (BUDGET_FAMILY_PAIR, 34_949, False),
     ])
     def test_pinned_node_counts(self, pair, nodes, found):
-        # one node per image set tried
+        # one node per image set tried; the search kept for the pair's
+        # values answers each budget as a fresh search does, in either
+        # call order, with nothing cleared between the two calls
         weights, degrees = pair["weights"], pair["degrees"]
-        fam = PairFacts(weights, degrees, node_budget=nodes).once(_family)
-        assert (fam is not None) == found
-        with pytest.raises(ResourceLimitError, match=(
-                f"^admissible family search exceeded the node budget {nodes - 1}$")):
-            PairFacts(weights, degrees, node_budget=nodes - 1).once(_family)
+
+        def answers():
+            fam = PairFacts(weights, degrees, node_budget=nodes).once(_family)
+            assert (fam is not None) == found
+
+        def raises():
+            with pytest.raises(ResourceLimitError, match=(
+                    f"^admissible family search exceeded the node budget {nodes - 1}$")):
+                PairFacts(weights, degrees, node_budget=nodes - 1).once(_family)
+
+        for calls in ((answers, raises), (raises, answers)):
+            arith.value_pair_facts.cache_clear()
+            for call in calls:
+                call()
+            assert arith.value_pair_facts.cache_info().hits == 1
 
     def test_stuck_pair_within_100_nodes(self):
         weights, degrees = STUCK_FAMILY_PAIR["weights"], STUCK_FAMILY_PAIR["degrees"]
@@ -324,7 +336,7 @@ def scanned_poset_map(weights, degrees, fam):
     facts = PairFacts(weights, degrees)
     scope, checked, faces = facts.w.once(maps._checked_faces)
     image = functools.partial(induced_face_map, fam)
-    records = tuple((face, j, facts.representable(j, mask)) for face, mask in checked
+    records = tuple((face, j, facts.v.representable(j, mask)) for face, mask in checked
                     for j in sorted(image(face)))
     order_witness = next(((sub, face) for face in faces
                           for sub in (face[:k] + face[k + 1:] for k in range(len(face)))

@@ -1,8 +1,10 @@
 """The four golden corpora replay byte for byte whatever the process has
-kept: with no weight or value facts kept, with the facts of the other
-inputs kept (reverse order), after the kept facts were evicted, with each
-record's value facts first built from its weights reversed, and with them
-first built from the same values at other multiplicities and padding.
+kept: with no weight, value or value-level pair facts kept, with the facts
+of the other inputs kept (reverse order), after the kept facts were
+evicted, with each record's value facts first built from its weights
+reversed, with them first built from the same values at other
+multiplicities and padding, and with its value-level pair facts first
+built from its heavy weights reversed with two more ones.
 
 See `analyze_corpus.py` for what the files hold.
 """
@@ -39,9 +41,12 @@ def _mismatches(replays) -> list:
     return [args for args, call, expected in replays if call(*args) != expected]
 
 
+CACHES = (arith.weight_facts, arith.value_facts, arith.value_pair_facts)
+
+
 def _clear() -> None:
-    arith.weight_facts.cache_clear()
-    arith.value_facts.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 def _first_mismatches(replays, first) -> list:
@@ -62,9 +67,17 @@ def _other_multiplicities(weights: list) -> list:
     return weights + [v for v in (max(weights),) if v > 1] + [1]
 
 
+def _reversed_and_padded(weights: list) -> list:
+    """The heavy weights reversed, in the places of the heavy weights, and
+    two more 1s: the same values, multiplicities and degrees, another
+    order and padding."""
+    heavy = iter([a for a in weights if a > 1][::-1])
+    return [a if a == 1 else next(heavy) for a in weights] + [1, 1]
+
+
 def test_cold_warm_and_evicted_replays_match():
     replays = _replays()
-    caches = (arith.weight_facts, arith.value_facts)
+    caches = CACHES
     _clear()
     assert _mismatches(replays) == []
     hits = [cache.cache_info().hits for cache in caches]
@@ -72,13 +85,13 @@ def test_cold_warm_and_evicted_replays_match():
     assert all(cache.cache_info().hits > h for cache, h in zip(caches, hits))
 
     size = arith.weight_facts.cache_info().maxsize
-    assert arith.value_facts.cache_info().maxsize == size
-    # each evicting pair has its own values, so both caches turn over
+    assert [cache.cache_info().maxsize for cache in caches] == [size] * 3
+    # each evicting pair has its own values, so all three caches turn over
     evict = [([1, 2, k], [2 * k], "strong") for k in range(101, 103 + size)]
     for args in evict:
         analyze_digest(*args)
     infos = [cache.cache_info() for cache in caches]
-    assert [info.currsize for info in infos] == [size, size]
+    assert [info.currsize for info in infos] == [size] * 3
     assert len(evict) > size
     assert _mismatches(replays) == []
     assert all(cache.cache_info().misses > info.misses for cache, info in zip(caches, infos))
@@ -90,3 +103,11 @@ def test_replays_after_other_multiplicities():
     # a fact kept per value set that read multiplicities or padding
     # would replay the first call's answer here
     assert _first_mismatches(_replays(), _other_multiplicities) == []
+
+
+def test_replays_after_the_same_pair_at_value_level():
+    # the first call keeps the value-level pair facts the record reads; one
+    # of them that read an index or a weight-1 index would leak here
+    pair_hits = arith.value_pair_facts.cache_info().hits
+    assert _first_mismatches(_replays(), _reversed_and_padded) == []
+    assert arith.value_pair_facts.cache_info().hits > pair_hits
