@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError, node_budget
@@ -441,6 +441,17 @@ def picked(items: Sequence[_T], mask: int) -> list[_T]:
         out.append(items[(mask & -mask).bit_length() - 1])
         mask &= mask - 1
     return out
+
+
+def choices(class_lists: Sequence[Sequence[Sequence[_T]]],
+            spend: Callable[[int], object] | None = None) -> list[tuple[_T, ...]]:
+    """Every choice of one member from each class of each list, as sorted
+    tuples in lex order; a list without classes has the one empty choice.
+    Their number, the sum over the lists of the products of the class
+    sizes, is charged to `spend`, if given, before any choice is built."""
+    if spend is not None:
+        spend(sum(math.prod(map(len, classes)) for classes in class_lists))
+    return sorted(tuple(sorted(c)) for classes in class_lists for c in product(*classes))
 
 
 def _common_masks(v: ValueFacts) -> tuple[int, ...]:

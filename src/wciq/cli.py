@@ -194,12 +194,13 @@ def cmd_analyze(args, facts: PairFacts) -> tuple[dict, int]:
     if args.seed is not None:
         report["seed"] = encode_int(args.seed)
     report["fano_index"] = encode_int(fano_index(facts.wt, facts.dg))
-    report["regularity"] = {**_regularity_verdicts(facts, with_degrees=True),
-                            **facts.w.once(_divisibility_sections)}
+    report["regularity"] = _regularity_verdicts(facts, with_degrees=True)
     report["pair_trivial_literal"] = _trivial_all_indices(facts.w)
     phases.mark("regularity")
 
     report.update(_complex_section(facts))
+    # after the counted presentation: the divisibility facets count nothing
+    report["regularity"].update(facts.w.once(_divisibility_sections))
     phases.mark("complexes")
 
     report["family"] = _family_section(facts)

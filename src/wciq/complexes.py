@@ -22,8 +22,7 @@ lexicographically on their sorted vertex tuples.
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from wciq.arith import (
@@ -34,6 +33,7 @@ from wciq.arith import (
     WeightFacts,
     WeightsLike,
     as_weights,
+    choices,
     mask_levels,
     maximal_masks,
     weight_facts,
@@ -267,22 +267,17 @@ def minimal_nonfaces(cx: Complex,
 
     The others expand each class set of `_transversal_classes` by every
     choice of one vertex per class. The work follows the output, not the
-    vertex count: every set tried, of classes or of vertices, counts one
-    node against a budget of `errors.DEFAULT_NODE_BUDGET` no pair's search shares.
+    vertex count: every class set tried counts one node, and the vertex
+    sets one each, counted before any is built, against a budget of
+    `errors.DEFAULT_NODE_BUDGET` no pair's search shares.
     """
     if not cx.facets:
         return [frozenset()]
-    if within is None:
-        ambient = tuple(range(cx.n_vertices))
-    else:
-        ambient = tuple(sorted(set(within)))
-    out = [frozenset((v,)) for v in ambient if not cx.is_face((v,))]
+    ambient = tuple(range(cx.n_vertices)) if within is None else tuple(sorted(set(within)))
+    out = [(v,) for v in ambient if not cx.is_face((v,))]
     spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
-    for classes in _transversal_classes(cx, ambient, spend):
-        for vs in product(*classes):
-            spend()
-            out.append(frozenset(sorted(vs)))
-    return sorted(out, key=sorted)
+    out += choices(_transversal_classes(cx, ambient, spend), spend)
+    return list(map(frozenset, sorted(out)))
 
 
 def _transversal_classes(cx: Complex, ambient: Iterable[int],
@@ -360,10 +355,8 @@ def _singular_presentation(w: WeightFacts) -> SRPresentation:
     set takes one index per class. As in `minimal_nonfaces`, the class sets
     tried and the index sets, counted before any is built, share a budget."""
     masks, tried = w.v.once(_value_nonfaces)
-    found = [list(map(w.indices, classes)) for classes in masks]
-    node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")(
-        tried + sum(prod(map(len, classes)) for classes in found))
+    spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
+    spend(tried)
+    gens = choices([list(map(w.indices, classes)) for classes in masks], spend)
     heavy = w.wt.heavy()
-    gens = sorted((frozenset(sorted(vs)) for classes in found for vs in product(*classes)),
-                  key=sorted)
-    return SRPresentation(heavy, tuple(map(w.wt.__getitem__, heavy)), tuple(gens))
+    return SRPresentation(heavy, tuple(map(w.wt.__getitem__, heavy)), tuple(map(frozenset, gens)))

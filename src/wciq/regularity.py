@@ -22,7 +22,7 @@ distinct heavy values and raise ResourceLimitError past 20 of them.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from math import gcd, inf, lcm
 from typing import NamedTuple
 
@@ -36,6 +36,7 @@ from wciq.arith import (
     WeightsLike,
     as_degrees,
     as_weights,
+    choices,
     mask_levels,
     maximal_masks,
     picked,
@@ -121,8 +122,7 @@ def _value_class_facets(w: WeightFacts, strong: bool) -> tuple[tuple[int, ...], 
     """The facets of the non-divisible or the strongly non-divisible
     complex over the heavy indices, lex sorted: both families take at most
     one index per value, so each maximal value set takes one per value."""
-    return tuple(sorted(tuple(sorted(idx)) for mask in w.v.once(_divisibility)[strong]
-                        for idx in product(*picked(w.members, mask))))
+    return tuple(choices([picked(w.members, mask) for mask in w.v.once(_divisibility)[strong]]))
 
 
 def _value_class_complex(weights: WeightsLike, strong: bool) -> Complex:
@@ -152,8 +152,16 @@ def _pair_witness(w: WeightFacts) -> frozenset[int] | None:
     lex-least realization, by the least index of each value, of the failing
     value sets of least size."""
     failing = w.v.once(_divisibility)[2]
-    return (frozenset(min(sorted(c[0] for c in picked(w.members, m)) for m in failing))
-            if failing else None)
+    return (frozenset(min(_least_realization(picked(w.members, m), m.bit_count())
+                          for m in failing)) if failing else None)
+
+
+def _least_realization(classes: list[tuple[int, ...]], size: int) -> tuple[int, ...]:
+    """The lex-least set of `size` indices meeting every class (ascending
+    index tuples) and drawn from their union: each class's least index,
+    then the smallest of the rest."""
+    rest = sorted(i for c in classes for i in c[1:])
+    return tuple(sorted([c[0] for c in classes] + rest[:size - len(classes)]))
 
 
 def _divisibility(v: ValueFacts) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -216,14 +224,8 @@ def _strict_regularity(facts: PairFacts):
     size, failing = facts.v.once(_regularity_sweep)
     if not failing:
         return True, None
-
-    def least_realization(classes: list[tuple[int, ...]]) -> tuple[int, ...]:
-        # V violates at each size s with ng < s, |V| <= s <= |indices of V|;
-        # the lex-least such set: each value's least index, then the smallest.
-        rest = sorted(i for c in classes for i in c[1:])
-        return tuple(sorted([c[0] for c in classes] + rest[:size - len(classes)]))
-
-    return False, min(least_realization(picked(facts.w.members, m)) for m in failing)
+    # V violates at each size s with ng < s, |V| <= s <= |indices of V|
+    return False, min(_least_realization(picked(facts.w.members, m), size) for m in failing)
 
 
 def _regularity_sweep(pv: ValuePairFacts) -> tuple[float, tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,6 +11,7 @@ from wciq.arith import (
     DegreeTuple,
     PairFacts,
     WeightTuple,
+    choices,
     gcd_of,
     is_representable,
     representable_degrees,
@@ -311,3 +313,27 @@ class TestPosetCovers:
         # also absent; no covers at all
         assert poset_covers((4, 3), 4) == frozenset()
         assert poset_covers((4, 2, 8), 8) == frozenset({4})
+
+
+class TestChoices:
+    @given(st.lists(st.lists(st.lists(st.integers(0, 20), max_size=3), max_size=4),
+                    max_size=4))
+    @settings(deadline=None, max_examples=300)
+    def test_sorted_product_expansion(self, class_lists):
+        charged = []
+        got = choices(class_lists, charged.append)
+        assert got == sorted(tuple(sorted(c)) for classes in class_lists
+                             for c in product(*classes))
+        assert charged == [len(got)] == [sum(math.prod(map(len, classes))
+                                              for classes in class_lists)]
+        assert choices(class_lists) == got
+
+    def test_empty_class_list_has_one_empty_choice(self):
+        # the value-level presentation charges that choice one node
+        charged = []
+        assert choices([[]], charged.append) == [()]
+        assert charged == [1]
+        assert choices([], charged.append) == []
+        assert choices([[[1, 2], []]], charged.append) == []
+        assert charged == [1, 0, 0]
+

@@ -334,6 +334,21 @@ class TestValueCountGuard:
         assert (main(["analyze", "--input", path]), capsys.readouterr()) == first
 
 
+class TestChoiceCountGuard:
+    # 2,000 twos and 1,000 threes: 2,000,000 minimal non-faces of the
+    # singular complex, and as many facets of each divisibility complex
+    PAIR = {"weights": [1] * 3 + [2] * 2000 + [3] * 1000, "degrees": [6]}
+
+    def test_refused_before_any_set_is_built(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pair.json", self.PAIR)
+        start = time.perf_counter()
+        code = main(["analyze", "--input", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource limit: minimal non-face search exceeded the node budget 2000000\n")
+
+
 class TestComplex:
     def test_reference_complexes(self, map_file, capsys):
         code, out = run(["complex", "--input", map_file], capsys)

@@ -335,6 +335,20 @@ class TestSingularExpansions:
             _singular_presentation(weight_facts(wt))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("search", [
+        sr_presentation,
+        lambda cx: minimal_nonfaces(cx.complex),
+    ], ids=["sr_presentation", "minimal_nonfaces"])
+    def test_index_search_counted_before_any_set_is_built(self, search):
+        # the same 2,000,000 index pairs past the two class sets tried, at
+        # index level: counted at once, not one node per pair built
+        cx = singular_complex((2,) * 2000 + (3,) * 1000)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=(
+                "^minimal non-face search exceeded the node budget 2000000$")):
+            search(cx)
+        assert time.perf_counter() - start < 1.0
+
 class TestStrictRegularity:
     @given(padded_weights(), st.lists(st.integers(1, 60), max_size=4))
     @settings(deadline=None, max_examples=200)
