@@ -336,4 +336,3 @@ class TestChoices:
         assert choices([], charged.append) == []
         assert choices([[[1, 2], []]], charged.append) == []
         assert charged == [1, 0, 0]
-
