@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import chain, product
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError, node_budget
 
@@ -159,46 +159,6 @@ def gcd_of(values: Iterable[int]) -> int:
     return math.gcd(*vals)
 
 
-def mask_levels(n: int, flags: Callable[[int], int]) -> Iterator[tuple[int, int]]:
-    """(mask, flags(mask)) for the members of a downward-closed family of
-    subsets of range(n), by size, then lex; flags is nonzero on members only.
-    Level-wise (Apriori): each mask comes once, from the member below its top
-    bit, and is asked about only if its immediate sub-masks are members."""
-    level = [0]
-    while level:
-        members, nxt = set(level), []
-        for prefix in level:
-            for top in range(prefix.bit_length(), n):
-                mask = prefix | 1 << top
-                if all(mask ^ 1 << k in members for k in range(top) if prefix >> k & 1):
-                    f = flags(mask)
-                    if f:
-                        yield mask, f
-                        nxt.append(mask)
-        level = nxt
-
-
-def maximal_masks(found: dict[int, int]) -> list[tuple[int, int]]:
-    """(mask, bits) in walk order for the masks maximal in some of several
-    downward-closed families, from the walked dict of `mask_levels`: bit b
-    of a mask's flags and of its bits for family b."""
-    covered = dict.fromkeys([0, *found], 0)
-    for mask, f in found.items():
-        for k in range(mask.bit_length()):
-            if mask >> k & 1:
-                covered[mask ^ 1 << k] |= f
-    return [(mask, f & ~covered[mask]) for mask, f in found.items() if f & ~covered[mask]]
-
-
-def common_factor_masks(values: Sequence[int]) -> Iterator[int]:
-    """Masks of the value subsets with gcd above 1, by size, then lex."""
-    return (mask for mask, _ in mask_levels(len(values), lambda mask: math.gcd(
-        *(v for k, v in enumerate(values) if mask >> k & 1)) > 1))
-
-
-#: Distinct heavy values past which a walk over their subsets is refused.
-_VALUE_SUBSET_LIMIT = 20
-
 #: Residue tables answer a query when the smallest generator a (after
 #: dividing out the gcd) satisfies a <= d >> _TABLE_SHIFT. Nearer to d, one
 #: bitset over 0..d is cheaper than the O(k*a) table build.
@@ -214,8 +174,8 @@ _WEIGHT_CACHE_SIZE = 64
 
 #: Above this many source faces the poset-map check (`maps`) switches to
 #: value-class representatives. Also bounds the occurring face weights
-#: (`maps`), and the common-factor walks a value holder keeps: those of
-#: at most 12 values, 2^12 - 1 masks.
+#: (`maps`), and the singular faces over the values that a value holder
+#: keeps listed (`complexes._value_faces`).
 FACE_LIMIT = 4096
 
 
@@ -398,13 +358,13 @@ class ValueFacts(_Memo):
     `value_facts` keeps one holder per ascending tuple of distinct heavy
     values in the process, so every weight tuple with these values shares
     its facts, whatever the order of its weights, their multiplicities and
-    its weight-1 padding: the divisibility walk with its value masks, the
-    occurring face weights with their value masks and covers, the coprime
-    base, the singular complex over the values and, apart, its minimal
-    non-faces by twin classes, and the common-factor walk of at most 12
-    values. A kept fact grows with the values and the walks over their
-    subsets, never with the indices. A value set is a mask: bit k for
-    values[k].
+    its weight-1 padding: the divisibility facets and least failing value
+    masks, the occurring face weights with their value masks and covers,
+    the coprime base, the singular complex over the values and, apart, its
+    minimal non-faces by twin classes, and its faces when they number at
+    most FACE_LIMIT. A kept fact grows with the values and with the
+    facets and non-faces found over them, never with the indices. A value
+    set is a mask: bit k for values[k].
     """
 
     __slots__ = ("values",)
@@ -413,25 +373,9 @@ class ValueFacts(_Memo):
         super().__init__()
         self.values = values
 
-    def check_scale(self, walk: str) -> None:
-        """Refuse a walk over the value subsets past _VALUE_SUBSET_LIMIT
-        values: it may visit all 2^k of them."""
-        if len(self.values) > _VALUE_SUBSET_LIMIT:
-            raise ResourceLimitError(
-                f"{walk} over {len(self.values)} distinct values exceeds "
-                f"the supported scale ({_VALUE_SUBSET_LIMIT})")
-
     def values_of(self, mask: int) -> tuple[int, ...]:
         """The values of a mask, ascending."""
         return tuple(picked(self.values, mask))
-
-    def common_masks(self) -> Iterable[int]:
-        """`common_factor_masks(self.values)`, in its order: kept whole
-        for k values whose 2^k - 1 subsets fit in FACE_LIMIT (k <= 12),
-        past that walked afresh on each call."""
-        if (1 << len(self.values)) - 1 <= FACE_LIMIT:
-            return self.once(_common_masks)
-        return common_factor_masks(self.values)
 
 
 def picked(items: Sequence[_T], mask: int) -> list[_T]:
@@ -452,10 +396,6 @@ def choices(class_lists: Sequence[Sequence[Sequence[_T]]],
     if spend is not None:
         spend(sum(math.prod(map(len, classes)) for classes in class_lists))
     return sorted(tuple(sorted(c)) for classes in class_lists for c in product(*classes))
-
-
-def _common_masks(v: ValueFacts) -> tuple[int, ...]:
-    return tuple(common_factor_masks(v.values))
 
 
 @functools.lru_cache(maxsize=_WEIGHT_CACHE_SIZE)

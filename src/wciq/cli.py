@@ -199,7 +199,7 @@ def cmd_analyze(args, facts: PairFacts) -> tuple[dict, int]:
     phases.mark("regularity")
 
     report.update(_complex_section(facts))
-    # after the counted presentation: the divisibility facets count nothing
+    # after the presentation: its refusal shows before that of the divisibility facets
     report["regularity"].update(facts.w.once(_divisibility_sections))
     phases.mark("complexes")
 

@@ -22,20 +22,22 @@ lexicographically on their sorted vertex tuples.
 
 from __future__ import annotations
 
+from heapq import merge
+from itertools import combinations, groupby
 from math import gcd
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from wciq.arith import (
     DEFAULT_DP_CAP,
+    FACE_LIMIT,
     PairFacts,
     ValueFacts,
     ValuePairFacts,
     WeightFacts,
     WeightsLike,
+    _WEIGHT_CACHE_SIZE,
     as_weights,
     choices,
-    mask_levels,
-    maximal_masks,
     weight_facts,
 )
 from wciq.errors import DEFAULT_NODE_BUDGET, InputError, node_budget
@@ -174,6 +176,28 @@ def _value_singular_complex(v: ValueFacts) -> Complex:
                                                for b in v.once(_coprime_base)))
 
 
+def _value_faces(v: ValueFacts) -> Iterable[int]:
+    """The faces of the singular complex over the values, the value sets
+    with gcd above 1, as masks by size, then lex. Kept whole when the
+    facets span at most FACE_LIMIT of them (counted with repeats, each
+    facet's 2^size - 1); past that, listed afresh on each call."""
+    if sum((1 << len(f)) - 1 for f in v.once(_value_singular_complex).facets) <= FACE_LIMIT:
+        return v.once(_kept_value_faces)
+    return _listed_value_faces(v)
+
+
+def _kept_value_faces(v: ValueFacts) -> tuple[int, ...]:
+    return tuple(_listed_value_faces(v))
+
+
+def _listed_value_faces(v: ValueFacts) -> Iterator[int]:
+    """Each size's subsets of the facets, merged in lex order, once each."""
+    facets = [sorted(f) for f in v.once(_value_singular_complex).facets]
+    for size in range(1, max(map(len, facets), default=0) + 1):
+        for face, _ in groupby(merge(*(combinations(f, size) for f in facets if len(f) >= size))):
+            yield sum(1 << k for k in face)
+
+
 def _value_nonfaces(v: ValueFacts) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The minimal non-faces of the singular complex over the values, each
     as the value masks of its twin classes, and the class sets tried."""
@@ -209,8 +233,10 @@ def base_complex(weights: WeightsLike, d: int, *,
     Representability depends only on the distinct weight values, so the
     facet search runs over value masks and re-expands whole value classes.
     Values dividing d (weight 1 included) represent d alone, so by
-    monotonicity no face contains them. Past 20 distinct heavy values the
-    search, which may visit every value set, raises ResourceLimitError.
+    monotonicity no face contains them. The search (`_dualize`) follows
+    its output, facets and minimal non-faces, not the value count; past
+    its node budget it raises ResourceLimitError naming the base complex
+    search.
     """
     wt = as_weights(weights)
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
@@ -221,19 +247,49 @@ def base_complex(weights: WeightsLike, d: int, *,
 def _base_facets(facts: PairFacts) -> list[tuple[tuple[int, ...], int]]:
     """The facets of every base complex at once, as ascending index tuples
     in lexicographic order, with the bits of their degrees. Whole value
-    classes expand distinct maximal value masks, so the facets are maximal
-    as they come."""
+    classes expand the maximal value masks, distinct per degree, so the
+    facets are maximal as they come."""
     return sorted((facts.w.indices(mask), bits) for mask, bits in facts.v.once(_base_masks))
 
 
 def _base_masks(pv: ValuePairFacts) -> list[tuple[int, int]]:
     """The maximal value masks of every base complex, with the bits of
-    their degrees: a value mask belongs to the degrees neither
-    representable nor UNKNOWN over it (the row's two disjoint bit sets)."""
-    pv.v.check_scale("base complex walk")
-    every = (1 << len(pv.dg)) - 1
-    return maximal_masks(dict(mask_levels(len(pv.v.values),
-                                          lambda mask: every & ~sum(pv.row(mask)))))
+    their degrees (a mask may come once per complex it is a facet of): a
+    value mask belongs to the degrees neither representable nor UNKNOWN
+    over it (the row's two disjoint bit sets).
+
+    A complex is the one whose facets are faces and whose minimal
+    non-faces are not. So each complex found over these values, kept in
+    `_base_complexes`, is checked against every open degree at once, and
+    the least degree none fits gets a `_dualize` over the values, with
+    its own budget, whose complex is kept and checked in turn. At most
+    _WEIGHT_CACHE_SIZE complexes are kept per value set, the oldest
+    going first."""
+    known = pv.v.once(_base_complexes)
+    del known[:-_WEIGHT_CACHE_SIZE]
+    out, todo, at = [], (1 << len(pv.dg)) - 1, 0
+
+    def faces(mask: int) -> int:
+        return ~sum(pv.row(mask))
+
+    while todo:
+        if at == len(known):
+            bit = todo & -todo
+            known.append(_dualize(range(len(pv.v.values)), lambda mask: bool(faces(mask) & bit),
+                                  node_budget(DEFAULT_NODE_BUDGET, "base complex search")))
+        facets, nonfaces = known[at]
+        at, fit = at + 1, todo
+        for mask in facets:
+            fit &= faces(mask)
+        for mask in nonfaces:
+            fit &= ~faces(mask)
+        out += [(facet, fit) for facet in facets if fit]
+        todo &= ~fit
+    return out
+
+
+def _base_complexes(v: ValueFacts) -> list[tuple[list[int], list[int]]]:
+    return []
 
 
 def _base_facet_lists(facts: PairFacts, j: int) -> list[tuple[int, ...]]:
@@ -241,9 +297,7 @@ def _base_facet_lists(facts: PairFacts, j: int) -> list[tuple[int, ...]]:
     tuples, in lexicographic order."""
     d = facts.dg.degree(j)
     # UNKNOWN (d past the cap, no value dividing it) shows first here, if at all
-    least = next((1 << k for k, v in enumerate(facts.w.v.values) if d % v), 0)
-    if least:
-        facts.v.representable(j, least)
+    facts.v.representable(j, next((1 << k for k, v in enumerate(facts.w.v.values) if d % v), 0))
     return [f for f, bits in facts.once(_base_facets) if bits >> j - 1 & 1]
 
 
@@ -281,7 +335,7 @@ def minimal_nonfaces(cx: Complex,
 
 
 def _transversal_classes(cx: Complex, ambient: Iterable[int],
-                         spend: Callable[[], object]) -> list[list[list[int]]]:
+                         spend: Callable[[int], object]) -> list[list[list[int]]]:
     """The minimal non-faces within the ambient vertices that are faces,
     by twin classes: per non-face, its classes.
 
@@ -289,12 +343,8 @@ def _transversal_classes(cx: Complex, ambient: Iterable[int],
     non-face takes at most one vertex per twin class, and a set of classes
     is a non-face exactly when it meets, for each facet, a class outside
     it. So the minimal non-faces at class level are the minimal
-    transversals of the facet complements, built by Berge multiplication
-    (Berge, *Hypergraphs*, 1989): per complement, the transversals meeting
-    it stay, and each one missing it grows by each of its classes and is
-    kept when still minimal. Each class set tried calls `spend` once, and
-    costs time linear in the number of facets, not in the size of the
-    family built so far.
+    transversals of the facet complements, built by `_berge` one
+    complement at a time, the smallest first.
     """
     twins: dict[frozenset[frozenset[int]], list[int]] = {}
     for v in ambient:
@@ -306,23 +356,63 @@ def _transversal_classes(cx: Complex, ambient: Iterable[int],
         for f in facets:
             inside[f] |= 1 << k
     every = (1 << len(twins)) - 1
-    transversals = [0]
-    edges: list[int] = []
+    transversals, edges = [0], []
     for edge in sorted({every & ~m for m in inside.values()}, key=lambda e: (e.bit_count(), e)):
         edges.append(edge)
-        bits = [1 << k for k in range(edge.bit_length()) if edge >> k & 1]
-        grown = []
-        for t in transversals:
-            if t & edge:
-                continue
-            for b in bits:
-                spend()
-                if _private_classes(t | b, edges) == t | b:
-                    grown.append(t | b)
-        transversals = [t for t in transversals if t & edge] + grown
+        transversals = _berge(transversals, edges, spend)
     classes = list(twins.values())
     return [[members for k, members in enumerate(classes) if t >> k & 1]
             for t in transversals]
+
+
+def _berge(transversals: list[int], edges: list[int], spend: Callable[[int], object]) -> list[int]:
+    """The minimal transversals of the edges (masks) from those of all but
+    the last, by Berge multiplication (Berge, *Hypergraphs*, 1989): those
+    meeting the last edge stay, and each one missing it grows by each of
+    the edge's bits and is kept when still minimal. The grown sets, one
+    node each, are charged to `spend` before any is tried; each costs time
+    linear in the number of edges, not in the number of transversals."""
+    edge = edges[-1]
+    bits = [1 << k for k in range(edge.bit_length()) if edge >> k & 1]
+    grown = [t | b for t in transversals if not t & edge for b in bits]
+    spend(len(grown))
+    return [t for t in transversals if t & edge] + [
+        t for t in grown if _private_classes(t, edges) == t]
+
+
+def _dualize(vertices: Iterable[int], is_face: Callable[[int], bool],
+             spend: Callable[[int], object]) -> tuple[list[int], list[int]]:
+    """The facets and the minimal non-faces, as masks, of the complex on
+    the vertex bits whose faces `is_face` tells, a test closed under
+    subsets and true on the empty set: dualize and advance (Gunopulos,
+    Khardon, Mannila, Saluja, Toivonen & Sharma, ACM TODS 2003).
+
+    The empty set, the first transversal, grows greedily to a facet, a
+    vertex at a time in the given order, and the facet's complement
+    becomes an edge of `_berge`. A minimal transversal of the edges lies
+    in no facet found, while its proper subsets do: asked about, it grows
+    to a new facet when a face and is a minimal non-face when not. The
+    search ends when every transversal is a non-face, so its work follows
+    the facets and non-faces, not the subsets. Each call of the test is
+    one node, as is each set `_berge` tries, charged to `spend` before it
+    is made. An empty facet is dropped: a void complex has no facets.
+    """
+    order = [1 << k for k in vertices]
+    every = sum(order)
+    facets, nonfaces, pending = [], [], [0]
+    while pending:
+        t = pending[-1]
+        spend(1)
+        if not is_face(t):
+            nonfaces.append(pending.pop())
+            continue
+        spend(len(order) - t.bit_count())
+        for b in order:
+            if not t & b and is_face(t | b):
+                t |= b
+        facets.append(t)
+        pending = _berge(pending, [every & ~f for f in facets], spend)
+    return [f for f in facets if f], nonfaces
 
 
 def _private_classes(mask: int, edges: list[int]) -> int:

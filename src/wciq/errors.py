@@ -10,10 +10,12 @@ from typing import Callable, Iterator
 #: Default node budget of each search. Every search counts one node per
 #: candidate it tries, through `node_budget`; in `backtrack` (the nef
 #: partition, admissible family and non-contracting map searches) a
-#: candidate is a value a level yields. The map search and the minimal
-#: non-face search always count against this default, the others against
-#: the budget they are given (`--node-budget` on the command line).
-#: Exceeding a budget raises ResourceLimitError.
+#: candidate is a value a level yields. The map search, the minimal
+#: non-face search, the base complex and divisibility searches, the
+#: strict-regularity sweep and the divisibility facet expansion always
+#: count against this default, the others against the budget they are
+#: given (`--node-budget` on the command line). Exceeding a budget raises
+#: ResourceLimitError.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 

@@ -50,7 +50,7 @@ from wciq.arith import (
     picked,
     weight_facts,
 )
-from wciq.complexes import WeightedComplex, minimal_nonfaces, singular_complex
+from wciq.complexes import WeightedComplex, _value_faces, minimal_nonfaces, singular_complex
 from wciq.errors import (
     DEFAULT_NODE_BUDGET,
     InputError,
@@ -614,7 +614,7 @@ def _checked_faces(w: WeightFacts):
     stand in for order preservation, and each value set with gcd above 1
     gives one exact property-2 record, its whole classes, a face whose
     image holds every member's: never more records than guarded faces."""
-    masks = tuple(islice(w.v.common_masks(), FACE_LIMIT + 1))
+    masks = tuple(islice(_value_faces(w.v), FACE_LIMIT + 1))
     for keep, scope in ((None, "all-faces"), (2, "value-class-representatives")):
         kept = [c[:keep] for c in w.members]
         sizes = [(1 << len(c)) - 1 for c in kept]

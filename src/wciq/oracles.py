@@ -222,7 +222,7 @@ def naive_partition_exists(weights: WeightsLike, degrees: DegreesLike,
 
 def common_factor_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Subsets of the values with gcd above 1, by size, then lexicographic
-    in the given order; the reference for `arith.common_factor_masks`."""
+    in the given order; the reference for `complexes._value_faces`."""
     for r in range(1, len(values) + 1):
         for vs in combinations(values, r):
             if gcd(*vs) > 1:
@@ -232,7 +232,7 @@ def common_factor_subsets(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
 def maximal_members(items: Iterable[int],
                     member: Callable[[frozenset[int]], bool]) -> list[frozenset[int]]:
     """Inclusion-maximal sets of a downward-closed family given by `member`,
-    lexicographic on sorted tuples; the reference for `arith.maximal_masks`.
+    lexicographic on sorted tuples; the reference for `complexes._dualize`.
 
     `member` must be closed under taking subsets (and true on singletons it
     admits). Level search: grow admissible sets one vertex at a time; a set

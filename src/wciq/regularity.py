@@ -16,14 +16,16 @@ are evaluated over the indices of weight above 1; weight-1 indices never
 matter for divisibility obstructions, and the command line reports the
 literal all-indices reading separately when it differs.
 
-Strict regularity and the divisibility walk run over subsets of the
-distinct heavy values and raise ResourceLimitError past 20 of them.
+Strict regularity sweeps the value sets with gcd above 1, and the
+divisibility complexes come from a face oracle over the distinct heavy
+values by `complexes._dualize`; each counts its nodes against
+`errors.DEFAULT_NODE_BUDGET` and raises ResourceLimitError past it.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from math import gcd, inf, lcm
+from math import comb, gcd, inf, lcm
 from typing import NamedTuple
 
 from wciq.arith import (
@@ -37,13 +39,11 @@ from wciq.arith import (
     as_degrees,
     as_weights,
     choices,
-    mask_levels,
-    maximal_masks,
     picked,
     weight_facts,
 )
-from wciq.complexes import Complex
-from wciq.errors import InputError
+from wciq.complexes import Complex, _dualize, _value_faces
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, node_budget
 
 
 class RegularityReport(NamedTuple):
@@ -121,8 +121,10 @@ def is_strongly_non_divisible(weights: WeightsLike, subset) -> bool:
 def _value_class_facets(w: WeightFacts, strong: bool) -> tuple[tuple[int, ...], ...]:
     """The facets of the non-divisible or the strongly non-divisible
     complex over the heavy indices, lex sorted: both families take at most
-    one index per value, so each maximal value set takes one per value."""
-    return tuple(choices([picked(w.members, mask) for mask in w.v.once(_divisibility)[strong]]))
+    one index per value, so each maximal value set takes one per value.
+    Their number is charged to a budget before any is built."""
+    return tuple(choices([picked(w.members, mask) for mask in w.v.once(_divisibility)[strong]],
+                         node_budget(DEFAULT_NODE_BUDGET, "divisibility facet expansion")))
 
 
 def _value_class_complex(weights: WeightsLike, strong: bool) -> Complex:
@@ -148,7 +150,7 @@ def pair_nontriviality_witness(weights: WeightsLike) -> frozenset[int] | None:
 
 
 def _pair_witness(w: WeightFacts) -> frozenset[int] | None:
-    """`pair_nontriviality_witness` from the divisibility walk: the
+    """`pair_nontriviality_witness` from the divisibility search: the
     lex-least realization, by the least index of each value, of the failing
     value sets of least size."""
     failing = w.v.once(_divisibility)[2]
@@ -165,27 +167,27 @@ def _least_realization(classes: list[tuple[int, ...]], size: int) -> tuple[int, 
 
 
 def _divisibility(v: ValueFacts) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """From one walk over the value sets: the maximal non-divisible and
-    strongly non-divisible value masks, and the failing masks
-    (non-divisible, not strongly) of least size. The pair is trivial when
-    there are none. A mask asked about is non-divisible below its top
-    value already, so it is flagged 1 unless its top value divides or is
-    divided by another of its values, plus 2 if strongly non-divisible."""
-    v.check_scale("divisibility walk")
-    values = v.values
-    divides = [sum(1 << k for k, b in enumerate(values) if a != b and not (a % b and b % a))
-               for a in values]
+    """The maximal non-divisible and strongly non-divisible value masks,
+    each from `_dualize` with its test, and the failing masks
+    (non-divisible, not strongly) of least size. The proper subsets of a
+    least failing mask are strongly non-divisible, so these are the least
+    minimal non-faces of the strong complex that are non-divisible. The
+    pair is trivial when there are none. Both tests read a mask's pairs
+    and charge their number to the budget both runs share."""
+    verts = range(len(v.values))
+    spend = node_budget(DEFAULT_NODE_BUDGET, "divisibility search")
 
-    def flags(mask: int) -> int:
-        if divides[mask.bit_length() - 1] & mask:
-            return 0
-        return 1 | 2 * _strongly_non_divisible(v.values_of(mask))
+    def test(holds):
+        def is_face(mask: int) -> bool:
+            spend(comb(mask.bit_count(), 2))
+            return holds(v.values_of(mask))
+        return is_face
 
-    walked = dict(mask_levels(len(values), flags))
-    facets = maximal_masks(walked)
-    failing = [mask for mask, bits in walked.items() if bits == 1]
-    return (tuple(m for m, bits in facets if bits & 1), tuple(m for m, bits in facets if bits & 2),
-            tuple(m for m in failing if m.bit_count() == failing[0].bit_count()))
+    facets, nonfaces = _dualize(verts, test(_strongly_non_divisible), spend)
+    failing = [m for m in nonfaces if _non_divisible(v.values_of(m))]
+    least = min(map(int.bit_count, failing), default=0)
+    return (tuple(_dualize(verts, test(_non_divisible), spend)[0]), tuple(facets),
+            tuple(m for m in failing if m.bit_count() == least))
 
 
 def pair_trivial_all_indices(weights: WeightsLike) -> bool:
@@ -197,7 +199,7 @@ def pair_trivial_all_indices(weights: WeightsLike) -> bool:
 
 
 def _trivial_all_indices(w: WeightFacts) -> bool:
-    # the walk first: its scale guard holds for this reading, ones or not
+    # the search first: its budget holds for this reading, ones or not
     return not w.v.once(_divisibility)[2] and not w.wt.ones()
 
 
@@ -232,13 +234,14 @@ def _regularity_sweep(pv: ValuePairFacts) -> tuple[float, tuple[int, ...]]:
     """The least violation size and the value masks of the failing value
     sets that violate at it, from the sweep of `is_strictly_regular`: V
     fails when its ng admissible degrees are fewer than the indices
-    carrying it, and then violates at max(|V|, ng + 1)."""
-    pv.v.check_scale("strict regularity")
-    failing: list[tuple[int, int]] = []
-    size = inf
-    for mask in pv.v.common_masks():
+    carrying it, and then violates at max(|V|, ng + 1). Each value set
+    swept spends one node."""
+    spend = node_budget(DEFAULT_NODE_BUDGET, "strict-regularity sweep")
+    failing, size = [], inf
+    for mask in _value_faces(pv.v):
         if mask.bit_count() > size:
             break
+        spend()
         ng = len(pv.admissible(mask))
         if ng < sum(picked(pv.mults, mask)):
             s = max(mask.bit_count(), ng + 1)
@@ -266,7 +269,7 @@ def _regularity_verdicts(facts: PairFacts, with_degrees: bool) -> dict:
     regular: bool | None = None
     witness: tuple[int, ...] | None = None
     if with_degrees:
-        # first: its value-count guard must precede the divisibility walk
+        # first: a refusal of the sweep shows before one of the divisibility search
         regular, witness = facts.once(_strict_regularity)
         linear_cone = is_linear_cone(facts.wt, facts.dg)
     w = facts.w

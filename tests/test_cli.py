@@ -11,7 +11,7 @@ from wciq import arith, complexes, maps, nef, regularity
 from wciq.cli import build_parser, main
 from wciq.serialize import canonical_json
 
-from helpers import BUDGET_FAMILY_PAIR, cofactor_pair, run_fresh
+from helpers import BUDGET_FAMILY_PAIR, cofactor_pair, odd_primes_pair, run_fresh
 
 REF_PAIR = {
     "weights": [1] * 62 + [6, 10, 15],
@@ -230,7 +230,7 @@ class TestAnalyzeOnce:
         path = write_json(tmp_path, "pair.json", self.PAIR)
         searches = count_calls(monkeypatch, maps._family)
         sweeps = count_calls(monkeypatch, regularity._strict_regularity)
-        subset_walks = count_calls(monkeypatch, arith.common_factor_masks)
+        face_listings = count_calls(monkeypatch, complexes._listed_value_faces)
         base_walks = count_calls(monkeypatch, complexes._base_facets)
         invariant_checks = count_calls(monkeypatch, maps._invariant_violations)
         classifications = count_calls(monkeypatch, nef.classify_partition)
@@ -241,7 +241,7 @@ class TestAnalyzeOnce:
         assert code == 0
         assert json.loads(out)["construction"]["ok"] is True
         assert len(searches) == 1
-        assert len(sweeps) == len(subset_walks) == 1
+        assert len(sweeps) == len(face_listings) == 1
         assert len(base_walks) == 1
         assert len(invariant_checks) == 1
         assert len(classifications) == 1
@@ -261,17 +261,23 @@ class TestAnalyzeOnce:
 
     @pytest.mark.parametrize("argv,walks", [(["nef", "construct"], 2), (["analyze"], 3)])
     def test_one_divisibility_walk(self, tmp_path, monkeypatch, capsys, argv, walks):
-        # strict regularity, the divisibility walk with its pair witness,
-        # and under analyze the base complexes
+        # one walk each over the value sets: the strict-regularity sweep over
+        # the singular faces, listed once, the divisibility search, one kernel
+        # run per complex, and under analyze the base complexes, one run per
+        # degree here
         path = write_json(tmp_path, "ref.json", REF_PAIR)
+        sweeps = count_calls(monkeypatch, regularity._regularity_sweep)
         divisibility = count_calls(monkeypatch, regularity._divisibility)
-        levels = count_calls(monkeypatch, arith.mask_levels)
+        base_masks = count_calls(monkeypatch, complexes._base_masks)
+        face_listings = count_calls(monkeypatch, complexes._listed_value_faces)
+        dualizations = count_calls(monkeypatch, complexes._dualize)
         code, out = run([*argv, "--input", path], capsys)
         assert code == 1
         report = json.loads(out)
         assert report.get("construction", report)["witness"] == [62, 63, 64]
-        assert len(divisibility) == 1
-        assert len(levels) == walks
+        assert len(divisibility) == len(sweeps) == len(face_listings) == 1
+        assert len(sweeps) + len(divisibility) + len(base_masks) == walks
+        assert len(dualizations) == 2 + len(base_masks) * len(REF_PAIR["degrees"])
 
     def test_other_degrees_reuse_the_weight_facts(self, tmp_path, monkeypatch, capsys):
         # patched before the first run, so both runs key the kept facts alike
@@ -297,7 +303,7 @@ class TestAnalyzeOnce:
     def test_permuted_weights_reuse_the_value_facts(self, tmp_path, monkeypatch, capsys):
         # patched before the first run, so every run keys the kept facts alike
         walks = [count_calls(monkeypatch, fn) for fn in (
-            regularity._divisibility, arith.common_factor_masks, maps._face_weights,
+            regularity._divisibility, complexes._listed_value_faces, maps._face_weights,
             complexes._coprime_base)]
         ones, heavy = self.PAIR["weights"][:11], self.PAIR["weights"][11:]
         # the third pair is not strictly regular, so its analysis asks for
@@ -311,27 +317,39 @@ class TestAnalyzeOnce:
 
 
 class TestValueCountGuard:
-    # 21 pairwise coprime values: every value set is non-divisible, so the
-    # divisibility walk would visit all 2^21 of them before the guard
+    # 21 pairwise coprime values: all 2^21 value sets are non-divisible, yet
+    # each complex over them has one facet, so the searches end at once
     PAIR = {"weights": [1] * 3 + [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
                                   41, 43, 47, 53, 59, 61, 67, 71, 73],
             "degrees": [100]}
+    VERDICTS = {"well_formed": True, "linear_cone": False, "strictly_regular": False,
+                "violating_subset": [4], "pair_trivial": True,
+                "nondivisible_facets": [list(range(3, 24))],
+                "strongly_nondivisible_facets": [list(range(3, 24))]}
 
     def test_refused_before_the_divisibility_walk(self, tmp_path, capsys):
+        # no longer refused: the value 3 alone represents no degree
         path = write_json(tmp_path, "pair.json", self.PAIR)
         start = time.perf_counter()
-        code = main(["analyze", "--input", path])
+        code, out = run(["analyze", "--input", path], capsys)
         assert time.perf_counter() - start < 1.0
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "resource limit: strict regularity over 21 distinct values exceeds "
-            "the supported scale (20)\n")
+        assert code == 1
+        report = json.loads(out)
+        assert report["regularity"] == self.VERDICTS
+        assert report["pair_trivial_literal"] is False
+        assert report["construction"] == {
+            "ok": False, "failed_hypothesis": "strictly_regular", "witness": [4]}
 
     def test_refused_again_on_the_same_weights(self, tmp_path, capsys):
+        # the kept facts answer a second run alike, the timings aside
         path = write_json(tmp_path, "pair.json", self.PAIR)
-        first = main(["analyze", "--input", path]), capsys.readouterr()
-        assert first[0] == 3
-        assert (main(["analyze", "--input", path]), capsys.readouterr()) == first
+        reports = []
+        for _ in range(2):
+            code, out = run(["analyze", "--input", path], capsys)
+            assert code == 1
+            reports.append(json.loads(out))
+            reports[-1].pop("timings")
+        assert reports[0] == reports[1]
 
 
 class TestChoiceCountGuard:
@@ -347,6 +365,39 @@ class TestChoiceCountGuard:
         assert code == 3
         assert capsys.readouterr().err == (
             "resource limit: minimal non-face search exceeded the node budget 2000000\n")
+
+    @staticmethod
+    def coprime_pair(m):
+        # m copies each of four coprime values: m^4 facets of each
+        # divisibility complex, over a singular complex of m^2 * 6 non-faces
+        return {"weights": [1] + [5, 7, 11, 13] * m, "degrees": [35]}
+
+    def test_divisibility_facets_refused_before_they_are_built(self, tmp_path, capsys):
+        path = write_json(tmp_path, "pair.json", self.coprime_pair(40))
+        start = time.perf_counter()
+        code = main(["analyze", "--input", path])
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource limit: divisibility facet expansion exceeded the node budget 2000000\n")
+
+    def test_divisibility_facets_within_the_budget(self):
+        report = regularity.pair_is_trivial(self.coprime_pair(20)["weights"])
+        assert len(report.nondivisible_facets) == len(report.strongly_nondivisible_facets) == 20 ** 4
+
+
+class TestOddPrimes:
+    def test_dp_cap_ends_the_sweep(self, tmp_path, capsys):
+        # 1,199 pairwise coprime values: 1,199 singular faces, the second
+        # of which, 5, neither divides their sum nor is decided past the cap
+        path = write_json(tmp_path, "pair.json", odd_primes_pair())
+        start = time.perf_counter()
+        code = main(["analyze", "--input", path])
+        assert time.perf_counter() - start < 10.0
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "resource limit: representability of degree d_1 = 5450712 over [5] exceeds "
+            "the dp cap 1000000\n")
 
 
 class TestComplex:

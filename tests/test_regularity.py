@@ -117,20 +117,36 @@ class TestPairTriviality:
 
 
 class TestDivisibilityGuard:
-    # 21 pairwise coprime values: every value set is non-divisible, so the
-    # divisibility walk would visit all 2^21 of them
+    # 21 pairwise coprime values: every value set is non-divisible, and
+    # strongly so, so both complexes have the one facet of all 21 values
     WEIGHTS = [1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                59, 61, 67, 71, 73]
 
     @pytest.mark.parametrize("fn", [pair_is_trivial, nondivisible_complex,
                                     pair_trivial_all_indices, pair_nontriviality_witness])
     def test_refused_past_twenty_values(self, fn):
+        # answered at once, no longer refused: the two families agree, and
+        # the weight-1 index is a non-divisible facet that is not strongly so
+        facet = tuple(range(1, 22))
+        answered = {
+            pair_is_trivial: lambda rep: rep.pair_trivial and (
+                rep.nondivisible_facets == rep.strongly_nondivisible_facets == (facet,)),
+            nondivisible_complex: lambda cx: cx.sorted_facets() == [facet],
+            pair_trivial_all_indices: lambda literal: literal is False,
+            pair_nontriviality_witness: lambda witness: witness is None,
+        }[fn]
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match=(
-                r"^divisibility walk over 21 distinct values exceeds "
-                r"the supported scale \(20\)$")):
-            fn(self.WEIGHTS)
+        result = fn(self.WEIGHTS)
         assert time.perf_counter() - start < 1.0
+        assert answered(result)
+
+    def test_twenty_values_with_many_facets(self):
+        # p | 2p for ten odd primes p: 2^10 facets of each complex, found
+        # within the divisibility search's budget, pairs read included
+        primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        report = pair_is_trivial([1] + primes + [2 * p for p in primes])
+        assert report.pair_trivial
+        assert len(report.nondivisible_facets) == len(report.strongly_nondivisible_facets) == 1024
 
 
 class TestStrictRegularity:

@@ -22,19 +22,24 @@ from wciq.arith import (
     UNKNOWN,
     PairFacts,
     WeightTuple,
-    common_factor_masks,
     is_representable,
+    picked,
+    value_facts,
     weight_facts,
 )
 from wciq.complexes import (
     Complex,
     _base_complex,
+    _dualize,
+    _kept_value_faces,
     _singular_presentation,
+    _value_faces,
+    base_complex,
     minimal_nonfaces,
     singular_complex,
     sr_presentation,
 )
-from wciq.errors import ResourceLimitError, node_budget
+from wciq.errors import DEFAULT_NODE_BUDGET, ResourceLimitError, node_budget
 from wciq.maps import (
     AdmissibleFamily,
     _checked_faces,
@@ -42,6 +47,7 @@ from wciq.maps import (
     verify_poset_map,
 )
 from wciq.oracles import (
+    brute_force_representable,
     common_factor_subsets,
     face_walk_checked_faces,
     lex_walk_strictly_regular,
@@ -55,6 +61,8 @@ from wciq.oracles import (
     swept_poset_properties,
 )
 from wciq.regularity import (
+    _non_divisible,
+    _strongly_non_divisible,
     is_non_divisible,
     is_strictly_regular,
     is_strongly_non_divisible,
@@ -148,8 +156,13 @@ def representable(d, values, *, dp_cap):
 dp_caps = st.sampled_from([1, 5, 20, 40, DEFAULT_DP_CAP])
 
 
+def value_masks(values, subsets):
+    """The masks of value subsets: bit k for values[k]."""
+    return [sum(1 << values.index(v) for v in vs) for vs in subsets]
+
+
 class TestMaskLattice:
-    """The value-mask walks against the level search over value sets
+    """The value-mask searches against the level search over value sets
     (`oracles.maximal_members`) and the index-subset walk of strict
     regularity, messages of UNKNOWN verdicts included."""
 
@@ -198,11 +211,79 @@ class TestMaskLattice:
 
     @given(st.lists(st.integers(2, 36), max_size=7, unique=True))
     @settings(deadline=None, max_examples=200)
-    def test_common_factor_order(self, values):
-        values = sorted(values)
-        assert [tuple(v for k, v in enumerate(values) if mask >> k & 1)
-                for mask in common_factor_masks(values)] == \
-            list(common_factor_subsets(values))
+    def test_face_listing_order(self, values):
+        # the singular faces over the values are the value sets with gcd
+        # above 1, listed by size, then lex, from the facets
+        values = tuple(sorted(values))
+        assert list(_value_faces(value_facts(values))) == \
+            value_masks(values, common_factor_subsets(values))
+
+
+class TestDualize:
+    """`complexes._dualize` against the level search over value sets
+    (`oracles.maximal_members`) and the subset sweep for minimal non-faces
+    (`oracles.naive_minimal_nonfaces`), for each test it runs with."""
+
+    @staticmethod
+    def assert_matches(values, member):
+        n = len(values)
+        facets, nonfaces = _dualize(range(n), lambda mask: member(picked(values, mask)),
+                                    node_budget(DEFAULT_NODE_BUDGET, "test"))
+
+        def sets(masks):
+            return sorted((frozenset(k for k in range(n) if m >> k & 1) for m in masks),
+                          key=sorted)
+
+        assert sets(facets) == maximal_members(range(n), lambda s: member(
+            [values[k] for k in sorted(s)]))
+        if facets:
+            assert sets(nonfaces) == naive_minimal_nonfaces(Complex.from_facets(n, sets(facets)))
+        else:  # the void complex: every vertex is a non-face
+            assert sets(nonfaces) == [frozenset((k,)) for k in range(n)]
+
+    @given(st.lists(st.integers(2, 36), max_size=10, unique=True), st.integers(1, 60))
+    @settings(deadline=None, max_examples=100)
+    def test_base_oracle(self, values, d):
+        self.assert_matches(values, lambda vs: not brute_force_representable(d, vs))
+
+    @given(st.lists(st.integers(2, 36), max_size=10, unique=True))
+    @settings(deadline=None, max_examples=100)
+    def test_antichain_oracle(self, values):
+        self.assert_matches(values, _non_divisible)
+
+    @given(st.lists(st.integers(2, 36), max_size=10, unique=True))
+    @settings(deadline=None, max_examples=100)
+    def test_strong_oracle(self, values):
+        self.assert_matches(values, _strongly_non_divisible)
+
+    def test_kept_complexes_answer_other_pairs(self, monkeypatch):
+        # over 6, 10, 15 the complex of 10009 is that of 10007, found
+        # before: its facets and minimal non-faces certify it, unsearched
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return dualize(*args)
+
+        dualize = complexes._dualize
+        monkeypatch.setattr(complexes, "_dualize", counted)
+        for cache in (arith.weight_facts, arith.value_facts, arith.value_pair_facts):
+            cache.cache_clear()
+        for degrees, facets, new in (((10007,), [(1, 2), (1, 3), (2, 3)], 1),
+                                     ((10009,), [(1, 2), (1, 3), (2, 3)], 0),
+                                     ((10010, 10011), [(1, 3)], 2),
+                                     ((10011, 10009), [(1, 2), (2, 3)], 0)):
+            searches.clear()
+            assert base_complex([1, 6, 10, 15], degrees[0]).complex.sorted_facets() == facets
+            facts = PairFacts([1, 6, 10, 15], degrees)
+            assert _base_complex(facts, 1).complex.sorted_facets() == facets
+            assert len(searches) == new
+
+    @given(st.lists(st.integers(2, 36), min_size=1, max_size=10, unique=True))
+    @settings(deadline=None, max_examples=50)
+    def test_void_base_complex(self, values):
+        # every value divides the lcm, so represents it alone
+        assert base_complex([1, *values], lcm(*values)).complex.facets == frozenset()
 
 
 class TestMinimalNonfaces:
@@ -391,39 +472,39 @@ class TestStrictRegularity:
         for degrees, verdict in (([d] * 13, (True, None)), ([d] * 12, (False, tuple(range(13))))):
             assert is_strictly_regular(values, degrees) == verdict
             # past FACE_LIMIT masks the holder keeps none of them
-            assert arith.value_facts(values).kept(arith._common_masks) is None
+            assert arith.value_facts(values).kept(_kept_value_faces) is None
             assert is_strictly_regular(values, degrees) == verdict
-        # twelve values: 4,095 masks, kept whole by the first walk to its end
+        # twelve values: 4,095 masks, kept whole by the first listing to its end
         values = values[:-1]
         assert is_strictly_regular(values, [d] * 12) == (True, None)
-        assert arith.value_facts(values).kept(arith._common_masks) == \
-            tuple(common_factor_masks(values))
+        assert arith.value_facts(values).kept(_kept_value_faces) == \
+            tuple(value_masks(values, common_factor_subsets(values)))
         assert is_strictly_regular(values, [d] * 11) == (False, tuple(range(12)))
 
     def test_twelve_values_keep_the_walk_of_an_early_failure(self, monkeypatch):
         # {2} violates at size 1, yet with at most 12 values the first call
-        # walks all 4,095 value sets once and keeps them; with 13 it stops
-        walk = arith.common_factor_masks
+        # lists all 4,095 value sets once and keeps them; with 13 it stops
+        walk = complexes._listed_value_faces
         walks = []
 
-        def counted(values):
-            walks.append(values)
-            return walk(values)
+        def counted(v):
+            walks.append(v.values)
+            return walk(v)
 
-        monkeypatch.setattr(arith, "common_factor_masks", counted)
+        monkeypatch.setattr(complexes, "_listed_value_faces", counted)
         arith.weight_facts.cache_clear()
         arith.value_facts.cache_clear()
         values = tuple(range(2, 26, 2))
         start = time.perf_counter()
         assert is_strictly_regular(values, (7, 11)) == (False, (0,))
         assert time.perf_counter() - start < 0.5
-        kept = arith.value_facts(values).kept(arith._common_masks)
-        assert len(kept) == 4095 and kept == tuple(walk(values))
+        kept = arith.value_facts(values).kept(_kept_value_faces)
+        assert len(kept) == 4095 and kept == tuple(walk(arith.value_facts(values)))
         assert is_strictly_regular(values, (7, 13)) == (False, (0,))
         assert walks == [values]
         values += (26,)
         assert is_strictly_regular(values, (7, 11)) == (False, (0,))
-        assert arith.value_facts(values).kept(arith._common_masks) is None
+        assert arith.value_facts(values).kept(_kept_value_faces) is None
 
     def test_an_interrupted_walk_keeps_no_prefix(self, monkeypatch):
         # an item timeout raised from a signal handler ends the walk midway;
@@ -431,19 +512,20 @@ class TestStrictRegularity:
         class Interrupt(BaseException):
             pass
 
-        def interrupted(values):
-            yield from islice(walk(values), 10)
+        def interrupted(v):
+            yield from islice(walk(v), 10)
             raise Interrupt
 
         values = tuple(range(2, 26, 2))
         degrees = [lcm(*values)] * 11
-        walk = arith.common_factor_masks
+        walk = complexes._listed_value_faces
         arith.weight_facts.cache_clear()
         arith.value_facts.cache_clear()
-        monkeypatch.setattr(arith, "common_factor_masks", interrupted)
+        monkeypatch.setattr(complexes, "_listed_value_faces", interrupted)
         with pytest.raises(Interrupt):
             is_strictly_regular(values, degrees)
-        monkeypatch.setattr(arith, "common_factor_masks", walk)
+        assert arith.value_facts(values).kept(_kept_value_faces) is None
+        monkeypatch.setattr(complexes, "_listed_value_faces", walk)
         assert is_strictly_regular(values, degrees) == (False, tuple(range(12)))
 
 
