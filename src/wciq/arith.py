@@ -15,7 +15,7 @@ import math
 from itertools import chain, product
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError, node_budget
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
 
 #: Default ceiling for the semigroup membership table. Queries above the
 #: ceiling that no shortcut resolves return UNKNOWN instead of guessing.
@@ -337,18 +337,17 @@ class _Memo:
         """What `once(derive)` has kept, or None before it has run."""
         return self._facts.get(derive)
 
-    def metered(self, derive: Callable[..., _T], limit: int, search: str) -> _T:
-        """derive(self, spend), spend a `node_budget(limit, search)`: kept
-        with the nodes it spent once it finishes. Then a call whose limit
-        is below that count raises as the search would have, so each limit
-        answers alike whatever ran before."""
+    def metered(self, derive: Callable[..., _T], spend: Callable[[int], int]) -> _T:
+        """derive(self, spend), kept with the nodes it charged `spend`, a
+        `node_budget`, once it finishes. A later call charges `spend` that
+        count at once, so each budget answers alike whatever ran before."""
         facts = self._facts
         if derive not in facts:
-            spend = node_budget(limit, search)
-            facts[derive] = derive(self, spend), spend(0)
-        result, nodes = facts[derive]
-        node_budget(limit, search)(nodes)
-        return result
+            start = spend(0)
+            facts[derive] = derive(self, spend), spend(0) - start
+        else:
+            spend(facts[derive][1])
+        return facts[derive][0]
 
 
 class ValueFacts(_Memo):
@@ -388,13 +387,12 @@ def picked(items: Sequence[_T], mask: int) -> list[_T]:
 
 
 def choices(class_lists: Sequence[Sequence[Sequence[_T]]],
-            spend: Callable[[int], object] | None = None) -> list[tuple[_T, ...]]:
+            spend: Callable[[int], object]) -> list[tuple[_T, ...]]:
     """Every choice of one member from each class of each list, as sorted
     tuples in lex order; a list without classes has the one empty choice.
     Their number, the sum over the lists of the products of the class
-    sizes, is charged to `spend`, if given, before any choice is built."""
-    if spend is not None:
-        spend(sum(math.prod(map(len, classes)) for classes in class_lists))
+    sizes, is charged to `spend` before any choice is built."""
+    spend(sum(math.prod(map(len, classes)) for classes in class_lists))
     return sorted(tuple(sorted(c)) for classes in class_lists for c in product(*classes))
 
 

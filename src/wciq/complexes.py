@@ -40,7 +40,7 @@ from wciq.arith import (
     choices,
     weight_facts,
 )
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, node_budget
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, checked_indices, node_budget
 
 
 class Complex(NamedTuple):
@@ -53,17 +53,12 @@ class Complex(NamedTuple):
     def from_facets(cls, n_vertices: int,
                     facets: Iterable[Iterable[int]]) -> "Complex":
         """Normalize input facets: validate labels, drop non-maximal sets."""
-        if isinstance(n_vertices, bool) or not isinstance(n_vertices, int) or n_vertices < 0:
-            raise InputError(f"n_vertices must be a non-negative integer, got {n_vertices!r}")
+        checked_indices([n_vertices], None, "n_vertices")
         sets = set()
         for f in facets:
-            fs = frozenset(f)
+            fs = frozenset(checked_indices(f, n_vertices, "facet vertex"))
             if not fs:
                 raise InputError("facets must be nonempty vertex sets")
-            for v in fs:
-                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n_vertices:
-                    raise InputError(
-                        f"facet vertex {v!r} outside 0..{n_vertices - 1}")
             sets.add(fs)
         maximal = frozenset(f for f in sets if not any(f < g for g in sets))
         return cls(n_vertices, maximal)
@@ -82,10 +77,7 @@ class Complex(NamedTuple):
         The empty set is a face of every complex that has at least one
         facet, and of no complex without facets.
         """
-        fs = frozenset(face)
-        for v in fs:
-            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < self.n_vertices:
-                raise InputError(f"vertex {v!r} outside 0..{self.n_vertices - 1}")
+        fs = frozenset(checked_indices(face, self.n_vertices, "vertex"))
         if not fs:
             return bool(self.facets)
         return any(fs <= f for f in self.facets)
@@ -198,12 +190,12 @@ def _listed_value_faces(v: ValueFacts) -> Iterator[int]:
             yield sum(1 << k for k in face)
 
 
-def _value_nonfaces(v: ValueFacts) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _value_nonfaces(v: ValueFacts, spend: Callable[[int], object]) -> tuple[tuple[int, ...], ...]:
     """The minimal non-faces of the singular complex over the values, each
-    as the value masks of its twin classes, and the class sets tried."""
-    spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
+    as the value masks of its twin classes, numbered by ascending value;
+    each class set tried calls spend."""
     found = _transversal_classes(v.once(_value_singular_complex), range(len(v.values)), spend)
-    return tuple(tuple(sum(1 << k for k in c) for c in classes) for classes in found), spend(0)
+    return tuple(tuple(sum(1 << k for k in c) for c in classes) for classes in found)
 
 
 def _coprime_base(v: ValueFacts) -> tuple[int, ...]:
@@ -323,11 +315,14 @@ def minimal_nonfaces(cx: Complex,
     choice of one vertex per class. The work follows the output, not the
     vertex count: every class set tried counts one node, and the vertex
     sets one each, counted before any is built, against a budget of
-    `errors.DEFAULT_NODE_BUDGET` no pair's search shares.
+    `errors.DEFAULT_NODE_BUDGET` no pair's search shares. Twin classes are
+    numbered in the order `within` first lists a member of each
+    (ascending labels by default); that order can move the count, never
+    the output.
     """
     if not cx.facets:
         return [frozenset()]
-    ambient = tuple(range(cx.n_vertices)) if within is None else tuple(sorted(set(within)))
+    ambient = tuple(range(cx.n_vertices)) if within is None else tuple(dict.fromkeys(within))
     out = [(v,) for v in ambient if not cx.is_face((v,))]
     spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
     out += choices(_transversal_classes(cx, ambient, spend), spend)
@@ -350,7 +345,7 @@ def _transversal_classes(cx: Complex, ambient: Iterable[int],
     for v in ambient:
         if cx.is_face((v,)):
             twins.setdefault(frozenset(f for f in cx.facets if v in f), []).append(v)
-    # bit k of a mask stands for the k-th twin class
+    # bit k of a mask stands for the k-th twin class the ambient order meets
     inside = dict.fromkeys(cx.facets, 0)
     for k, facets in enumerate(twins):
         for f in facets:
@@ -432,10 +427,15 @@ def sr_presentation(wc: WeightedComplex) -> SRPresentation:
 
     Degrees follow ascending vertex order; generators are the minimal
     non-faces within the weighted vertex set, keeping original labels.
+    Their search numbers the twin classes by ascending weight, the label
+    breaking ties: on a singular complex that is the order of the values,
+    so its node count, the one `wciq analyze` charges, does not move when
+    the weights are permuted.
     """
-    verts = tuple(sorted(wc.vertex_weights))
-    degrees = tuple(wc.vertex_weights[v] for v in verts)
-    gens = tuple(minimal_nonfaces(wc.complex, within=verts))
+    weights = wc.vertex_weights
+    verts = tuple(sorted(weights))
+    degrees = tuple(weights[v] for v in verts)
+    gens = tuple(minimal_nonfaces(wc.complex, within=sorted(verts, key=lambda v: (weights[v], v))))
     return SRPresentation(verts, degrees, gens)
 
 
@@ -444,9 +444,8 @@ def _singular_presentation(w: WeightFacts) -> SRPresentation:
     twin values' indices (6's and 12's) form one twin class, so each class
     set takes one index per class. As in `minimal_nonfaces`, the class sets
     tried and the index sets, counted before any is built, share a budget."""
-    masks, tried = w.v.once(_value_nonfaces)
     spend = node_budget(DEFAULT_NODE_BUDGET, "minimal non-face search")
-    spend(tried)
+    masks = w.v.metered(_value_nonfaces, spend)
     gens = choices([list(map(w.indices, classes)) for classes in masks], spend)
     heavy = w.wt.heavy()
     return SRPresentation(heavy, tuple(map(w.wt.__getitem__, heavy)), tuple(map(frozenset, gens)))

@@ -1,11 +1,12 @@
-"""Exception taxonomy shared by every module, and the metered search loop.
+"""Exception taxonomy shared by every module, the exact-integer index
+check, and the metered search loop.
 
 The command line maps these onto exit codes: InputError to 2,
 PreconditionFailure to 1, ResourceLimitError to 3. InternalConsistencyError
 signals that a derived identity failed at runtime and is never caught.
 """
 
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: Default node budget of each search. Every search counts one node per
 #: candidate it tries, through `node_budget`; in `backtrack` (the nef
@@ -38,6 +39,18 @@ class PreconditionFailure(Exception):
 
 class InternalConsistencyError(RuntimeError):
     """An identity that the theory guarantees failed on concrete data."""
+
+
+def checked_indices(values: Iterable, stop: int | None, what: str) -> list[int]:
+    """The values, when each is an exact int (a bool is not) from 0 to
+    stop - 1, with no upper end when stop is None; InputError naming the
+    first that is not, as `what`, otherwise."""
+    values = list(values)
+    for value in values:
+        if type(value) is not int or value < 0 or stop is not None and value >= stop:
+            raise InputError(f"{what} must be a non-negative integer, got {value!r}"
+                             if stop is None else f"{what} {value!r} outside 0..{stop - 1}")
+    return values
 
 
 def node_budget(limit: int, search: str) -> Callable[[int], int]:

@@ -58,6 +58,7 @@ from wciq.errors import (
     PreconditionFailure,
     ResourceLimitError,
     backtrack,
+    checked_indices,
     node_budget,
 )
 from wciq.regularity import _strict_regularity
@@ -141,7 +142,7 @@ def validate_weighted_map(fmap: WeightedMap) -> MapValidation:
         inside = [t for t in least if t in tgt_vertices]
         if inside and not tgt.complex.is_face(inside):
             failing += [tuple(sorted(least[t] for t in gen))
-                        for gen in minimal_nonfaces(tgt.complex, within=inside)]
+                        for gen in minimal_nonfaces(tgt.complex, within=sorted(inside))]
     simplicial_witness = min(failing, key=lambda face: (len(face), face), default=None)
     weighted_witness = next(
         ((v,) for v in src.complex.vertices if assign[v] in tgt_vertices
@@ -383,7 +384,8 @@ def _family(facts: PairFacts) -> AdmissibleFamily | None:
             f"weights are not strictly regular for the degrees; "
             f"violating index subset {witness}",
             witness=witness)
-    images = facts.v.metered(_image_sets, facts.node_budget, "admissible family search")
+    spend = node_budget(facts.node_budget, "admissible family search")
+    images = facts.v.metered(_image_sets, spend)
     if images is None:
         return None
     im_phi, domains = facts.w.v.once(_face_weights)[0], facts.w.once(_domains)
@@ -492,7 +494,7 @@ def induced_face_map(fam: AdmissibleFamily, face: Iterable[int]) -> frozenset[in
     occurs in im_phi for a genuine face, and every member is b-divisible,
     so the injection applies elementwise.
     """
-    members = tuple(sorted(set(face)))
+    members = tuple(sorted(set(checked_indices(face, None, "vertex"))))
     if not members:
         raise InputError("the empty set has no induced image")
     try:
@@ -508,13 +510,17 @@ def induced_face_map(fam: AdmissibleFamily, face: Iterable[int]) -> frozenset[in
 
 def vertex_fibers(fam: AdmissibleFamily) -> dict[int, tuple[int, ...]]:
     """Partition of all injection-domain vertices by their weight-level
-    image degree index. Degrees with empty fiber are absent."""
-    verts: set[int] = set()
-    for b in fam.im_phi:
-        verts.update(fam.domains[b])
+    image degree index (`vertex_image`). Degrees with empty fiber are
+    absent. Each injection is read once, by ascending face weight, so the
+    largest face weight holding a vertex sets its image."""
+    image: dict[int, int] = {}
+    for b in sorted(fam.im_phi):
+        image.update(fam.injections[b])
     fibers: dict[int, list[int]] = {}
-    for i in sorted(verts):
-        fibers.setdefault(fam.vertex_image(i), []).append(i)
+    for i in sorted({i for b in fam.im_phi for i in fam.domains[b]}):
+        if i not in image:
+            raise InputError(f"vertex {i} is not in any injection domain")
+        fibers.setdefault(image[i], []).append(i)
     return {j: tuple(vs) for j, vs in sorted(fibers.items())}
 
 

@@ -38,8 +38,9 @@ from wciq.errors import (
     InputError,
     InternalConsistencyError,
     PreconditionFailure,
+    checked_indices,
 )
-from wciq.maps import AdmissibleFamily, _family
+from wciq.maps import AdmissibleFamily, _family, vertex_fibers
 from wciq.regularity import _pair_witness, _strict_regularity, is_linear_cone
 
 _MODES = ("any", "nice", "strong")
@@ -96,13 +97,10 @@ def classify_partition(weights: WeightsLike, degrees: DegreesLike,
             f"expected {len(dg) + 1} parts for {len(dg)} degrees, "
             f"got {len(partition.parts)}")
     seen: set[int] = set()
-    for p in partition.parts:
-        for i in p:
-            if not 0 <= i < len(wt):
-                raise InputError(f"index {i} outside 0..{len(wt) - 1}")
-            if i in seen:
-                raise InputError(f"index {i} appears in more than one part")
-            seen.add(i)
+    for i in checked_indices([i for p in partition.parts for i in p], len(wt), "index"):
+        if i in seen:
+            raise InputError(f"index {i} appears in more than one part")
+        seen.add(i)
     if len(seen) != len(wt):
         missing = sorted(set(range(len(wt))) - seen)
         raise InputError(f"indices {missing} belong to no part")
@@ -246,10 +244,7 @@ def _construction(facts: PairFacts) -> tuple[
     if fam is None:
         raise InternalConsistencyError(
             "no admissible family exists although all preconditions hold")
-    # `vertex_fibers` of a checked family: heavy i goes to injections[wt[i]][i]
-    fibers: dict[int, list[int]] = {}
-    for i in wt.heavy():
-        fibers.setdefault(fam.injections[wt[i]][i], []).append(i)
+    fibers = vertex_fibers(fam)
     heavy = [fibers.get(j, ()) for j in range(1, len(dg) + 1)]
     deltas = []
     for j, (d, f) in enumerate(zip(dg, heavy), 1):

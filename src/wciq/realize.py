@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 
 from wciq.arith import DegreeTuple, WeightsLike, WeightTuple, as_weights
 from wciq.complexes import Complex, singular_complex
-from wciq.errors import InputError, ResourceLimitError
+from wciq.errors import InputError, ResourceLimitError, checked_indices
 from wciq.maps import WeightedMap, _least_preimages
 
 _RETRY_WINDOWS = 16
@@ -29,6 +29,7 @@ _RETRY_WINDOWS = 16
 
 def first_primes(n: int, offset: int = 0) -> list[int]:
     """Primes number offset..offset+n-1 in the ascending enumeration."""
+    checked_indices([offset], None, "prime offset")
     if n <= 0:
         return []
     out: list[int] = []

@@ -43,7 +43,7 @@ from wciq.arith import (
     weight_facts,
 )
 from wciq.complexes import Complex, _dualize, _value_faces
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, node_budget
+from wciq.errors import DEFAULT_NODE_BUDGET, checked_indices, node_budget
 
 
 class RegularityReport(NamedTuple):
@@ -80,11 +80,7 @@ def is_linear_cone(weights: WeightsLike, degrees: DegreesLike) -> bool:
 
 
 def _validate_subset(wt, subset) -> tuple[int, ...]:
-    idx = tuple(sorted(set(subset)))
-    for i in idx:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(wt):
-            raise InputError(f"index {i!r} outside 0..{len(wt) - 1}")
-    return idx
+    return tuple(sorted(set(checked_indices(subset, len(wt), "index"))))
 
 
 def _non_divisible(ws) -> bool:

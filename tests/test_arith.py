@@ -16,7 +16,7 @@ from wciq.arith import (
     is_representable,
     representable_degrees,
 )
-from wciq.errors import InputError, ResourceLimitError
+from wciq.errors import InputError, ResourceLimitError, node_budget
 from wciq.oracles import brute_force_representable, distinct_prime_factors, poset_covers
 
 
@@ -326,7 +326,8 @@ class TestChoices:
                              for c in product(*classes))
         assert charged == [len(got)] == [sum(math.prod(map(len, classes))
                                               for classes in class_lists)]
-        assert choices(class_lists) == got
+        # a budget of exactly that count answers
+        assert choices(class_lists, node_budget(len(got), "choice expansion")) == got
 
     def test_empty_class_list_has_one_empty_choice(self):
         # the value-level presentation charges that choice one node

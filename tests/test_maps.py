@@ -293,6 +293,11 @@ class TestInducedMap:
         with pytest.raises(InputError):
             induced_face_map(reference_family, ())
 
+    @pytest.mark.parametrize("face", [(1.0,), (True,), (1, True), ("1",), (-1,)])
+    def test_vertex_not_an_index(self, reference_family, face):
+        with pytest.raises(InputError, match="vertex must be a non-negative integer"):
+            induced_face_map(reference_family, face)
+
     def test_fibers(self, reference_family):
         assert vertex_fibers(reference_family) == {4: (1, 2, 3)}
 
@@ -342,6 +347,40 @@ def scanned_poset_map(weights, degrees, fam):
                           for sub in (face[:k] + face[k + 1:] for k in range(len(face)))
                           if sub and not image(sub) <= image(face)), None)
     return records, order_witness, scope
+
+
+class TestVertexFibers:
+    """`vertex_fibers` reads each injection once, yet groups every domain
+    vertex by its `vertex_image`, whatever order im_phi lists."""
+
+    @staticmethod
+    def grouped_by_image(fam):
+        fibers = {}
+        for i in sorted({i for b in fam.im_phi for i in fam.domains[b]}):
+            fibers.setdefault(fam.vertex_image(i), []).append(i)
+        return {j: tuple(vs) for j, vs in sorted(fibers.items())}
+
+    @given(family_pairs())
+    @example((RHO, MU))
+    @settings(deadline=None, max_examples=150)
+    def test_grouped_by_vertex_image(self, pair):
+        weights, degrees = pair
+        try:
+            fam = build_admissible_family(weights, degrees)
+        except PreconditionFailure:
+            fam = None
+        assume(fam is not None)
+        data = family_to_json(fam)
+        descending = family_from_json({**data, "im_phi": data["im_phi"][::-1]}, weights)
+        assert descending.im_phi == fam.im_phi[::-1]
+        for family in (fam, descending):
+            assert vertex_fibers(family) == self.grouped_by_image(family)
+
+    def test_vertex_in_no_injection(self, reference_family):
+        fam = reference_family
+        injections = {b: {i: j for i, j in m.items() if i != 2} for b, m in fam.injections.items()}
+        with pytest.raises(InputError, match="vertex 2 is not in any injection domain"):
+            vertex_fibers(AdmissibleFamily(fam.im_phi, fam.domains, injections))
 
 
 class TestCheckedFamilyImages:

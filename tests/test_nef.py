@@ -45,6 +45,11 @@ class TestClassifyPartition:
         with pytest.raises(InputError):
             classify_partition((1, 2), (2,), NefPartition(((0,), (5,))))
 
+    @pytest.mark.parametrize("index", [1.0, True, "1", -1])
+    def test_index_not_an_index(self, index):
+        with pytest.raises(InputError, match=f"index {index!r} outside 0..1"):
+            classify_partition((1, 2), (2,), NefPartition(((0,), (index,))))
+
     def test_reference_strong(self):
         cls = classify_partition(
             (1, 1, 1, 1, 1, 2), (4,), NefPartition(((0, 1, 2), (3, 4, 5))))

@@ -30,6 +30,13 @@ class TestFirstPrimes:
         assert first_primes(3, offset=2) == [5, 7, 11]
         assert first_primes(0) == []
 
+    @pytest.mark.parametrize("offset", [-2, 1.0, True])
+    def test_offset_not_an_index(self, offset):
+        with pytest.raises(InputError, match="prime offset must be a non-negative integer"):
+            first_primes(3, offset)
+        with pytest.raises(InputError, match="prime offset must be a non-negative integer"):
+            realize_weights(Complex.from_facets(2, [{0, 1}]), prime_offset=offset)
+
 
 class TestSkeleton:
     def test_full_simplex(self):

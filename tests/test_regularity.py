@@ -124,7 +124,7 @@ class TestDivisibilityGuard:
 
     @pytest.mark.parametrize("fn", [pair_is_trivial, nondivisible_complex,
                                     pair_trivial_all_indices, pair_nontriviality_witness])
-    def test_refused_past_twenty_values(self, fn):
+    def test_answered_past_twenty_values(self, fn):
         # answered at once, no longer refused: the two families agree, and
         # the weight-1 index is a non-divisible facet that is not strongly so
         facet = tuple(range(1, 22))
