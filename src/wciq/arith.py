@@ -15,7 +15,7 @@ import math
 from itertools import chain, product
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, ResourceLimitError, checked_ints
 
 #: Default ceiling for the semigroup membership table. Queries above the
 #: ceiling that no shortcut resolves return UNKNOWN instead of guessing.
@@ -40,14 +40,6 @@ class _Unknown:
 UNKNOWN = _Unknown()
 
 
-def _check_positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise InputError(f"{what} must be positive, got {value!r}")
-    return value
-
-
 class _Positives(tuple):
     """Base of the tuples of positive integers: the record is the tuple of
     its entries, so len, iteration, indexing, hashing and pickling are
@@ -62,8 +54,7 @@ class _Positives(tuple):
     def __new__(cls, items: tuple[int, ...]):
         # all exact ints, least at least 1: valid; else the first bad entry raises
         if not set(map(type, items)) <= {int} or min(items, default=1) < 1:
-            for a in items:
-                _check_positive_int(a, cls.unit)
+            checked_ints(items, cls.unit, 1)
         return super().__new__(cls, items)
 
     def __repr__(self) -> str:
@@ -195,8 +186,8 @@ def is_representable(d: int, weights: Iterable[int], *,
     degree; else from a bitset over 0..d // g. At most 256 tables are kept,
     each with a <= dp_cap >> 8 entries (3906 at the default cap).
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        raise InputError(f"target must be a non-negative integer, got {d!r}")
+    checked_ints([d], "target")
+    checked_ints([dp_cap], "dp_cap")
     rep, unknown = _decide_row((d,), 0, *_prepare(weights), dp_cap)
     return UNKNOWN if unknown else bool(rep)
 
@@ -208,7 +199,7 @@ def _past_cap(what, vals: tuple[int, ...], dp_cap: int) -> ResourceLimitError:
 
 def _prepare(weights: Iterable[int]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """Validated distinct weights ascending, reduced as by `_reduce`."""
-    return _reduce(tuple(sorted({_check_positive_int(a, "weight") for a in weights})))
+    return _reduce(tuple(sorted(set(checked_ints(weights, "weight", 1)))))
 
 
 def _reduce(vals: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
@@ -302,6 +293,7 @@ def representable_degrees(weights: Iterable[int], degrees: DegreesLike, *,
     """
     vals, g, reduced = _prepare(weights)
     dg = as_degrees(degrees)
+    checked_ints([dp_cap], "dp_cap")
     return frozenset(_admissible(dg, *_decide_row(dg, 0, vals, g, reduced, dp_cap),
                                  vals, dp_cap))
 
@@ -532,6 +524,7 @@ class PairFacts(_Memo):
         self.w = weight_facts(as_weights(weights))
         self.wt = self.w.wt
         self.dg = as_degrees(degrees)
+        checked_ints([dp_cap], "dp_cap")
         self.v = value_pair_facts(self.w.v.values, tuple(map(len, self.w.members)),
                                   self.dg, dp_cap)
-        self.node_budget = node_budget
+        self.node_budget = checked_ints([node_budget], "node_budget")[0]

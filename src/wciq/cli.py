@@ -27,6 +27,7 @@ from wciq.errors import (
     InputError,
     PreconditionFailure,
     ResourceLimitError,
+    checked_ints,
 )
 from wciq.maps import (
     _csp_summary,
@@ -52,6 +53,7 @@ from wciq.serialize import (
     family_from_json,
     family_to_json,
     int_str,
+    is_decimal,
     load_json,
     pair_from_json,
     pair_to_json,
@@ -258,6 +260,9 @@ def cmd_posetmap(args, facts: PairFacts) -> tuple[dict, int]:
 def cmd_realize(args) -> tuple[dict, int]:
     from wciq.realize import realize_map_instance, realize_weights, verify_realization
 
+    # refused also without --map, which alone reads them
+    checked_ints([args.pad], "pad")
+    checked_ints([args.ones], "ones")
     cx = complex_from_json(_read_json_file(args.complex, "complex"))
     if args.map is None:
         res = realize_weights(cx)
@@ -347,8 +352,7 @@ def cmd_oracle(args, facts: PairFacts) -> tuple[dict, int]:
 def _ascii_int(text: str, signed: bool = True) -> int:
     """An integer option as pair files spell one: ASCII digits, after a
     '-' where negatives are accepted."""
-    body = text[1:] if signed and text.startswith("-") else text
-    if not (body.isascii() and body.isdigit()):
+    if not is_decimal(text, signed):
         raise argparse.ArgumentTypeError(
             f"expected an integer{'' if signed else ' 0 or more'}, got {text!r}")
     try:

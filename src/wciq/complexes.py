@@ -40,7 +40,7 @@ from wciq.arith import (
     choices,
     weight_facts,
 )
-from wciq.errors import DEFAULT_NODE_BUDGET, InputError, checked_indices, node_budget
+from wciq.errors import DEFAULT_NODE_BUDGET, InputError, checked_ints, node_budget
 
 
 class Complex(NamedTuple):
@@ -53,10 +53,10 @@ class Complex(NamedTuple):
     def from_facets(cls, n_vertices: int,
                     facets: Iterable[Iterable[int]]) -> "Complex":
         """Normalize input facets: validate labels, drop non-maximal sets."""
-        checked_indices([n_vertices], None, "n_vertices")
+        checked_ints([n_vertices], "n_vertices")
         sets = set()
         for f in facets:
-            fs = frozenset(checked_indices(f, n_vertices, "facet vertex"))
+            fs = frozenset(checked_ints(f, "facet vertex", stop=n_vertices))
             if not fs:
                 raise InputError("facets must be nonempty vertex sets")
             sets.add(fs)
@@ -77,7 +77,7 @@ class Complex(NamedTuple):
         The empty set is a face of every complex that has at least one
         facet, and of no complex without facets.
         """
-        fs = frozenset(checked_indices(face, self.n_vertices, "vertex"))
+        fs = frozenset(checked_ints(face, "vertex", stop=self.n_vertices))
         if not fs:
             return bool(self.facets)
         return any(fs <= f for f in self.facets)
@@ -109,9 +109,7 @@ class WeightedComplex(_WeightedComplexFields):
             raise InputError(
                 f"vertex weights must cover exactly the complex vertices; "
                 f"got keys {sorted(keys)} for vertices {sorted(verts)}")
-        for v, w in vertex_weights.items():
-            if isinstance(w, bool) or not isinstance(w, int) or w < 1:
-                raise InputError(f"weight of vertex {v} must be a positive integer")
+        checked_ints(vertex_weights.values(), "vertex weight", 1)
         return super().__new__(cls, complex, dict(vertex_weights))
 
     def face_weight(self, face: Iterable[int]) -> int:
@@ -230,10 +228,7 @@ def base_complex(weights: WeightsLike, d: int, *,
     its node budget it raises ResourceLimitError naming the base complex
     search.
     """
-    wt = as_weights(weights)
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise InputError(f"degree must be a positive integer, got {d!r}")
-    return _base_complex(PairFacts(wt, (d,), dp_cap), 1)
+    return _base_complex(PairFacts(weights, (d,), dp_cap), 1)
 
 
 def _base_facets(facts: PairFacts) -> list[tuple[tuple[int, ...], int]]:

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by every module, the exact-integer index
-check, and the metered search loop.
+"""Exception taxonomy shared by every module, `checked_ints` (the one rule
+for an integer argument), and the metered search loop.
 
 The command line maps these onto exit codes: InputError to 2,
 PreconditionFailure to 1, ResourceLimitError to 3. InternalConsistencyError
@@ -41,15 +41,19 @@ class InternalConsistencyError(RuntimeError):
     """An identity that the theory guarantees failed on concrete data."""
 
 
-def checked_indices(values: Iterable, stop: int | None, what: str) -> list[int]:
-    """The values, when each is an exact int (a bool is not) from 0 to
-    stop - 1, with no upper end when stop is None; InputError naming the
-    first that is not, as `what`, otherwise."""
+def checked_ints(values: Iterable, what: str, least: int = 0,
+                 stop: int | None = None) -> list[int]:
+    """The values, when each is an exact int (a bool or another int
+    subclass is not) from least, 0 or 1, to below stop where one is given;
+    InputError naming the first that is not, as `what`, otherwise."""
     values = list(values)
     for value in values:
-        if type(value) is not int or value < 0 or stop is not None and value >= stop:
-            raise InputError(f"{what} must be a non-negative integer, got {value!r}"
-                             if stop is None else f"{what} {value!r} outside 0..{stop - 1}")
+        if type(value) is not int or value < least or stop is not None and value >= stop:
+            raise InputError(
+                f"{what} {value!r} outside {least}..{stop - 1}" if stop is not None
+                else f"{what} must be a non-negative integer, got {value!r}" if not least
+                else f"{what} must be an integer, got {value!r}" if type(value) is not int
+                else f"{what} must be positive, got {value!r}")
     return values
 
 

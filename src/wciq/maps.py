@@ -58,7 +58,7 @@ from wciq.errors import (
     PreconditionFailure,
     ResourceLimitError,
     backtrack,
-    checked_indices,
+    checked_ints,
     node_budget,
 )
 from wciq.regularity import _strict_regularity
@@ -494,7 +494,7 @@ def induced_face_map(fam: AdmissibleFamily, face: Iterable[int]) -> frozenset[in
     occurs in im_phi for a genuine face, and every member is b-divisible,
     so the injection applies elementwise.
     """
-    members = tuple(sorted(set(checked_indices(face, None, "vertex"))))
+    members = tuple(sorted(set(checked_ints(face, "vertex"))))
     if not members:
         raise InputError("the empty set has no induced image")
     try:

@@ -38,7 +38,7 @@ from wciq.errors import (
     InputError,
     InternalConsistencyError,
     PreconditionFailure,
-    checked_indices,
+    checked_ints,
 )
 from wciq.maps import AdmissibleFamily, _family, vertex_fibers
 from wciq.regularity import _pair_witness, _strict_regularity, is_linear_cone
@@ -97,7 +97,7 @@ def classify_partition(weights: WeightsLike, degrees: DegreesLike,
             f"expected {len(dg) + 1} parts for {len(dg)} degrees, "
             f"got {len(partition.parts)}")
     seen: set[int] = set()
-    for i in checked_indices([i for p in partition.parts for i in p], len(wt), "index"):
+    for i in checked_ints([i for p in partition.parts for i in p], "index", stop=len(wt)):
         if i in seen:
             raise InputError(f"index {i} appears in more than one part")
         seen.add(i)
@@ -141,6 +141,7 @@ def find_nef_partition(weights: WeightsLike, degrees: DegreesLike,
         raise InputError(f"unknown mode {mode!r}; expected one of {_MODES}")
     wt = as_weights(weights)
     dg = as_degrees(degrees)
+    checked_ints([node_budget], "node_budget")
     ones = wt.ones()
     spare = wt.total - dg.total - (mode == "nice")
     if spare < 0 or (mode == "nice" and not ones):

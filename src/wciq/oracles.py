@@ -32,7 +32,6 @@ from wciq.arith import (
     DegreesLike,
     PairFacts,
     WeightsLike,
-    _check_positive_int,
     as_degrees,
     as_weights,
     gcd_of,
@@ -83,7 +82,7 @@ def brute_force_representable(d: int, weights) -> bool:
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
     """Distinct primes dividing n, ascending, by unbounded trial division:
     the reference for the strata of `complexes.singular_complex`."""
-    _check_positive_int(n, "integer to factor")
+    errors.checked_ints([n], "integer to factor", 1)
     out = []
     rem = n
     p = 2

@@ -15,13 +15,13 @@ complexes.
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import lcm
 from typing import Mapping, NamedTuple
 
 from wciq.arith import DegreeTuple, WeightsLike, WeightTuple, as_weights
 from wciq.complexes import Complex, singular_complex
-from wciq.errors import InputError, ResourceLimitError, checked_indices
+from wciq.errors import InputError, ResourceLimitError, checked_ints
 from wciq.maps import WeightedMap, _least_preimages
 
 _RETRY_WINDOWS = 16
@@ -29,19 +29,10 @@ _RETRY_WINDOWS = 16
 
 def first_primes(n: int, offset: int = 0) -> list[int]:
     """Primes number offset..offset+n-1 in the ascending enumeration."""
-    checked_indices([offset], None, "prime offset")
-    if n <= 0:
-        return []
-    out: list[int] = []
-    found = 0
-    for cand in count(2):
-        if all(cand % p for p in range(2, int(cand ** 0.5) + 1)):
-            if found >= offset:
-                out.append(cand)
-                if len(out) == n:
-                    return out
-            found += 1
-    raise AssertionError("unreachable")
+    checked_ints([n], "prime count")
+    checked_ints([offset], "prime offset")
+    primes = (c for c in count(2) if all(c % p for p in range(2, int(c ** 0.5) + 1)))
+    return list(islice(primes, offset, offset + n))
 
 
 class _RealizationFields(NamedTuple):
@@ -105,7 +96,8 @@ def verify_realization(cx: Complex, weights: WeightsLike) -> bool:
 
 def skeleton(n_vertices: int, dim: int) -> Complex:
     """The dim-skeleton of the full simplex on the given vertices."""
-    if dim < 0 or dim >= n_vertices:
+    checked_ints([n_vertices], "n_vertices")
+    if checked_ints([dim], "dim")[0] >= n_vertices:
         raise InputError(
             f"no {dim}-skeleton on {n_vertices} vertices")
     return Complex.from_facets(
@@ -136,8 +128,7 @@ def contraction_instance(l: int, N: int, m: int, t: int) -> ContractionInstance:
     shifted window by window until that holds.
     """
     for name, val in (("l", l), ("N", N), ("m", m), ("t", t)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-            raise InputError(f"{name} must be a non-negative integer, got {val!r}")
+        checked_ints([val], name)
     cx = skeleton(N + 1, l)
     w = len(cx.facets)
     if t <= m + w + l:
@@ -180,8 +171,8 @@ def realize_map_instance(source: Complex, target: Complex,
     weight when one vertex lies in every source facet); ones prepends
     weight-one entries.
     """
-    if pad < 0 or ones < 0:
-        raise InputError("pad and ones must be non-negative")
+    checked_ints([pad], "pad")
+    checked_ints([ones], "ones")
     src_verts = source.vertices
     tgt_verts = target.vertices
     for v in src_verts:

@@ -43,7 +43,7 @@ from wciq.arith import (
     weight_facts,
 )
 from wciq.complexes import Complex, _dualize, _value_faces
-from wciq.errors import DEFAULT_NODE_BUDGET, checked_indices, node_budget
+from wciq.errors import DEFAULT_NODE_BUDGET, checked_ints, node_budget
 
 
 class RegularityReport(NamedTuple):
@@ -80,7 +80,7 @@ def is_linear_cone(weights: WeightsLike, degrees: DegreesLike) -> bool:
 
 
 def _validate_subset(wt, subset) -> tuple[int, ...]:
-    return tuple(sorted(set(checked_indices(subset, len(wt), "index"))))
+    return tuple(sorted(set(checked_ints(subset, "index", stop=len(wt)))))
 
 
 def _non_divisible(ws) -> bool:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from wciq.arith import DegreeTuple, WeightTuple, as_degrees, as_weights
 from wciq.complexes import Complex, SRPresentation, WeightedComplex
-from wciq.errors import InputError, ResourceLimitError
+from wciq.errors import InputError, ResourceLimitError, checked_ints
 from wciq.maps import AdmissibleFamily
 from wciq.nef import NefPartition
 
@@ -174,14 +174,19 @@ def int_str(n: int, what: str) -> str:
         raise _past_digit_limit(what) from None
 
 
+def is_decimal(text: str, signed: bool = True) -> bool:
+    """Is text ASCII digits, after a '-' where signed?"""
+    body = text[1:] if signed and text.startswith("-") else text
+    return body.isascii() and body.isdigit()
+
+
 def decode_int(value, what: str) -> int:
     if isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        body = value[1:] if value.startswith("-") else value
-        if body.isascii() and body.isdigit():
+        if is_decimal(value):
             try:
                 return int(value)
             except ValueError:  # ASCII digits: only the digit limit is left
@@ -251,14 +256,11 @@ def complex_to_json(cx: Complex) -> dict:
 def complex_from_json(data: Any) -> Complex:
     if not isinstance(data, Mapping) or "n_vertices" not in data or "facets" not in data:
         raise InputError('complex must be an object with "n_vertices" and "facets"')
-    n = data["n_vertices"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f'"n_vertices" must be an integer, got {n!r}')
     facets = data["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise InputError('"facets" must be an array of vertex arrays')
     return Complex.from_facets(
-        n, [_decode_ints(f, "vertex") for f in facets])
+        data["n_vertices"], [_decode_ints(f, "vertex") for f in facets])
 
 
 def weighted_complex_to_json(wc: WeightedComplex) -> dict:
@@ -294,15 +296,14 @@ def family_from_json(data: Any, weights) -> AdmissibleFamily:
     wt = as_weights(weights)
     if not isinstance(data["im_phi"], list):
         raise InputError('"im_phi" must be an array')
-    im_phi = tuple(decode_int(b, "face weight") for b in data["im_phi"])
+    im_phi = tuple(checked_ints([decode_int(b, "face weight") for b in data["im_phi"]],
+                                "face weight", 1))
     injections_raw = data["injections"]
     if not isinstance(injections_raw, Mapping):
         raise InputError('"injections" must be an object')
     domains = {}
     injections = {}
     for b in im_phi:
-        if b < 1:
-            raise InputError(f"face weight must be positive, got {b}")
         domains[b] = wt.divisible_by(b)
         raw = injections_raw.get(str(b))
         if not isinstance(raw, Mapping):

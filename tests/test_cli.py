@@ -939,6 +939,13 @@ class TestInputHandling:
         assert build_parser().parse_args(
             ["realize", "--complex", "c.json", flag, "-2"]).__dict__[flag[2:]] == -2
 
+    @pytest.mark.parametrize("flag", ["--pad", "--ones"])
+    def test_negative_realize_count_refused_without_map(self, flag, tmp_path, capsys):
+        cx = write_json(tmp_path, "cx.json", {"n_vertices": 2, "facets": [[0, 1]]})
+        assert main(["realize", "--complex", cx, flag, "-1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag[2:]} must be a non-negative integer, got -1\n")
+
     def test_negative_seed_is_echoed(self, small_file, capsys):
         code, out = run(["analyze", "--input", small_file, "--seed", "-3"], capsys)
         assert code == 0
